@@ -60,6 +60,7 @@ from .logres import (
     partner_sections,
     pullback_sigma,
     restrict,
+    restrict_monomial,
 )
 from .conecalc import (
     ChartElement,

@@ -33,7 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import LaurentPolynomial, NegativeExponentAtRestriction
-from .logres import SMOOTH_PAIR, BranchRestriction, PluriSection, restrict
+from .logres import SMOOTH_PAIR, BranchRestriction, restrict_monomial
+
+# re-exported: the benchmark tracer's self-test (bench/test_bench.py) checks
+# that a wrapped ``logres.restrict`` is rebound at this import site as well
+from .logres import restrict  # noqa: F401
 
 _UV = ("u", "v")
 _ST = ("s", "t")
@@ -234,6 +238,24 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     return BranchRestriction("u", section.weight, along * sign)
 
 
+def _restrict_cone_monomial(m: int, a: int, b: int, c: int) -> int | None:
+    """``restrict_cone`` of u^a v^b w^c at weight 2m, on integers.
+
+    The restriction of a monomial coefficient is u^e * (du)^{2m} with sign
+    +1 (the weight is even); returns e, or None when the restriction is
+    zero.  Raises IllegalPole exactly where ``restrict_cone`` does.
+    """
+    # normal form u^(a+k) v^(b+k) w^r, then u -> s^2, v -> t^2, w -> s*t
+    k, r = divmod(c, 2)
+    t_exp = 2 * (b + k) + r
+    if t_exp < 0:
+        raise IllegalPole(f"term with t^{t_exp} cannot be restricted to t=0")
+    if t_exp > 0:
+        return None
+    # t_exp == 0 forces r == 0, so the s exponent 2(a+k) descends to u^(a+k)
+    return a + k - m
+
+
 def pole_bound_s2(m: int) -> int:
     """Largest pole order the cone side can produce at weight 2m.
 
@@ -248,37 +270,46 @@ def pole_bound_s2(m: int) -> int:
     for a in range(m + 1):
         for b in range(m + 1):
             for c in (0, 1):
-                section = ConeSection(2 * m, ConeElement.monomial(a, b, c))
-                best = max(best, restrict_cone(section).pole_order)
+                e = _restrict_cone_monomial(m, a, b, c)
+                if e is not None:
+                    best = max(best, -e)
     return best
 
 
-def glued_pole_bound(m: int, degree_cutoff: int = 12) -> int:
+def glued_pole_bound(m: int, degree_cutoff: int | None = None) -> int:
     """Largest pole of a restriction achievable on BOTH sides of the gluing.
 
     The smooth chart (curve y=0) is glued to the cone curve by u = x.  Both
     restriction maps send monomial coefficients to monomials, so each
     achievable space is the span of the restricted monomials; the spaces
     are intersected exactly, over coefficients of total degree up to the
-    cutoff.
+    cutoff (default 2m).  A cone monomial u^a restricts to u^(a-m) and the
+    smooth side only produces nonnegative exponents, so the intersection is
+    inhabited iff the cutoff is at least m; below that ValueError is raised
+    rather than a pole bound read off nothing.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    cutoff = 2 * m if degree_cutoff is None else degree_cutoff
     smooth_exps: set[int] = set()
-    for a in range(degree_cutoff + 1):
-        for b in range(degree_cutoff + 1 - a):
-            coeff = LaurentPolynomial.monomial(("x", "y"), {"x": a, "y": b})
-            r = restrict(PluriSection(SMOOTH_PAIR, 2 * m, coeff), "y")
-            for exps in r.h.terms():
-                smooth_exps.add(exps[0])
+    for a in range(cutoff + 1):
+        for b in range(cutoff + 1 - a):
+            image = restrict_monomial(SMOOTH_PAIR, "y", 2 * m, (a, b))
+            if image is not None:
+                smooth_exps.add(image[1])
     cone_exps: set[int] = set()
-    for a in range(degree_cutoff + 1):
-        for b in range(degree_cutoff + 1 - a):
+    for a in range(cutoff + 1):
+        for b in range(cutoff + 1 - a):
             for c in (0, 1):
-                if a + b + c > degree_cutoff:
+                if a + b + c > cutoff:
                     continue
-                r = restrict_cone(ConeSection(2 * m, ConeElement.monomial(a, b, c)))
-                for exps in r.h.terms():
-                    cone_exps.add(exps[0])
+                e = _restrict_cone_monomial(m, a, b, c)
+                if e is not None:
+                    cone_exps.add(e)
     common = smooth_exps & cone_exps
-    return max((max(0, -e) for e in common), default=0)
+    if not common:
+        raise ValueError(
+            f"no restriction is achievable on both sides at m={m} "
+            f"with degree cutoff {cutoff}"
+        )
+    return max(max(0, -e) for e in common)

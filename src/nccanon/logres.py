@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactalg import LaurentPolynomial
+from .exactalg import Exponents, LaurentPolynomial, NegativeExponentAtRestriction
 from .monideal import MonomialIdeal
 
 
@@ -199,6 +199,30 @@ def restrict(section: PluriSection, branch: str) -> BranchRestriction:
     return _fold_log_frame(restricted, rule, section.weight)
 
 
+def restrict_monomial(
+    model: ChartModel, branch: str, weight: int, exps: Exponents
+) -> tuple[int, int] | None:
+    """``restrict`` on the monomial coefficient with exponents ``exps``.
+
+    Works on integers only: returns ``(sign, e)`` when the restriction is
+    sign * t^e * (dt)^weight with t the branch parameter, and None when it
+    is zero.  Raises NegativeExponentAtRestriction exactly where
+    ``restrict`` does, i.e. on a pole along the branch.
+    """
+    rule = model.branch(branch)
+    e = exps[model.variables.index(rule.zero_var)]
+    if e < 0:
+        raise NegativeExponentAtRestriction(
+            f"term with {rule.zero_var}^{e} cannot be restricted to {rule.zero_var}=0"
+        )
+    if e > 0:
+        return None
+    t_exp = exps[model.variables.index(rule.param_var)]
+    if rule.log_pole:
+        t_exp -= weight
+    return rule.residue_sign**weight, t_exp
+
+
 @dataclass(frozen=True)
 class BranchMatch:
     """One leg of the gluing: an nc branch identified with a half-plane curve."""
@@ -306,18 +330,21 @@ def gluing_ideal(m: int) -> MonomialIdeal:
     """Coefficients on the nc pair admitting half-plane partners at weight m.
 
     Computed from the branch conditions: a monomial coefficient qualifies
-    iff both forced partner restrictions are polynomials.  Monomials with
-    an exponent above m are divisible by a qualifying monomial capped at m,
-    so scanning the [0, m]^2 box finds all minimal generators.
+    iff both forced partner restrictions are polynomials, i.e. iff on each
+    nc branch its restriction is zero or has a nonnegative exponent, which
+    ``restrict_monomial`` decides on integers.  Monomials with an exponent
+    above m are divisible by a qualifying monomial capped at m, so scanning
+    the [0, m]^2 box finds all minimal generators.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     hits = []
     for a in range(m + 1):
         for b in range(m + 1):
-            coeff = LaurentPolynomial.monomial(("x", "y"), {"x": a, "y": b})
-            section = PluriSection(NC_PAIR, m, coeff)
-            if partner_sections(section) is not None:
+            images = (
+                restrict_monomial(NC_PAIR, leg.nc_zero_var, m, (a, b)) for leg in SIGMA
+            )
+            if all(image is None or image[1] >= 0 for image in images):
                 hits.append((a, b))
     return MonomialIdeal(("x", "y"), hits)
 

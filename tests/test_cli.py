@@ -1,5 +1,7 @@
 """CLI tests: family DSL, report formats, exit codes, determinism."""
 
+import hashlib
+
 import pytest
 
 from nccanon.cli import (
@@ -174,6 +176,19 @@ def test_structured_output_is_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
+
+
+# sha256 of the structured `--task all --max-degree 20` report (194 lines),
+# taken before the box scans moved onto the integer monomial kernel
+GOLDEN_ALL_N20_SHA256 = "35bae79742317ba8720d4892af3a96d12b7ccc556f9440d96484998290ccb992"
+
+
+def test_structured_report_matches_golden(capsys):
+    code = main(["--task", "all", "--max-degree", "20", "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 194
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_ALL_N20_SHA256
 
 
 def test_table_output_is_deterministic(capsys):
