@@ -88,6 +88,9 @@ TASKS = (
 
 DEFAULT_FAMILY = "x*y, x^m, y^m"
 
+# total-degree cap of the brute-force oracle in the rees suite
+REES_ORACLE_DEGREE = 6
+
 _ASSOC_SEED = 118932
 
 
@@ -337,11 +340,11 @@ def _suite_rees(family: GradedMonomialFamily, max_degree: int) -> list[CheckReco
     records = [_recorded("rees/family", str(family))]
     report = rees_report(family, max_degree)
     for m, gens in report.rows:
-        oracle = brute_force_new_generators(family, m, degree_bound=6)
-        visible = frozenset(g for g in gens if sum(g) <= 6)
+        oracle = brute_force_new_generators(family, m, degree_bound=REES_ORACLE_DEGREE)
+        visible = frozenset(g for g in gens if sum(g) <= REES_ORACLE_DEGREE)
         records.append(
             CheckRecord(
-                f"rees/m={m}/new-gens(deg<=6)",
+                f"rees/m={m}/new-gens(deg<={REES_ORACLE_DEGREE})",
                 _format_gens(family.variables, oracle),
                 _format_gens(family.variables, visible),
                 "pass" if oracle == visible else "fail",
@@ -351,7 +354,7 @@ def _suite_rees(family: GradedMonomialFamily, max_degree: int) -> list[CheckReco
         if above:
             records.append(
                 _recorded(
-                    f"rees/m={m}/new-gens(deg>6)",
+                    f"rees/m={m}/new-gens(deg>{REES_ORACLE_DEGREE})",
                     _format_gens(family.variables, above),
                 )
             )
@@ -558,7 +561,7 @@ def _suite_example2() -> list[CheckRecord]:
 
 def run(scenario: Scenario) -> tuple[Report, int]:
     """Execute the scenario's suites; exit code 0 iff every check passed."""
-    family_src = scenario.family or DEFAULT_FAMILY
+    family_src = DEFAULT_FAMILY if scenario.family is None else scenario.family
     records: list[CheckRecord] = []
     task = scenario.task
     if task in ("rees-report", "all"):

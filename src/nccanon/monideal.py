@@ -11,9 +11,10 @@ algebra is not finitely generated.
 The weight-0 component is the full coordinate ring, so "generated in
 weights below m" is an ideal condition: the weight-m part of the subalgebra
 spanned by lower weights is J_m = sum over a+b=m, 0<a,b<m of I_a*I_b.
-Two-factor products suffice because the family is first checked to be
-multiplicative (I_a*I_b inside I_{a+b}); deeper products are then absorbed.
-The module refuses to compute J_m for non-multiplicative families.
+Two-factor products suffice because the family is multiplicative
+(I_a*I_b inside I_{a+b}); deeper products are then absorbed.  One pass per
+weight instantiates each I_k once, builds J_m and checks multiplicativity on
+it, so the module refuses to report on non-multiplicative families.
 
 Everything here is immutable and pure; per-degree computations are
 independent of one another.
@@ -22,10 +23,9 @@ independent of one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exactalg import AffineExponent, Exponents, divides
+from .exactalg import AffineExponent, Exponents, VariableMismatch, divides
 
 
 class MultiplicativityViolation(Exception):
@@ -33,13 +33,25 @@ class MultiplicativityViolation(Exception):
 
 
 def minimalize(generators: Iterable[Exponents]) -> frozenset[Exponents]:
-    """Divisibility-minimal subset generating the same monomial ideal."""
+    """Divisibility-minimal subset generating the same monomial ideal.
+
+    Every candidate is validated up front: a negative exponent raises
+    ``ValueError`` and exponent vectors of different lengths raise
+    ``VariableMismatch``, whatever order the candidates come in.
+    """
     unique = set(tuple(g) for g in generators)
-    keep: set[Exponents] = set()
+    if len({len(g) for g in unique}) > 1:
+        raise VariableMismatch(
+            f"exponent vectors of lengths {sorted({len(g) for g in unique})}"
+        )
+    for g in unique:
+        if any(e < 0 for e in g):
+            raise ValueError(f"generator {g} has a negative exponent")
+    keep: list[Exponents] = []
     # ascending degree: a kept generator can never be divisible by a later one
     for g in sorted(unique, key=lambda e: (sum(e), e)):
-        if not any(divides(h, g) for h in keep):
-            keep.add(g)
+        if not any(all(a <= b for a, b in zip(h, g)) for h in keep):
+            keep.append(g)
     return frozenset(keep)
 
 
@@ -116,14 +128,6 @@ class MonomialIdeal:
         return f"MonomialIdeal{self!s}"
 
 
-def member(mono: Exponents, ideal: MonomialIdeal) -> bool:
-    return ideal.member(mono)
-
-
-def product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
-    return left * right
-
-
 @dataclass(frozen=True)
 class GradedMonomialFamily:
     """Monomial generator templates with exponents affine in the weight m.
@@ -178,54 +182,64 @@ class GradedMonomialFamily:
         return ", ".join(rendered)
 
 
+def _weights(
+    family: GradedMonomialFamily, upto: int
+) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
+    """(m, I_m, J_m) for m = 1, ..., upto, instantiating each I_k once.
+
+    J_m is built from the deduplicated products I_a*I_{m-a}.  The family is
+    multiplicative up to m iff every minimal generator of J_m lies in I_m:
+    I_m is closed under multiples and every product I_a*I_b with a+b = m is
+    a multiple of some minimal generator of J_m.  The first weight where
+    this fails raises ``MultiplicativityViolation`` naming ``upto``.
+    """
+    ideals = [family.instantiate(k) for k in range(1, upto + 1)]
+    for m, i_m in enumerate(ideals, start=1):
+        products = {
+            tuple(x + y for x, y in zip(g, h))
+            for a in range(1, m // 2 + 1)
+            for g in ideals[a - 1].generators
+            for h in ideals[m - a - 1].generators
+        }
+        j_m = MonomialIdeal(family.variables, products)
+        if not all(i_m.member(g) for g in j_m.generators):
+            raise MultiplicativityViolation(
+                f"family ({family}) is not multiplicative up to {upto}"
+            )
+        yield m, i_m, j_m
+
+
+def _new(i_m: MonomialIdeal, j_m: MonomialIdeal) -> frozenset[Exponents]:
+    return frozenset(g for g in i_m.generators if not j_m.member(g))
+
+
 def check_multiplicative(family: GradedMonomialFamily, upto: int) -> bool:
     """Whether I_a * I_b lies inside I_{a+b} for all 1 <= a <= b, a+b <= upto."""
-    ideals = {m: family.instantiate(m) for m in range(1, max(upto, 1) + 1)}
-    for a, b in combinations_with_replacement(range(1, upto), 2):
-        if a + b > upto:
-            continue
-        target = ideals[a + b]
-        for g in ideals[a].generators:
-            for h in ideals[b].generators:
-                if not target.member(tuple(x + y for x, y in zip(g, h))):
-                    return False
+    try:
+        for _ in _weights(family, upto):
+            pass
+    except MultiplicativityViolation:
+        return False
     return True
 
 
-def _subalgebra_component_unchecked(
+def _top_weight(
     family: GradedMonomialFamily, m: int
-) -> MonomialIdeal:
-    gens: set[Exponents] = set()
-    for a in range(1, m // 2 + 1):
-        b = m - a
-        if b < 1 or b >= m:
-            continue
-        left = family.instantiate(a)
-        right = family.instantiate(b)
-        for g in left.generators:
-            for h in right.generators:
-                gens.add(tuple(x + y for x, y in zip(g, h)))
-    return MonomialIdeal(family.variables, gens)
+) -> tuple[MonomialIdeal, MonomialIdeal]:
+    if m < 1:
+        raise ValueError(f"weight m={m} must be >= 1")
+    *_, (_, i_m, j_m) = _weights(family, m)
+    return i_m, j_m
 
 
 def subalgebra_component(family: GradedMonomialFamily, m: int) -> MonomialIdeal:
     """J_m: the weight-m part of the subalgebra spanned by weights below m."""
-    if not check_multiplicative(family, m):
-        raise MultiplicativityViolation(
-            f"family ({family}) is not multiplicative up to {m}"
-        )
-    return _subalgebra_component_unchecked(family, m)
+    return _top_weight(family, m)[1]
 
 
 def new_generators(family: GradedMonomialFamily, m: int) -> frozenset[Exponents]:
     """Minimal generators of I_m that the lower weights cannot produce."""
-    if not check_multiplicative(family, m):
-        raise MultiplicativityViolation(
-            f"family ({family}) is not multiplicative up to {m}"
-        )
-    i_m = family.instantiate(m)
-    j_m = _subalgebra_component_unchecked(family, m)
-    return frozenset(g for g in i_m.generators if not j_m.member(g))
+    return _new(*_top_weight(family, m))
 
 
 @dataclass(frozen=True)
@@ -253,17 +267,7 @@ def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGeneration
     """Compute new generators for every 1 <= m <= max_degree."""
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
-    if not check_multiplicative(family, max_degree):
-        raise MultiplicativityViolation(
-            f"family ({family}) is not multiplicative up to {max_degree}"
-        )
-    rows = []
-    for m in range(1, max_degree + 1):
-        i_m = family.instantiate(m)
-        j_m = _subalgebra_component_unchecked(family, m)
-        rows.append(
-            (m, frozenset(g for g in i_m.generators if not j_m.member(g)))
-        )
+    rows = [(m, _new(i_m, j_m)) for m, i_m, j_m in _weights(family, max_degree)]
     witness = all(gens for m, gens in rows if 3 <= m <= max_degree)
     return ReesGenerationReport(family, tuple(rows), max_degree, witness)
 
@@ -301,19 +305,22 @@ def brute_force_new_generators(
         rec((), bound)
         return monos
 
-    gens_m = raw(m)
-    pair_products: list[Exponents] = []
-    for a in range(1, m):
-        b = m - a
-        for g in raw(a):
-            for h in raw(b):
-                pair_products.append(tuple(x + y for x, y in zip(g, h)))
+    # Exponents are nonnegative, so a template or pair product of total
+    # degree above the bound divides no monomial of the box: drop it early.
+    raws = {k: [g for g in raw(k) if sum(g) <= degree_bound] for k in range(1, m + 1)}
+    pair_products = {
+        tuple(x + y for x, y in zip(g, h))
+        for a in range(1, m)
+        for g in raws[a]
+        for h in raws[m - a]
+        if sum(g) + sum(h) <= degree_bound
+    }
 
     difference = set()
     for mono in box(degree_bound):
-        in_im = any(div(g, mono) for g in gens_m)
-        in_jm = any(div(p, mono) for p in pair_products)
-        if in_im and not in_jm:
+        if any(div(g, mono) for g in raws[m]) and not any(
+            div(p, mono) for p in pair_products
+        ):
             difference.add(mono)
     return frozenset(
         x for x in difference if not any(y != x and div(y, x) for y in difference)

@@ -191,6 +191,34 @@ def test_structured_report_matches_golden(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_ALL_N20_SHA256
 
 
+# sha256 of the structured three-variable Rees report to weight 80 (the
+# benchmark's rees-3var-n80 run), taken before the per-weight pass
+GOLDEN_REES_3VAR_N80_SHA256 = "31b6295fd03e32cd748c81cd8b94bb4d9f8ff6a986866223c62f220bd14c95b6"
+
+
+def test_rees_3var_report_matches_golden(capsys):
+    code = main(
+        [
+            "--task", "rees-report",
+            "--family", "x*y, y*z, x*z, x^m, y^m, z^m",
+            "--max-degree", "80",
+            "--format", "structured",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REES_3VAR_N80_SHA256
+
+
+def test_empty_family_is_a_family_error(capsys):
+    # an empty --family is an input error, not a request for the default
+    for task in ("rees-report", "all"):
+        assert main(["--task", task, "--family", "", "--max-degree", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nccanon: family error: empty family")
+
+
 def test_table_output_is_deterministic(capsys):
     main(["--task", "example1-checks"])
     first = capsys.readouterr().out

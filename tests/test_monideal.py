@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from nccanon.cli import parse_family
-from nccanon.exactalg import AffineExponent
+from nccanon.exactalg import AffineExponent, VariableMismatch
 from nccanon.monideal import (
     GradedMonomialFamily,
     MonomialIdeal,
@@ -58,6 +58,20 @@ def test_minimalize_examples():
     assert minimalize(minimalize({(1, 1), (1, 0), (3, 2)})) == minimalize(
         {(1, 1), (1, 0), (3, 2)}
     )
+
+
+def test_minimalize_validates_every_candidate():
+    # a lone bad generator is caught, not only one that meets a comparison
+    with pytest.raises(ValueError):
+        MonomialIdeal(XY, [(-1, 0)])
+    with pytest.raises(ValueError):
+        MonomialIdeal(XY, [(-1, 0), (0, 0)])
+    with pytest.raises(ValueError):
+        minimalize([(2, 3), (0, -1)])
+    for gens in ([(1, 0), (1,)], [(1,), (1, 0)], [(0, 0, 1), (5, 5)]):
+        with pytest.raises(VariableMismatch):
+            minimalize(gens)
+    assert minimalize([]) == frozenset()
 
 
 def test_member_examples():
@@ -240,3 +254,119 @@ def test_ideal_str():
     assert str(ideal((1, 1), (3, 0), (0, 3))) == "(x*y, x^3, y^3)"
     assert str(MonomialIdeal(XY, ())) == "(0)"
     assert str(ideal((0, 0))) == "(1)"
+
+
+# -- the per-weight pass against straightforward references ---------------------
+
+
+def unpruned_oracle(family, m, degree_bound):
+    """The brute-force oracle as it was before degree pruning: every raw pair
+    product of lower weights is tested against every monomial of the box."""
+    nvars = len(family.variables)
+
+    def raw(k):
+        return [tuple(ae.at(k) for ae in row) for row in family.templates]
+
+    def div(g, x):
+        return all(a <= b for a, b in zip(g, x))
+
+    gens_m = raw(m)
+    pair_products = []
+    for a in range(1, m):
+        for g in raw(a):
+            for h in raw(m - a):
+                pair_products.append(tuple(x + y for x, y in zip(g, h)))
+    difference = set()
+    for mono in box(nvars, degree_bound):
+        in_im = any(div(g, mono) for g in gens_m)
+        in_jm = any(div(p, mono) for p in pair_products)
+        if in_im and not in_jm:
+            difference.add(mono)
+    return frozenset(
+        x for x in difference if not any(y != x and div(y, x) for y in difference)
+    )
+
+
+ORACLE_FAMILIES = (
+    "x*y, x^m, y^m",
+    "x*y, y*z, x*z, x^m, y^m, z^m",
+    "x^(m+1)*y, y^(2*m)",
+    "x^m*y^m",
+)
+
+
+@pytest.mark.parametrize("src", ORACLE_FAMILIES)
+def test_pruned_oracle_matches_unpruned(src):
+    family = parse_family(src)
+    for degree_bound in (4, 6, 8):
+        for m in range(1, 13):
+            assert brute_force_new_generators(
+                family, m, degree_bound
+            ) == unpruned_oracle(family, m, degree_bound), (degree_bound, m)
+
+
+def pairwise_multiplicative(family, upto):
+    """I_a * I_b inside I_{a+b}, tested product by product."""
+    for a in range(1, upto):
+        for b in range(a, upto - a + 1):
+            target = family.instantiate(a + b)
+            for g in family.instantiate(a).generators:
+                for h in family.instantiate(b).generators:
+                    if not target.member(tuple(x + y for x, y in zip(g, h))):
+                        return False
+    return True
+
+
+def reference_component(family, m):
+    """J_m as the sum of the ideal products I_a * I_{m-a}."""
+    j_m = MonomialIdeal(family.variables, ())
+    for a in range(1, m):
+        j_m = j_m + family.instantiate(a) * family.instantiate(m - a)
+    return j_m
+
+
+REFERENCE_FAMILIES = ORACLE_FAMILIES + (
+    "x^m",
+    "x*y",
+    "x*y, z^m",
+    "x^(2*m-1)",
+    "x^m, y^(2*m)",
+    "x^(m+1)*y, y^(2*m), x^2*y",
+)
+
+
+@pytest.mark.parametrize("src", REFERENCE_FAMILIES)
+def test_weight_pass_matches_reference(src):
+    family = parse_family(src)
+    top = 15
+    for upto in range(1, top + 1):
+        assert check_multiplicative(family, upto) == pairwise_multiplicative(
+            family, upto
+        ), upto
+    if not pairwise_multiplicative(family, top):
+        return
+    report = rees_report(family, top)
+    for m in range(1, top + 1):
+        j_m = reference_component(family, m)
+        fresh = frozenset(
+            g for g in family.instantiate(m).generators if not j_m.member(g)
+        )
+        assert subalgebra_component(family, m) == j_m, m
+        assert new_generators(family, m) == fresh, m
+        assert report.row(m) == fresh, m
+
+
+def test_multiplicativity_violation_at_every_entry_point():
+    skewed = parse_family("x^(2*m-1)")
+    assert not check_multiplicative(skewed, 4)
+    assert not check_multiplicative(parse_family("x^(m+1)*y, y^(2*m)"), 2)
+    for call in (
+        lambda: rees_report(skewed, 4),
+        lambda: new_generators(skewed, 4),
+        lambda: subalgebra_component(skewed, 4),
+    ):
+        with pytest.raises(MultiplicativityViolation) as exc:
+            call()
+        assert str(exc.value) == "family (x^2*m-1) is not multiplicative up to 4"
+    # weight 1 has no lower weights to violate anything
+    assert new_generators(skewed, 1) == {(1,)}
