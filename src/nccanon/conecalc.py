@@ -193,7 +193,8 @@ def _even_substitute(poly_s: LaurentPolynomial, target: str) -> LaurentPolynomia
         if e % 2 != 0:
             raise ValueError(f"odd exponent {e} cannot descend to the curve")
         out[(e // 2,)] = c
-    return LaurentPolynomial((target,), out)
+    # halving even exponents is injective and keeps every coefficient
+    return LaurentPolynomial._trusted((target,), out)
 
 
 def restrict_cone(section: ConeSection) -> BranchRestriction:

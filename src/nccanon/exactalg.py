@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 # Base field: stdlib Fraction is already a reduced numerator/positive
@@ -100,6 +101,22 @@ class AffineExponent:
         return f"{head}{self.offset:+d}"
 
 
+def _exact(value) -> Fraction:
+    """A coefficient as a Fraction; only int and Fraction are exact input."""
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient {value!r} is not an int or Fraction")
+    return Fraction(value)
+
+
+def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
+    vars_t = tuple(variables)
+    if len(set(vars_t)) != len(vars_t):
+        raise ValueError(f"duplicate variable names in {vars_t}")
+    return vars_t
+
+
 def _grlex_key(exps: Exponents) -> tuple:
     # graded lex, descending: higher total degree first, then lexicographically
     # larger exponent vectors first
@@ -107,7 +124,12 @@ def _grlex_key(exps: Exponents) -> tuple:
 
 
 class LaurentPolynomial:
-    """Immutable sparse Laurent polynomial over named variables."""
+    """Immutable sparse Laurent polynomial over named variables.
+
+    The public constructor checks everything it is given and accepts only
+    int and Fraction coefficients; the results of the class's own
+    arithmetic are normalised by construction and skip those checks.
+    """
 
     __slots__ = ("_vars", "_terms", "_hash")
 
@@ -116,9 +138,7 @@ class LaurentPolynomial:
         variables: Iterable[str],
         terms: Mapping[Exponents, Fraction | int] | None = None,
     ) -> None:
-        vars_t = tuple(variables)
-        if len(set(vars_t)) != len(vars_t):
-            raise ValueError(f"duplicate variable names in {vars_t}")
+        vars_t = _distinct(variables)
         stored: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
@@ -128,14 +148,37 @@ class LaurentPolynomial:
                 )
             if not all(isinstance(e, int) for e in key):
                 raise ValueError(f"non-integer exponent in {key}")
-            c = Fraction(coeff)
-            if c != 0:
-                stored[key] = stored.get(key, Fraction(0)) + c
-                if stored[key] == 0:
+            c = _exact(coeff)
+            if not c:
+                continue
+            if key in stored:
+                total = stored[key] + c
+                if total:
+                    stored[key] = total
+                else:
                     del stored[key]
+            else:
+                stored[key] = c
         object.__setattr__(self, "_vars", vars_t)
         object.__setattr__(self, "_terms", stored)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(
+        cls, vars_t: tuple[str, ...], terms: dict[Exponents, Fraction]
+    ) -> "LaurentPolynomial":
+        """Adopt ``terms`` as they are, without the checks of ``__init__``.
+
+        For results of this class's own arithmetic only.  The caller
+        guarantees distinct variable names, int-tuple keys of length
+        ``len(vars_t)`` and nonzero ``Fraction`` values, and hands over a
+        dict that nobody mutates afterwards.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_vars", vars_t)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("LaurentPolynomial is immutable")
@@ -149,7 +192,7 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, variables: Iterable[str], value: Fraction | int) -> "LaurentPolynomial":
         vars_t = tuple(variables)
-        return cls(vars_t, {(0,) * len(vars_t): Fraction(value)})
+        return cls(vars_t, {(0,) * len(vars_t): value})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "LaurentPolynomial":
@@ -187,7 +230,12 @@ class LaurentPolynomial:
         return not self._terms
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        key = tuple(exps)
+        if len(key) != len(self._vars):
+            raise VariableMismatch(
+                f"exponent vector {key} does not fit variables {self._vars}"
+            )
+        return self._terms.get(key, Fraction(0))
 
     def total_degree(self) -> int | None:
         """Maximal term degree (sum of exponents); None for the zero polynomial."""
@@ -236,13 +284,22 @@ class LaurentPolynomial:
             return NotImplemented
         out = dict(self._terms)
         for exps, c in rhs._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return LaurentPolynomial(self._vars, out)
+            if exps in out:
+                total = out[exps] + c
+                if total:
+                    out[exps] = total
+                else:
+                    del out[exps]
+            else:
+                out[exps] = c
+        return LaurentPolynomial._trusted(self._vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self._vars, {e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial._trusted(
+            self._vars, {e: -c for e, c in self._terms.items()}
+        )
 
     def __sub__(self, other) -> "LaurentPolynomial":
         rhs = self._coerce(other)
@@ -258,19 +315,40 @@ class LaurentPolynomial:
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return LaurentPolynomial(
-                self._vars, {e: c * v for e, v in self._terms.items()}
+            if other == 1:
+                return self
+            if other == 0:
+                return LaurentPolynomial._trusted(self._vars, {})
+            return LaurentPolynomial._trusted(
+                self._vars, {e: v * other for e, v in self._terms.items()}
             )
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        big, small = self, rhs
+        if len(big._terms) < len(small._terms):
+            big, small = small, big
+        if len(small._terms) == 1:
+            # a monomial factor shifts the exponents injectively: no two
+            # products meet, so nothing is summed and nothing cancels
+            ((shift, k),) = small._terms.items()
+            terms = big._terms.items()
+            if k == 1:
+                shifted = {tuple(map(add, e, shift)): c for e, c in terms}
+            else:
+                shifted = {tuple(map(add, e, shift)): c * k for e, c in terms}
+            return LaurentPolynomial._trusted(self._vars, shifted)
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in rhs._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentPolynomial(self._vars, out)
+                key = tuple(map(add, e1, e2))
+                if key in out:
+                    out[key] += c1 * c2
+                else:
+                    out[key] = c1 * c2
+        return LaurentPolynomial._trusted(
+            self._vars, {e: c for e, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -313,7 +391,8 @@ class LaurentPolynomial:
                 )
             if e == 0:
                 out[exps[:i] + exps[i + 1 :]] = c
-        return LaurentPolynomial(new_vars, out)
+        # dropping a coordinate that is 0 in every kept key is injective
+        return LaurentPolynomial._trusted(new_vars, out)
 
     def swap_vars(self, a: str, b: str) -> "LaurentPolynomial":
         """Exchange the exponents of variables a and b in every term."""
@@ -323,19 +402,20 @@ class LaurentPolynomial:
             e = list(exps)
             e[i], e[j] = e[j], e[i]
             out[tuple(e)] = c
-        return LaurentPolynomial(self._vars, out)
+        return LaurentPolynomial._trusted(self._vars, out)
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPolynomial":
         """Rename variables (the explicit chart-crossing operation)."""
         for old in mapping:
             if old not in self._vars:
                 raise UnknownVariable(f"{old!r} not among {self._vars}")
-        new_vars = tuple(mapping.get(v, v) for v in self._vars)
-        return LaurentPolynomial(new_vars, self._terms)
+        new_vars = _distinct(mapping.get(v, v) for v in self._vars)
+        # the terms dict is never mutated, so the renamed value can share it
+        return LaurentPolynomial._trusted(new_vars, self._terms)
 
     def with_variables(self, variables: Iterable[str]) -> "LaurentPolynomial":
         """Reinterpret over a larger variable list containing the current one."""
-        new_vars = tuple(variables)
+        new_vars = _distinct(variables)
         positions = []
         for v in self._vars:
             if v not in new_vars:
@@ -347,7 +427,7 @@ class LaurentPolynomial:
             for pos, e in zip(positions, exps):
                 vec[pos] = e
             out[tuple(vec)] = c
-        return LaurentPolynomial(new_vars, out)
+        return LaurentPolynomial._trusted(new_vars, out)
 
     def substitute_monomials(
         self,
@@ -361,34 +441,45 @@ class LaurentPolynomial:
         meaningful, which is what the chart-to-chart coordinate changes
         need (e.g. u -> s^2 or v -> u^-1*w^2).
         """
-        new_vars = tuple(variables)
-        if len(set(new_vars)) != len(new_vars):
-            raise ValueError(f"duplicate variable names in {new_vars}")
-        aligned: list[tuple[Fraction, Exponents]] = []
+        new_vars = _distinct(variables)
+        # per current variable: the image coefficient, or None when it is 1
+        # and its powers need not be taken, and the nonzero entries
+        # (position, exponent) of the image monomial over new_vars
+        aligned: list[tuple[Fraction | None, list[tuple[int, int]]]] = []
         for v in self._vars:
             if v not in images:
                 raise UnknownVariable(f"no image given for {v!r}")
             coeff, exp_map = images[v]
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c == 0:
                 raise ValueError(f"image of {v!r} must be a nonzero monomial")
-            for name in exp_map:
+            for name, e in exp_map.items():
                 if name not in new_vars:
                     raise UnknownVariable(f"{name!r} not among {new_vars}")
-            aligned.append((c, tuple(exp_map.get(w, 0) for w in new_vars)))
+                if not isinstance(e, int):
+                    raise ValueError(f"non-integer exponent {e!r} in image of {v!r}")
+            aligned.append((
+                None if c == 1 else c,
+                [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)],
+            ))
         out: dict[Exponents, Fraction] = {}
         for exps, c in self._terms.items():
-            scale = c
             vec = [0] * len(new_vars)
             for e, (ic, ivec) in zip(exps, aligned):
                 if e == 0:
                     continue
-                scale *= ic ** e
-                for k, iv in enumerate(ivec):
+                if ic is not None:
+                    c *= ic ** e
+                for k, iv in ivec:
                     vec[k] += e * iv
             key = tuple(vec)
-            out[key] = out.get(key, Fraction(0)) + scale
-        return LaurentPolynomial(new_vars, out)
+            if key in out:
+                out[key] += c
+            else:
+                out[key] = c
+        return LaurentPolynomial._trusted(
+            new_vars, {e: c for e, c in out.items() if c}
+        )
 
     # -- equality, hashing, printing ----------------------------------------
 

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from nccanon.conecalc import _even_substitute
 from nccanon.exactalg import (
     AffineExponent,
     LaurentPolynomial,
@@ -162,6 +163,8 @@ def test_substitute_monomials():
     assert laurent == LaurentPolynomial.monomial(("u", "w"), {"u": -1, "w": 2})
     with pytest.raises(ValueError):
         q.substitute_monomials(("u", "w"), {"u": (0, {}), "v": (1, {})})
+    with pytest.raises(ValueError):
+        q.substitute_monomials(("u", "w"), {"u": (1, {"u": 0.5}), "v": (1, {})})
 
 
 def test_substitute_monomials_is_ring_morphism():
@@ -199,3 +202,221 @@ def test_affine_exponent():
     assert str(AffineExponent(2, 1)) == "2*m+1"
     assert str(AffineExponent(1, -2)) == "m-2"
     assert str(AffineExponent(0, 3)) == "3"
+
+
+# -- validating constructor ----------------------------------------------------
+
+
+def test_inexact_coefficients_rejected():
+    with pytest.raises(TypeError):
+        LaurentPolynomial(("x",), {(1,): 0.1})
+    with pytest.raises(TypeError):
+        LaurentPolynomial(("x",), {(1,): "1/3"})
+    with pytest.raises(TypeError):
+        LaurentPolynomial.constant(XY, 0.5)
+    with pytest.raises(TypeError):
+        LaurentPolynomial.monomial(XY, {"x": 1}, "2")
+    with pytest.raises(TypeError):
+        poly("x").substitute_monomials(("s",), {"x": (0.5, {"s": 1}), "y": (1, {})})
+    exact = LaurentPolynomial(("x",), {(1,): Fraction(1, 3), (0,): 2})
+    assert exact == poly("1/3*x + 2", ("x",))
+    assert LaurentPolynomial.constant(XY, Fraction(1, 2)) == poly("1/2")
+
+
+def test_coefficient_checks_exponent_length():
+    p = poly("3*x*y + 1")
+    assert p.coefficient((1, 1)) == 3
+    assert p.coefficient((2, 0)) == 0
+    with pytest.raises(VariableMismatch):
+        p.coefficient((1,))
+    with pytest.raises(VariableMismatch):
+        p.coefficient((1, 0, 0))
+
+
+def test_duplicate_variable_guards():
+    p = poly("x + 2*y")
+    with pytest.raises(ValueError):
+        p.rename({"x": "y"})
+    with pytest.raises(ValueError):
+        p.with_variables(("x", "x", "y"))
+    with pytest.raises(ValueError):
+        p.substitute_monomials(("s", "s"), {"x": (1, {"s": 1}), "y": (1, {})})
+
+
+# -- trusted term path against a slow oracle -----------------------------------
+#
+# The arithmetic hands its results to LaurentPolynomial._trusted, which skips
+# every check of the public constructor.  The oracle recomputes each result
+# from the terms with a naive dict formula and rebuilds it through the
+# validating constructor, which sums repeated keys and drops zeros itself.
+
+VARS = ("x", "y", "z")
+
+
+def assert_normalised(p: LaurentPolynomial) -> None:
+    assert len(set(p.variables)) == len(p.variables)
+    for exps, c in p._terms.items():
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert all(type(e) is int for e in exps)
+        assert type(c) is Fraction and c != 0
+
+
+def dense_poly(rng: Random, variables, max_terms=5) -> LaurentPolynomial:
+    # exponents in [-3, 3] and at most five terms keep collisions frequent
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        exps = tuple(rng.randint(-3, 3) for _ in variables)
+        small = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        terms[exps] = rng.choice([1, -1, small])
+    return LaurentPolynomial(variables, terms)
+
+
+def oracle_map(p, variables, key=lambda e: e, scale=1):
+    """Rebuild p term by term over ``variables``: key(exps) -> scale*coeff."""
+    out = {}
+    for e, c in p.terms().items():
+        out[key(e)] = out.get(key(e), 0) + scale * c
+    return LaurentPolynomial(variables, out)
+
+
+def swap_ends(exps):
+    out = list(exps)
+    out[0], out[-1] = out[-1], out[0]
+    return tuple(out)
+
+
+def oracle_add(p, q):
+    out = {}
+    for f in (p, q):
+        for e, c in f.terms().items():
+            out[e] = out.get(e, 0) + c
+    return LaurentPolynomial(p.variables, out)
+
+
+def oracle_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms().items():
+        for e2, c2 in q.terms().items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return LaurentPolynomial(p.variables, out)
+
+
+def oracle_restrict(p, var):
+    i = p.variables.index(var)
+    if any(e[i] < 0 for e in p.terms()):
+        return None
+    kept = {e: c for e, c in p.terms().items() if e[i] == 0}
+    kept = LaurentPolynomial(p.variables, kept)
+    rest = p.variables[:i] + p.variables[i + 1 :]
+    return oracle_map(kept, rest, lambda e: e[:i] + e[i + 1 :])
+
+
+def oracle_substitute(p, new_vars, images):
+    out = {}
+    for exps, c in p.terms().items():
+        key = [0] * len(new_vars)
+        for v, e in zip(p.variables, exps):
+            ic, exp_map = images[v]
+            c *= Fraction(ic) ** e
+            for k, w in enumerate(new_vars):
+                key[k] += e * exp_map.get(w, 0)
+        out[tuple(key)] = out.get(tuple(key), 0) + c
+    return LaurentPolynomial(new_vars, out)
+
+
+def random_images(rng: Random, variables, new_vars):
+    return {
+        v: (
+            rng.choice([1, -1, 2, Fraction(-2, 3), Fraction(1, 5)]),
+            {w: rng.randint(-2, 2) for w in new_vars if rng.random() < 0.7},
+        )
+        for v in variables
+    }
+
+
+def test_trusted_path_matches_oracle():
+    rng = Random(23)
+    restricted = 0
+    for _ in range(400):
+        variables = VARS[: rng.randint(1, 3)]
+        p, q = dense_poly(rng, variables), dense_poly(rng, variables)
+        mono = LaurentPolynomial.monomial(
+            variables,
+            {v: rng.randint(-3, 3) for v in variables},
+            rng.choice([1, Fraction(-3, 2)]),
+        )
+        scalar = rng.choice([0, 1, -1, 3, Fraction(2, 7)])
+        zero = LaurentPolynomial.zero(variables)
+        wide = ("w",) + variables[::-1]
+        results = {
+            "add": (p + q, oracle_add(p, q)),
+            "neg": (-p, oracle_map(p, variables, scale=-1)),
+            "sub": (p - q, oracle_add(p, oracle_map(q, variables, scale=-1))),
+            "mul": (p * q, oracle_mul(p, q)),
+            "mul-monomial": (mono * p, oracle_mul(mono, p)),
+            "scalar": (p * scalar, oracle_map(p, variables, scale=scalar)),
+            "rscalar": (scalar * p, oracle_map(p, variables, scale=scalar)),
+            "cancel-add": (p + (-p), zero),
+            "cancel-sub": (p - p, zero),
+            "times-0": (p * 0, zero),
+            "times-1": (p * 1, p),
+            "rename": (
+                p.rename({variables[0]: "r"}),
+                oracle_map(p, ("r",) + variables[1:]),
+            ),
+            "with-variables": (
+                p.with_variables(wide),
+                oracle_map(p, wide, lambda e: (0,) + e[::-1]),
+            ),
+            "swap": (
+                p.swap_vars(variables[0], variables[-1]),
+                oracle_map(p, variables, swap_ends),
+            ),
+        }
+        for new_vars in (("s",), ("s", "t")):
+            images = random_images(rng, variables, new_vars)
+            results[f"substitute-{len(new_vars)}"] = (
+                p.substitute_monomials(new_vars, images),
+                oracle_substitute(p, new_vars, images),
+            )
+        var = rng.choice(variables)
+        expected = oracle_restrict(p, var)
+        if expected is None:
+            with pytest.raises(NegativeExponentAtRestriction):
+                p.restrict_var(var)
+        else:
+            results["restrict"] = (p.restrict_var(var), expected)
+            restricted += 1
+        for name, (got, want) in results.items():
+            assert_normalised(got)
+            assert got == want, (name, p, q)
+    assert restricted > 50
+
+
+def test_trusted_path_cancellation():
+    xy = poly("x + y")
+    # cross terms cancel in the product
+    assert xy * poly("x - y") == poly("x^2 - y^2")
+    # two variables sent to one monomial: terms collide and cancel
+    collide = {"x": (1, {"s": 1}), "y": (-1, {"s": 1})}
+    assert xy.substitute_monomials(("s",), collide) == LaurentPolynomial.zero(("s",))
+    # non-unit coefficients under negative powers
+    images = {"x": (Fraction(-2, 3), {"s": -1}), "y": (3, {"s": 2, "t": -1})}
+    sub = poly("x^-2*y + 1/2*x^3*y^-1").substitute_monomials(("s", "t"), images)
+    assert sub == poly("27/4*s^4*t^-1 - 4/81*s^-5*t", ("s", "t"))
+    for p in (xy * poly("x - y"), xy.substitute_monomials(("s",), collide), sub):
+        assert_normalised(p)
+    assert_normalised(xy * 0)
+    assert xy * 1 is xy
+
+
+def test_even_substitute_matches_oracle():
+    rng = Random(29)
+    for _ in range(100):
+        p = dense_poly(rng, ("s",)).substitute_monomials(("s",), {"s": (1, {"s": 2})})
+        got = _even_substitute(p, "u")
+        assert_normalised(got)
+        assert got == oracle_map(p, ("u",), lambda e: (e[0] // 2,))
+    with pytest.raises(ValueError):
+        _even_substitute(poly("s^3", ("s",)), "u")
