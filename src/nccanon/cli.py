@@ -388,13 +388,10 @@ def _suite_glue_check(max_degree: int) -> list[CheckRecord]:
             if partners is None or not glues(section, *partners):
                 members_ok = False
         records.append(_check(f"glue/m={m}/members-glue", True, members_ok))
-        rejected_ok = True
-        for a in range(m):
-            for b in range(m - a):
-                if ideal.member((a, b)):
-                    continue
-                if partner_sections(_nc_monomial_section(m, a, b)) is not None:
-                    rejected_ok = False
+        rejected_ok = all(
+            partner_sections(_nc_monomial_section(m, *exps)) is None
+            for exps in ideal.staircase()
+        )
         records.append(_check(f"glue/m={m}/non-members-rejected", True, rejected_ok))
     return records
 

@@ -329,15 +329,8 @@ class LaurentPolynomial:
         if len(big._terms) < len(small._terms):
             big, small = small, big
         if len(small._terms) == 1:
-            # a monomial factor shifts the exponents injectively: no two
-            # products meet, so nothing is summed and nothing cancels
-            ((shift, k),) = small._terms.items()
-            terms = big._terms.items()
-            if k == 1:
-                shifted = {tuple(map(add, e, shift)): c for e, c in terms}
-            else:
-                shifted = {tuple(map(add, e, shift)): c * k for e, c in terms}
-            return LaurentPolynomial._trusted(self._vars, shifted)
+            ((exps, k),) = small._terms.items()
+            return big.shift(exps, k)
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in rhs._terms.items():
@@ -351,6 +344,26 @@ class LaurentPolynomial:
         )
 
     __rmul__ = __mul__
+
+    def shift(self, exps: Exponents, coeff: Fraction | int = 1) -> "LaurentPolynomial":
+        """The product with ``coeff`` times the monomial of exponents ``exps``.
+
+        Adding a fixed exponent vector is injective, so nothing is summed or
+        cancels and the result can skip the checks of ``__init__``.
+        """
+        if len(exps) != len(self._vars):
+            raise VariableMismatch(f"shift {tuple(exps)} does not fit {self._vars}")
+        if not all(isinstance(e, int) for e in exps):
+            raise ValueError(f"non-integer exponent in {tuple(exps)}")
+        k = _exact(coeff)
+        if not k:
+            return LaurentPolynomial._trusted(self._vars, {})
+        terms = self._terms.items()
+        if k == 1:
+            shifted = {tuple(map(add, e, exps)): c for e, c in terms}
+        else:
+            shifted = {tuple(map(add, e, exps)): c * k for e, c in terms}
+        return LaurentPolynomial._trusted(self._vars, shifted)
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if not isinstance(n, int):

@@ -180,11 +180,8 @@ def _fold_log_frame(
     coeff: LaurentPolynomial, rule: BranchRule, weight: int
 ) -> BranchRestriction:
     # coeff is relative to (generator restriction)^weight; normalize to (dt)^m
-    t = rule.param_var
-    h = coeff * (rule.residue_sign ** weight)
-    if rule.log_pole:
-        h = h * LaurentPolynomial.monomial((t,), {t: -weight})
-    return BranchRestriction(t, weight, h)
+    h = coeff.shift((-weight if rule.log_pole else 0,), rule.residue_sign**weight)
+    return BranchRestriction(rule.param_var, weight, h)
 
 
 def restrict(section: PluriSection, branch: str) -> BranchRestriction:
@@ -223,6 +220,20 @@ def restrict_monomial(
     return rule.residue_sign**weight, t_exp
 
 
+def branch_ideal(model: ChartModel, branch: str, weight: int) -> MonomialIdeal:
+    """Monomial coefficients whose restriction to the branch is holomorphic.
+
+    On (z = 0) with parameter t, a monomial with nonnegative exponents
+    restricts to zero if its z-exponent is positive, else to a power of t
+    lowered by ``weight`` on a log-pole branch (``restrict_monomial``).  So
+    it restricts holomorphically iff it lies in (z, t^(weight if log pole)).
+    """
+    rule = model.branch(branch)
+    powers = ((rule.zero_var, 1), (rule.param_var, weight if rule.log_pole else 0))
+    gens = [tuple(e if v == var else 0 for v in model.variables) for var, e in powers]
+    return MonomialIdeal(model.variables, gens)
+
+
 @dataclass(frozen=True)
 class BranchMatch:
     """One leg of the gluing: an nc branch identified with a half-plane curve."""
@@ -258,15 +269,11 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
         raise UnknownBranch(
             f"no gluing is defined on branch parameter {restriction.curve_var!r}"
         )
-    nc_param = match.nc_param
     rule = NC_PAIR.branch(match.nc_zero_var)
     m = restriction.weight
-    h = restriction.h.rename({restriction.curve_var: nc_param})
+    h = restriction.h.rename({restriction.curve_var: match.nc_param})
     # (dt)^m = (sign * s)^m * eta^m: coefficient relative to the log frame
-    factor = LaurentPolynomial.monomial(
-        (nc_param,), {nc_param: m}, Fraction(rule.residue_sign) ** m
-    )
-    return _fold_log_frame(h * factor, rule, m)
+    return _fold_log_frame(h.shift((m,), rule.residue_sign**m), rule, m)
 
 
 def glues(
@@ -329,24 +336,14 @@ def partner_sections(
 def gluing_ideal(m: int) -> MonomialIdeal:
     """Coefficients on the nc pair admitting half-plane partners at weight m.
 
-    Computed from the branch conditions: a monomial coefficient qualifies
-    iff both forced partner restrictions are polynomials, i.e. iff on each
-    nc branch its restriction is zero or has a nonnegative exponent, which
-    ``restrict_monomial`` decides on integers.  Monomials with an exponent
-    above m are divisible by a qualifying monomial capped at m, so scanning
-    the [0, m]^2 box finds all minimal generators.
+    A monomial coefficient has partners iff both forced partner restrictions
+    are polynomials, i.e. iff it lies in the branch ideal of each nc branch
+    that ``SIGMA`` glues: the gluing ideal is (x, y^m) & (y, x^m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    hits = []
-    for a in range(m + 1):
-        for b in range(m + 1):
-            images = (
-                restrict_monomial(NC_PAIR, leg.nc_zero_var, m, (a, b)) for leg in SIGMA
-            )
-            if all(image is None or image[1] >= 0 for image in images):
-                hits.append((a, b))
-    return MonomialIdeal(("x", "y"), hits)
+    on_x, on_y = (branch_ideal(NC_PAIR, leg.nc_zero_var, m) for leg in SIGMA)
+    return on_x & on_y
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,28 @@ class MonomialIdeal:
         self._check_compatible(other)
         return MonomialIdeal(self._vars, self._gens | other._gens)
 
+    def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The intersection: generated by the lcms of all generator pairs."""
+        self._check_compatible(other)
+        lcms = {tuple(map(max, g, h)) for g in self._gens for h in other._gens}
+        return MonomialIdeal(self._vars, lcms)
+
+    def staircase(self) -> list[Exponents]:
+        """The monomials outside a two-variable ideal, in ascending order.
+
+        They are finite iff the ideal holds a pure power of each variable,
+        else ValueError.  Sorted by x-exponent, minimal generators have
+        falling y-exponents: between neighbours (a0, h) and (a1, _) the
+        non-members are x^a*y^b with a0 <= a < a1 and b < h.
+        """
+        if len(self._vars) != 2:
+            raise ValueError(f"staircase needs two variables, got {self._vars}")
+        gens = sorted(self._gens)
+        if not gens or gens[0][0] or gens[-1][1]:
+            raise ValueError(f"{self} has infinitely many non-members")
+        return [(a, b) for (a0, h), (a1, _) in zip(gens, gens[1:])
+                for a in range(a0, a1) for b in range(h)]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented

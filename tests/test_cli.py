@@ -191,6 +191,20 @@ def test_structured_report_matches_golden(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_ALL_N20_SHA256
 
 
+# sha256 of the structured `--task all --max-degree 80` report (674 lines),
+# taken before the gluing ideal and the pole bounds were read off the branch
+# data
+GOLDEN_ALL_N80_SHA256 = "3fc476047af1136206646131f950f72a58b0a9cc69034acf3fa291341e4f5a07"
+
+
+def test_structured_report_n80_matches_golden(capsys):
+    code = main(["--task", "all", "--max-degree", "80", "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 674
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_ALL_N80_SHA256
+
+
 # sha256 of the structured three-variable Rees report to weight 80 (the
 # benchmark's rees-3var-n80 run), taken before the per-weight pass
 GOLDEN_REES_3VAR_N80_SHA256 = "31b6295fd03e32cd748c81cd8b94bb4d9f8ff6a986866223c62f220bd14c95b6"

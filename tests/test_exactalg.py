@@ -411,6 +411,34 @@ def test_trusted_path_cancellation():
     assert xy * 1 is xy
 
 
+def test_shift_matches_validating_monomial_product():
+    rng = Random(37)
+    for _ in range(400):
+        variables = VARS[: rng.randint(1, 3)]
+        p = dense_poly(rng, variables)
+        exps = tuple(rng.randint(-3, 3) for _ in variables)
+        coeff = rng.choice([0, 1, -1, 3, Fraction(-3, 2), Fraction(2, 7)])
+        mono = LaurentPolynomial.monomial(variables, dict(zip(variables, exps)), coeff)
+        got = p.shift(exps, coeff)
+        assert_normalised(got)
+        assert got == p * mono == oracle_mul(p, mono), (p, exps, coeff)
+
+
+def test_shift_checks_its_arguments():
+    p = poly("x - 2*y")
+    assert p.shift((1, -1)) == poly("x^2*y^-1 - 2*x")
+    assert p.shift((3, 3), 0) == LaurentPolynomial.zero(XY)
+    assert_normalised(p.shift((3, 3), 0))
+    for bad in ((1,), (1, 0, 0), ()):
+        with pytest.raises(VariableMismatch):
+            p.shift(bad)
+    for coeff in (0.5, "2", None):
+        with pytest.raises(TypeError):
+            p.shift((0, 0), coeff)
+    with pytest.raises(ValueError):
+        p.shift((1.0, 0))
+
+
 def test_even_substitute_matches_oracle():
     rng = Random(29)
     for _ in range(100):

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from nccanon.cli import parse_family
-from nccanon.exactalg import AffineExponent, VariableMismatch
+from nccanon.exactalg import AffineExponent, VariableMismatch, divides
 from nccanon.monideal import (
     GradedMonomialFamily,
     MonomialIdeal,
@@ -220,6 +220,69 @@ def test_product_commutative_associative():
         a, b, c = (random_ideal(rng) for _ in range(3))
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+
+
+def test_intersection_matches_membership_on_a_box():
+    rng = Random(41)
+    for nvars in (2, 3):
+        for _ in range(80):
+            i, j = random_ideal(rng, nvars), random_ideal(rng, nvars)
+            both = i & j
+            # every generator and every lcm has exponents at most 5, so
+            # membership depends on exponents capped at 6: [0, 6] decides all
+            for mono in cartesian(range(7), repeat=nvars):
+                assert both.member(mono) == (i.member(mono) and j.member(mono))
+            gens = both.generators
+            assert not any(g != h and divides(g, h) for g in gens for h in gens)
+            assert both == j & i
+
+
+def test_intersection_examples_and_errors():
+    assert ideal((1, 0), (0, 3)) & ideal((0, 1), (3, 0)) == ideal((1, 1), (3, 0), (0, 3))
+    assert ideal((1, 0), (0, 1)) & ideal((0, 1), (1, 0)) == ideal((1, 0), (0, 1))
+    zero = MonomialIdeal(XY, ())
+    assert (ideal((0, 0)) & zero).is_zero
+    assert ideal((0, 0)) & ideal((2, 1)) == ideal((2, 1))
+    with pytest.raises(ValueError):
+        ideal((1, 0)) & ideal((1, 0), variables=("u", "v"))
+    with pytest.raises(ValueError):
+        ideal((1, 0)) & ideal((1, 0, 0), variables=("x", "y", "z"))
+
+
+def box_staircase(ideal_: MonomialIdeal) -> list:
+    """Non-members in the box spanned by the pure powers, by ``member``."""
+    width = max(g[0] for g in ideal_.generators)
+    height = max(g[1] for g in ideal_.generators)
+    return [
+        (a, b)
+        for a in range(width + 1)
+        for b in range(height + 1)
+        if not ideal_.member((a, b))
+    ]
+
+
+def test_staircase_matches_member_scan():
+    rng = Random(43)
+    checked = 0
+    for _ in range(300):
+        base = random_ideal(rng)
+        pure = [(rng.randrange(1, 8), 0), (0, rng.randrange(1, 8))]
+        ideal_ = MonomialIdeal(XY, list(base.generators) + pure)
+        assert ideal_.staircase() == box_staircase(ideal_)
+        checked += len(ideal_.staircase())
+    assert checked > 300
+    assert ideal((1, 1), (3, 0), (0, 3)).staircase() == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (2, 0)
+    ]
+    assert ideal((0, 0)).staircase() == []
+
+
+def test_staircase_refuses_infinite_complements():
+    for gens in (((1, 1),), ((1, 0),), ((0, 1),), ((2, 0), (1, 1)), ()):
+        with pytest.raises(ValueError, match="infinitely many"):
+            MonomialIdeal(XY, gens).staircase()
+    with pytest.raises(ValueError, match="two variables"):
+        ideal((1, 0, 0), (0, 1, 0), (0, 0, 1), variables=("x", "y", "z")).staircase()
 
 
 def test_subalgebra_inside_instantiation():

@@ -1,13 +1,15 @@
 """The integer monomial kernel against the polynomial route it replaces.
 
-``gluing_ideal``, ``pole_bound_s2`` and ``glued_pole_bound`` decide each
-monomial of their scan boxes with ``restrict_monomial`` and the cone helper
-``_restrict_cone_monomial``, on integers.  The oracles below are the
-polynomial implementations those functions used before: they build a
-``LaurentPolynomial`` section for every monomial and run the full
-restriction on it.  The tests compare the kernel with them result by
-result and monomial by monomial.
+``gluing_ideal`` intersects the branch ideals of the glued nc branches, and
+``pole_bound_s2`` and ``glued_pole_bound`` scan only the u^a line with
+``restrict_monomial`` and the cone helper ``_restrict_cone_monomial``, on
+integers.  The oracles below scan the full boxes the way those functions
+once did, on the polynomial route: they build a ``LaurentPolynomial``
+section for every monomial and run the full restriction on it.  The tests
+compare the kernel with them result by result and monomial by monomial.
 """
+
+from itertools import product
 
 import pytest
 
@@ -30,6 +32,7 @@ from nccanon.logres import (
     BranchRestriction,
     PluriSection,
     UnknownBranch,
+    branch_ideal,
     gluing_ideal,
     partner_sections,
     restrict,
@@ -163,6 +166,22 @@ def test_restrict_monomial_matches_restrict_on_every_chart():
                         zeros += image is None
                         assert kernel_restriction(rule.param_var, weight, image) == expected
     assert raised and zeros
+
+
+def test_branch_ideal_matches_restrict_monomial():
+    for model in (NC_PAIR, SMOOTH_PAIR, HALF_PLANE_U, HALF_PLANE_V):
+        for rule in model.branches:
+            for weight in range(0, 5):
+                ideal = branch_ideal(model, rule.zero_var, weight)
+                assert ideal.variables == model.variables
+                # generators have exponents at most 4, so [0, 5]^2 decides
+                # membership of every monomial
+                for exps in product(range(6), repeat=2):
+                    image = restrict_monomial(model, rule.zero_var, weight, exps)
+                    holomorphic = image is None or image[1] >= 0
+                    assert ideal.member(exps) == holomorphic, (model.name, exps)
+    with pytest.raises(UnknownBranch):
+        branch_ideal(NC_PAIR, "u1", 1)
 
 
 def test_restrict_monomial_unknown_branch():
