@@ -18,7 +18,6 @@ from .exactalg import (
     LaurentPolynomial,
     NegativeExponentAtRestriction,
     ParseError,
-    Rational,
     UnknownVariable,
     VariableMismatch,
     divides,
@@ -82,7 +81,6 @@ from .geomcheck import (
     NotSquarefree,
     WeightedHyperellipticCurve,
     binary_forms_share_root,
-    blowup,
     ec_add,
     ec_mul,
     ec_neg,

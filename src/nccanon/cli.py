@@ -14,16 +14,18 @@ byte-identical reports, so the structured format is safe for golden files.
 The monomial-family DSL accepted by ``--family`` is a comma-separated list
 of monomial templates; each factor is ``var`` or ``var^e`` where the
 exponent is an integer, ``m``, ``k*m``, or ``k*m+c``/``k*m-c`` (optionally
-parenthesized), with ``m`` the grading weight.
+parenthesized), with ``m`` the grading weight.  It shares the tokenizer of
+``exactalg.parse_polynomial``, so names are ASCII.  A variable whose
+exponents sum to 0 is refused: it would print as nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable
 
 from .conecalc import (
     ConeElement,
@@ -34,14 +36,14 @@ from .conecalc import (
     restrict_cone_log_frame,
     glued_pole_bound,
 )
-from .exactalg import AffineExponent, LaurentPolynomial, parse_polynomial
+from .exactalg import AffineExponent, LaurentPolynomial, Tokens, parse_polynomial
 from .geomcheck import (
     ECCurve,
     INFINITY,
-    IntersectionLattice,
     WeightedHyperellipticCurve,
     binary_forms_share_root,
     ec_add,
+    genus2_fibration_lattice,
     genus2_pencil_lattice,
     h0_p1,
     linear_equiv,
@@ -70,20 +72,8 @@ from .monideal import (
     GradedMonomialFamily,
     MultiplicativityViolation,
     brute_force_new_generators,
-    monomial_str,
+    generators_str,
     rees_report,
-)
-
-TASKS = (
-    "rees-report",
-    "gluing-ideal",
-    "glue-check",
-    "cone-restrict",
-    "pole-bounds",
-    "embed-search",
-    "example1-checks",
-    "example2-checks",
-    "all",
 )
 
 DEFAULT_FAMILY = "x*y, x^m, y^m"
@@ -104,125 +94,73 @@ class FamilyParseError(ValueError):
 # family DSL
 # ---------------------------------------------------------------------------
 
-_FAM_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^(),])")
 
-
-def _tokenize_family(src: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(src):
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _FAM_TOKEN.match(src, pos)
-        if m is None:
-            raise FamilyParseError(f"unexpected character {src[pos]!r}", pos)
-        out.append((m.lastgroup or "", m.group(), pos))
-        pos = m.end()
-    return out
-
-
-class _FamilyCursor:
-    def __init__(self, src: str) -> None:
-        self.tokens = _tokenize_family(src)
-        self.i = 0
-        self.end = len(src)
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int] | None:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise FamilyParseError("unexpected end of input", self.end)
-        self.i += 1
-        return tok
-
-
-def _parse_affine(cur: _FamilyCursor) -> AffineExponent:
-    tok = cur.peek()
-    if tok is None:
-        raise FamilyParseError("expected an exponent", cur.end)
-    kind, text, pos = tok
+def _parse_affine(cur: Tokens) -> AffineExponent:
+    kind, text, pos = cur.take()
     if kind == "int":
-        cur.take()
-        nxt, nxt2 = cur.peek(), cur.peek(1)
-        if (
-            nxt is not None
-            and nxt[1] == "*"
-            and nxt2 is not None
-            and nxt2[1] == "m"
-        ):
+        if cur.peek()[1] == "*" and cur.peek(1)[1] == "m":
             cur.take()
             cur.take()
             return AffineExponent(int(text), _parse_offset(cur))
         return AffineExponent(0, int(text))
-    if kind == "name" and text == "m":
-        cur.take()
+    if text == "m":
         return AffineExponent(1, _parse_offset(cur))
     raise FamilyParseError(f"expected an exponent, got {text!r}", pos)
 
 
-def _parse_offset(cur: _FamilyCursor) -> int:
-    tok = cur.peek()
-    if tok is None or tok[1] not in "+-":
+def _parse_offset(cur: Tokens) -> int:
+    sign = cur.peek()[1]
+    if sign not in ("+", "-"):
         return 0
     cur.take()
-    nxt = cur.peek()
-    if nxt is None or nxt[0] != "int":
-        raise FamilyParseError("expected an integer after the sign", tok[2])
-    cur.take()
-    return int(nxt[1]) if tok[1] == "+" else -int(nxt[1])
+    kind, text, pos = cur.take()
+    if kind != "int":
+        raise FamilyParseError("expected an integer after the sign", pos)
+    return int(text) if sign == "+" else -int(text)
 
 
-def _parse_exponent(cur: _FamilyCursor) -> AffineExponent:
-    tok = cur.peek()
-    if tok is not None and tok[1] == "(":
-        cur.take()
-        ae = _parse_affine(cur)
-        closing = cur.take()
-        if closing[1] != ")":
-            raise FamilyParseError("expected ')'", closing[2])
-        return ae
-    return _parse_affine(cur)
+def _parse_exponent(cur: Tokens) -> AffineExponent:
+    if not cur.accept("("):
+        return _parse_affine(cur)
+    ae = _parse_affine(cur)
+    if not cur.accept(")"):
+        raise FamilyParseError("expected ')'", cur.pos)
+    return ae
 
 
 def parse_family(src: str) -> GradedMonomialFamily:
     """Parse the monomial-family DSL into a validated graded family."""
-    cur = _FamilyCursor(src)
-    if cur.peek() is None:
+    cur = Tokens(src, FamilyParseError)
+    if cur.peek()[0] == "end":
         raise FamilyParseError("empty family", 0)
     templates: list[dict[str, AffineExponent]] = []
     while True:
+        start = cur.pos
         template: dict[str, AffineExponent] = {}
         while True:
-            tok = cur.take()
-            kind, text, pos = tok
-            if kind != "name" or text == "m":
-                raise FamilyParseError(f"expected a variable, got {text!r}", pos)
-            exp = AffineExponent(0, 1)
-            nxt = cur.peek()
-            if nxt is not None and nxt[1] == "^":
-                cur.take()
-                exp = _parse_exponent(cur)
-            prev = template.get(text)
-            if prev is not None:
-                exp = AffineExponent(prev.slope + exp.slope, prev.offset + exp.offset)
-            template[text] = exp
-            nxt = cur.peek()
-            if nxt is None or nxt[1] == ",":
+            kind, name, pos = cur.take()
+            if kind != "name" or name == "m":
+                raise FamilyParseError(f"expected a variable, got {name!r}", pos)
+            exp = _parse_exponent(cur) if cur.accept("^") else AffineExponent(0, 1)
+            prev = template.get(name, AffineExponent(0, 0))
+            template[name] = AffineExponent(
+                prev.slope + exp.slope, prev.offset + exp.offset
+            )
+            if not cur.accept("*"):
                 break
-            if nxt[1] != "*":
-                raise FamilyParseError(f"expected '*' or ',', got {nxt[1]!r}", nxt[2])
-            cur.take()
+        kind, text, pos = cur.peek()
+        if kind != "end" and text != ",":
+            raise FamilyParseError(f"expected '*' or ',', got {text!r}", pos)
+        # a variable with exponent 0 would print as nothing, so the printed
+        # family could not be parsed back to the same variables
+        for name, exp in template.items():
+            if exp == AffineExponent(0, 0):
+                raise FamilyParseError(f"exponent of {name} is identically 0", start)
         templates.append(template)
-        nxt = cur.peek()
-        if nxt is None:
+        if not cur.accept(","):
             break
-        cur.take()  # the comma
-        if cur.peek() is None:
-            raise FamilyParseError("trailing comma", nxt[2])
+        if cur.peek()[0] == "end":
+            raise FamilyParseError("trailing comma", pos)
     variables = tuple(sorted({v for t in templates for v in t}))
     rows = tuple(
         tuple(t.get(v, AffineExponent(0, 0)) for v in variables) for t in templates
@@ -321,9 +259,18 @@ class Scenario:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
+            raise ValueError("--max-degree must be >= 1")
         if self.output_format not in ("table", "structured"):
             raise ValueError(f"unknown format {self.output_format!r}")
+        if self.task == "rees-report" and self.family is None:
+            raise ValueError("--family is required for --task rees-report")
+        if "rees-report" in self.tasks and self.max_degree < 3:
+            raise ValueError("--max-degree must be >= 3 for the new-generator table")
+
+    @property
+    def tasks(self) -> tuple[str, ...]:
+        """The registry entries this scenario runs, in order."""
+        return tuple(SUITES) if self.task == "all" else (self.task,)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +279,7 @@ class Scenario:
 
 
 def _format_gens(variables, gens) -> str:
-    ordered = sorted(gens, key=lambda e: (sum(e), tuple(-x for x in e)))
-    return "{" + ", ".join(monomial_str(variables, g) for g in ordered) + "}"
+    return "{" + generators_str(variables, gens) + "}"
 
 
 def _suite_rees(family: GradedMonomialFamily, max_degree: int) -> list[CheckRecord]:
@@ -343,11 +289,10 @@ def _suite_rees(family: GradedMonomialFamily, max_degree: int) -> list[CheckReco
         oracle = brute_force_new_generators(family, m, degree_bound=REES_ORACLE_DEGREE)
         visible = frozenset(g for g in gens if sum(g) <= REES_ORACLE_DEGREE)
         records.append(
-            CheckRecord(
+            _check(
                 f"rees/m={m}/new-gens(deg<={REES_ORACLE_DEGREE})",
                 _format_gens(family.variables, oracle),
                 _format_gens(family.variables, visible),
-                "pass" if oracle == visible else "fail",
             )
         )
         above = gens - visible
@@ -408,14 +353,7 @@ def _suite_cone_restrict(max_degree: int) -> list[CheckRecord]:
         expected = BranchRestriction(
             "u", 2 * m, LaurentPolynomial.monomial(("u",), {"u": -m})
         )
-        records.append(
-            CheckRecord(
-                f"cone/m={m}/restriction",
-                str(expected),
-                str(via_chart),
-                "pass" if expected == via_chart else "fail",
-            )
-        )
+        records.append(_check(f"cone/m={m}/restriction", expected, via_chart))
         records.append(
             _check(f"cone/m={m}/routes-agree", True, via_chart == via_log)
         )
@@ -501,10 +439,7 @@ def _suite_example1() -> list[CheckRecord]:
                 nc_pullback_degree(lattice, boundary, name),
             )
         )
-    base = IntersectionLattice(
-        ("K", "Fp", "Fq"),
-        ((0, 2, 2), (2, 0, 0), (2, 0, 0)),
-    )
+    base = genus2_fibration_lattice()
     preserved = True
     for i, a in enumerate(base.basis):
         for j, b in enumerate(base.basis):
@@ -556,28 +491,28 @@ def _suite_example2() -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
+# task -> suite, in report order; ``all`` runs every entry.  Each entry
+# looks its suite up when called, so a suite rebound on this module is the
+# one that runs.
+SUITES: dict[str, Callable[[Scenario], list[CheckRecord]]] = {
+    "rees-report": lambda s: _suite_rees(
+        parse_family(DEFAULT_FAMILY if s.family is None else s.family), s.max_degree
+    ),
+    "gluing-ideal": lambda s: _suite_gluing_ideal(s.max_degree),
+    "glue-check": lambda s: _suite_glue_check(s.max_degree),
+    "cone-restrict": lambda s: _suite_cone_restrict(s.max_degree),
+    "pole-bounds": lambda s: _suite_pole_bounds(s.max_degree),
+    "embed-search": lambda s: _suite_embed(),
+    "example1-checks": lambda s: _suite_example1(),
+    "example2-checks": lambda s: _suite_example2(),
+}
+
+TASKS = (*SUITES, "all")
+
+
 def run(scenario: Scenario) -> tuple[Report, int]:
     """Execute the scenario's suites; exit code 0 iff every check passed."""
-    family_src = DEFAULT_FAMILY if scenario.family is None else scenario.family
-    records: list[CheckRecord] = []
-    task = scenario.task
-    if task in ("rees-report", "all"):
-        records.extend(_suite_rees(parse_family(family_src), scenario.max_degree))
-    if task in ("gluing-ideal", "all"):
-        records.extend(_suite_gluing_ideal(scenario.max_degree))
-    if task in ("glue-check", "all"):
-        records.extend(_suite_glue_check(scenario.max_degree))
-    if task in ("cone-restrict", "all"):
-        records.extend(_suite_cone_restrict(scenario.max_degree))
-    if task in ("pole-bounds", "all"):
-        records.extend(_suite_pole_bounds(scenario.max_degree))
-    if task in ("embed-search", "all"):
-        records.extend(_suite_embed())
-    if task in ("example1-checks", "all"):
-        records.extend(_suite_example1())
-    if task in ("example2-checks", "all"):
-        records.extend(_suite_example2())
-    report = Report(records)
+    report = Report([r for task in scenario.tasks for r in SUITES[task](scenario)])
     return report, 0 if report.passed else 1
 
 
@@ -600,7 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--family",
         metavar="DSL",
-        help="monomial family, e.g. 'x*y, x^m, y^m' (rees-report only)",
+        help=(
+            "monomial family of the Rees table (required by rees-report; "
+            f"all defaults to '{DEFAULT_FAMILY}')"
+        ),
     )
     parser.add_argument(
         "--format",
@@ -615,19 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.max_degree < 1:
-        parser.error("--max-degree must be >= 1")
-    if ns.task == "rees-report" and ns.family is None:
-        parser.error("--family is required for --task rees-report")
-    if ns.task in ("rees-report", "all") and ns.max_degree < 3:
-        parser.error("--max-degree must be >= 3 for the new-generator table")
-    scenario = Scenario(
-        task=ns.task,
-        max_degree=ns.max_degree,
-        family=ns.family,
-        output_format=ns.output_format,
-        out_path=ns.out,
-    )
+    try:
+        scenario = Scenario(
+            task=ns.task,
+            max_degree=ns.max_degree,
+            family=ns.family,
+            output_format=ns.output_format,
+            out_path=ns.out,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         report, code = run(scenario)
     except FamilyParseError as exc:

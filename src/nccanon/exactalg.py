@@ -30,10 +30,6 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-# Base field: stdlib Fraction is already a reduced numerator/positive
-# denominator pair, which is all the coefficient arithmetic needs.
-Rational = Fraction
-
 Exponents = tuple[int, ...]
 
 
@@ -537,109 +533,107 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self._vars!r}, {self!s})"
 
 
+# The one token rule of the polynomial syntax and of the family DSL in
+# ``cli``: ASCII names and digits.
 _TOKEN = re.compile(
-    r"(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^])"
+    r"(?P<ratio>[0-9]+/[0-9]+)|(?P<int>[0-9]+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),])"
 )
 
 
-class _Tokens:
-    def __init__(self, src: str) -> None:
-        self.src = src
-        self.pos = 0
-        self._skip_ws()
+class Tokens:
+    """A cursor over the (kind, text, position) tokens of ``src``.
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    Kinds are ``int``, ``ratio`` (a/b), ``name`` and ``op``; a last token
+    of kind ``end`` with empty text marks the end of input.  ``error`` is
+    the parser's exception class, called as ``error(message, pos)`` for an
+    unexpected character or end of input.
+    """
 
-    def peek(self) -> tuple[str, str] | None:
-        if self.pos >= len(self.src):
-            return None
-        m = _TOKEN.match(self.src, self.pos)
-        if m is None:
-            raise ParseError(f"unexpected character {self.src[self.pos]!r}", self.pos)
-        kind = m.lastgroup or ""
-        return kind, m.group()
+    def __init__(self, src: str, error: type[Exception]) -> None:
+        self.error = error
+        self.tokens: list[tuple[str, str, int]] = []
+        self.i = 0
+        pos = 0
+        while pos < len(src):
+            if src[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN.match(src, pos)
+            if m is None:
+                raise error(f"unexpected character {src[pos]!r}", pos)
+            self.tokens.append((m.lastgroup or "", m.group(), pos))
+            pos = m.end()
+        self.tokens.append(("end", "", len(src)))
 
-    def take(self) -> tuple[str, str] | None:
+    @property
+    def pos(self) -> int:
+        """Where the next token starts."""
+        return self.peek()[2]
+
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+
+    def take(self) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok is not None:
-            self.pos += len(tok[1])
-            self._skip_ws()
+        if tok[0] == "end":
+            raise self.error("unexpected end of input", tok[2])
+        self.i += 1
         return tok
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if its text is ``text``; report whether it was."""
+        if self.peek()[1] != text:
+            return False
+        self.i += 1
+        return True
 
 
 def parse_polynomial(src: str, variables: Iterable[str]) -> LaurentPolynomial:
     """Parse the textual polynomial syntax over the given variable list."""
     vars_t = tuple(variables)
-    toks = _Tokens(src)
+    toks = Tokens(src, ParseError)
     terms: dict[Exponents, Fraction] = {}
 
     def parse_factor() -> tuple[Fraction, dict[str, int]]:
-        tok = toks.peek()
-        if tok is None:
-            raise ParseError("expected a factor", toks.pos)
-        kind, text = tok
-        if kind == "rat":
-            toks.take()
-            if "/" in text:
-                num, den = text.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", toks.pos)
-                return Fraction(int(num), int(den)), {}
-            return Fraction(int(text)), {}
-        if kind == "name":
-            toks.take()
-            if text not in vars_t:
-                raise UnknownVariable(
-                    f"{text!r} not among {vars_t} (at position {toks.pos})"
-                )
-            exp = 1
-            nxt = toks.peek()
-            if nxt is not None and nxt[1] == "^":
-                toks.take()
-                sign = 1
-                nxt = toks.peek()
-                if nxt is not None and nxt[1] == "-":
-                    toks.take()
-                    sign = -1
-                nxt = toks.peek()
-                if nxt is None or nxt[0] != "rat" or "/" in nxt[1]:
-                    raise ParseError("expected an integer exponent", toks.pos)
-                toks.take()
-                exp = sign * int(nxt[1])
-            return Fraction(1), {text: exp}
-        raise ParseError(f"unexpected {text!r}", toks.pos)
+        kind, name, pos = toks.take()
+        if kind in ("int", "ratio"):
+            num, _, den = name.partition("/")
+            if den and int(den) == 0:
+                raise ParseError("zero denominator", pos)
+            return Fraction(int(num), int(den or 1)), {}
+        if kind != "name":
+            raise ParseError(f"unexpected {name!r}", pos)
+        if name not in vars_t:
+            raise UnknownVariable(f"{name!r} not among {vars_t} (at position {pos})")
+        exp = 1
+        if toks.accept("^"):
+            sign = -1 if toks.accept("-") else 1
+            if toks.peek()[0] != "int":
+                raise ParseError("expected an integer exponent", toks.pos)
+            exp = sign * int(toks.take()[1])
+        return Fraction(1), {name: exp}
 
     def parse_term() -> tuple[Fraction, Exponents]:
-        coeff, exps = parse_factor()
-        acc = dict(exps)
-        while True:
-            tok = toks.peek()
-            if tok is None or tok[1] != "*":
-                break
-            toks.take()
+        coeff, acc = parse_factor()
+        while toks.accept("*"):
             c2, e2 = parse_factor()
             coeff *= c2
             for v, e in e2.items():
                 acc[v] = acc.get(v, 0) + e
         return coeff, tuple(acc.get(v, 0) for v in vars_t)
 
-    sign = Fraction(1)
-    tok = toks.peek()
-    if tok is not None and tok[1] in "+-":
-        toks.take()
-        if tok[1] == "-":
-            sign = Fraction(-1)
+    sign = -1 if toks.accept("-") else 1
+    if sign == 1:
+        toks.accept("+")
     while True:
         coeff, exps = parse_term()
-        coeff *= sign
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        tok = toks.peek()
-        if tok is None:
+        terms[exps] = terms.get(exps, Fraction(0)) + sign * coeff
+        kind, text, pos = toks.peek()
+        if kind == "end":
             break
-        if tok[1] not in "+-":
-            raise ParseError(f"expected '+' or '-', got {tok[1]!r}", toks.pos)
+        if text not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {text!r}", pos)
         toks.take()
-        sign = Fraction(1) if tok[1] == "+" else Fraction(-1)
+        sign = 1 if text == "+" else -1
     return LaurentPolynomial(vars_t, terms)

@@ -242,14 +242,6 @@ class IntersectionLattice:
         return IntersectionLattice(new_basis, new_matrix, new_classes, self.canonical)
 
 
-def blowup(
-    lattice: IntersectionLattice,
-    center_incidences: Mapping[str, int],
-    exceptional: str,
-) -> IntersectionLattice:
-    return lattice.blowup(center_incidences, exceptional)
-
-
 def nc_pullback_degree(
     lattice: IntersectionLattice, boundary: Iterable[str], target: str
 ) -> int:
@@ -261,14 +253,12 @@ def nc_pullback_degree(
     return lattice.pair(vec, target)
 
 
-def genus2_pencil_lattice(k_self: int = 0) -> IntersectionLattice:
-    """Two nodal fibers of a fibration with K.F = 2, four points blown up.
+def genus2_fibration_lattice(k_self: int = 0) -> IntersectionLattice:
+    """K and the two fibers Fp, Fq of a fibration with K.F = 2, F.F = 0.
 
-    K.K is not used by any degree computed here and defaults to 0.  The
-    four exceptional classes Eq1, Eq2 (centers on Fp) and Ep1, Ep2
-    (centers on Fq) are appended in that order.
+    K.K is not used by any degree computed here and defaults to 0.
     """
-    lattice = IntersectionLattice(
+    return IntersectionLattice(
         ("K", "Fp", "Fq"),
         (
             (k_self, 2, 2),
@@ -276,7 +266,15 @@ def genus2_pencil_lattice(k_self: int = 0) -> IntersectionLattice:
             (2, 0, 0),
         ),
     )
-    lattice = lattice.blowup({"Fp": 1}, "Eq1")
+
+
+def genus2_pencil_lattice(k_self: int = 0) -> IntersectionLattice:
+    """The fibration lattice with four points of the two fibers blown up.
+
+    The four exceptional classes Eq1, Eq2 (centers on Fp) and Ep1, Ep2
+    (centers on Fq) are appended in that order.
+    """
+    lattice = genus2_fibration_lattice(k_self).blowup({"Fp": 1}, "Eq1")
     lattice = lattice.blowup({"Fp": 1}, "Eq2")
     lattice = lattice.blowup({"Fq": 1}, "Ep1")
     lattice = lattice.blowup({"Fq": 1}, "Ep2")

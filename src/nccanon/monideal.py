@@ -60,6 +60,12 @@ def monomial_str(variables: Sequence[str], exps: Exponents) -> str:
     return "*".join(factors) if factors else "1"
 
 
+def generators_str(variables: Sequence[str], gens: Iterable[Exponents]) -> str:
+    """The monomials comma-separated, by ascending degree, larger exponents first."""
+    ordered = sorted(gens, key=lambda e: (sum(e), tuple(-x for x in e)))
+    return ", ".join(monomial_str(variables, g) for g in ordered)
+
+
 class MonomialIdeal:
     """A monomial ideal presented by its minimal generators."""
 
@@ -141,10 +147,7 @@ class MonomialIdeal:
         return hash((self._vars, self._gens))
 
     def __str__(self) -> str:
-        if not self._gens:
-            return "(0)"
-        ordered = sorted(self._gens, key=lambda e: (sum(e), tuple(-x for x in e)))
-        return "(" + ", ".join(monomial_str(self._vars, e) for e in ordered) + ")"
+        return "(" + (generators_str(self._vars, self._gens) or "0") + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self!s}"

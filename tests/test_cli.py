@@ -61,6 +61,14 @@ def test_parse_family_errors():
         parse_family("x^(m")
     with pytest.raises(FamilyParseError):
         parse_family("3, x")
+    # a zero exponent would print as nothing and not parse back
+    for src in ("x^0", "x^0, y^m", "x^0*y", "x^0*m", "x^(0*m-1)*x"):
+        with pytest.raises(FamilyParseError):
+            parse_family(src)
+    # the name and number rules are the polynomial parser's
+    for src in ("x\u00b2", "x^1/2"):
+        with pytest.raises(FamilyParseError):
+            parse_family(src)
 
 
 # -- report rendering --------------------------------------------------------------
@@ -90,6 +98,13 @@ def test_scenario_validation():
         Scenario(task="all", max_degree=0)
     with pytest.raises(ValueError):
         Scenario(task="all", output_format="json")
+    # the new-generator table needs weight 3; rees-report needs a family
+    with pytest.raises(ValueError):
+        Scenario(task="rees-report", max_degree=2, family="x^m")
+    with pytest.raises(ValueError):
+        Scenario(task="all", max_degree=2)
+    with pytest.raises(ValueError):
+        Scenario(task="rees-report")
 
 
 # -- runner ------------------------------------------------------------------------
