@@ -212,20 +212,40 @@ def _weights(
 ) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
     """(m, I_m, J_m) for m = 1, ..., upto, instantiating each I_k once.
 
-    J_m is built from the deduplicated products I_a*I_{m-a}.  The family is
-    multiplicative up to m iff every minimal generator of J_m lies in I_m:
-    I_m is closed under multiples and every product I_a*I_b with a+b = m is
-    a multiple of some minimal generator of J_m.  The first weight where
-    this fails raises ``MultiplicativityViolation`` naming ``upto``.
+    I_a is generated by the template instances s(a), so J_m is generated by
+    s(a) + t(m-a) over unordered template pairs {s, t} (s = t included) and
+    a in [1, m-1].  For one pair these points lie on the line P + a*D with
+    P = slope(t)*m + offset(s) + offset(t) and D = slope(s) - slope(t).  If
+    D >= 0 in every coordinate each point divides the later ones, so the
+    point at a = 1 generates the whole line; if D <= 0 the point at a = m-1
+    does (D = 0 is one point).  Only a line whose D has mixed signs keeps
+    all its points, and ``minimalize`` sorts those out.  J_m is the same
+    ideal as with every product, so its minimal generators are too.
+
+    The family is multiplicative up to m iff every minimal generator of J_m
+    lies in I_m: I_m is closed under multiples and every product I_a*I_b
+    with a+b = m is a multiple of some minimal generator of J_m.  The first
+    weight where this fails raises ``MultiplicativityViolation`` naming
+    ``upto``.
     """
     ideals = [family.instantiate(k) for k in range(1, upto + 1)]
+    rows = family.templates
+    lines = []
+    for i, s in enumerate(rows):
+        for t in rows[i:]:
+            d = [p.slope - q.slope for p, q in zip(s, t)]
+            lines.append((s, t, all(x >= 0 for x in d), all(x <= 0 for x in d)))
     for m, i_m in enumerate(ideals, start=1):
-        products = {
-            tuple(x + y for x, y in zip(g, h))
-            for a in range(1, m // 2 + 1)
-            for g in ideals[a - 1].generators
-            for h in ideals[m - a - 1].generators
-        }
+        products = set()
+        for s, t, rising, falling in lines:
+            span = range(1, m)
+            if rising:
+                span = span[:1]
+            elif falling:
+                span = span[-1:]
+            products.update(
+                tuple(p.at(a) + q.at(m - a) for p, q in zip(s, t)) for a in span
+            )
         j_m = MonomialIdeal(family.variables, products)
         if not all(i_m.member(g) for g in j_m.generators):
             raise MultiplicativityViolation(
@@ -308,11 +328,28 @@ def brute_force_new_generators(
     returns the divisibility-minimal elements of the difference.  Those are
     exactly the minimal generators of I_m outside J_m, as far as the degree
     cap can see.
+
+    Exponents are nonnegative, so an instance or pair product of total
+    degree above the bound divides no monomial of the box and is dropped.
+    A template of total slope sigma > 0 and total offset tau has degree
+    sigma*k + tau, above the bound for every k >= (bound - tau) // sigma + 1;
+    slopes are nonnegative, so a template of total slope 0 is the same
+    monomial at every k.  From ``stable``, the largest of these thresholds
+    and at least 1, the kept instances no longer change: every a with
+    a >= stable and m - a >= stable gives the same pair products, and they
+    are computed once.
     """
+    if m < 1:
+        raise ValueError(f"weight m={m} must be >= 1")
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound={degree_bound} must be >= 0")
     nvars = len(family.variables)
 
-    def raw(k: int) -> list[Exponents]:
-        return [tuple(ae.at(k) for ae in row) for row in family.templates]
+    def kept(k: int) -> list[Exponents]:
+        if k < family.m_min:
+            raise ValueError(f"m={k} below validated range (m >= {family.m_min})")
+        insts = [tuple(ae.at(k) for ae in row) for row in family.templates]
+        return [g for g in insts if sum(g) <= degree_bound]
 
     def div(g: Exponents, x: Exponents) -> bool:
         return all(a <= b for a, b in zip(g, x))
@@ -330,20 +367,34 @@ def brute_force_new_generators(
         rec((), bound)
         return monos
 
-    # Exponents are nonnegative, so a template or pair product of total
-    # degree above the bound divides no monomial of the box: drop it early.
-    raws = {k: [g for g in raw(k) if sum(g) <= degree_bound] for k in range(1, m + 1)}
+    totals = [
+        (sum(ae.slope for ae in row), sum(ae.offset for ae in row))
+        for row in family.templates
+    ]
+    stable = max(
+        [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
+    )
+    # weights 1..min(m, stable); weight stable stands for every k >= stable
+    raws = {k: kept(k) for k in range(1, min(m, stable) + 1)}
+
+    def at(k: int) -> list[Exponents]:
+        return raws[min(k, stable)]
+
+    ends = min(stable, m) - 1  # a < stable, or m - a < stable
+    spans = {*range(1, ends + 1), *range(m - ends, m)}
+    if 2 * stable <= m:
+        spans.add(stable)
     pair_products = {
         tuple(x + y for x, y in zip(g, h))
-        for a in range(1, m)
-        for g in raws[a]
-        for h in raws[m - a]
+        for a in spans
+        for g in at(a)
+        for h in at(m - a)
         if sum(g) + sum(h) <= degree_bound
     }
 
     difference = set()
     for mono in box(degree_bound):
-        if any(div(g, mono) for g in raws[m]) and not any(
+        if any(div(g, mono) for g in at(m)) and not any(
             div(p, mono) for p in pair_products
         ):
             difference.add(mono)

@@ -358,14 +358,74 @@ ORACLE_FAMILIES = (
 )
 
 
-@pytest.mark.parametrize("src", ORACLE_FAMILIES)
+def tail_start(family, degree_bound):
+    """The first weight from which no template of positive slope has total
+    degree <= degree_bound any more, found by scanning weights."""
+    reach = [
+        k
+        for row in family.templates
+        if any(ae.slope for ae in row)
+        for k in range(1, degree_bound + 2)
+        if sum(ae.at(k) for ae in row) <= degree_bound
+    ]
+    return max(reach, default=0) + 1
+
+
+@pytest.mark.parametrize(
+    "src",
+    # large offset, slope above 1, constant templates only
+    ORACLE_FAMILIES + ("x^(m+5)", "x^(2*m)*y", "x*y, y^2"),
+)
 def test_pruned_oracle_matches_unpruned(src):
     family = parse_family(src)
     for degree_bound in (4, 6, 8):
-        for m in range(1, 13):
+        # past 2 * stable the oracle takes the middle of the a range once
+        for m in range(1, 2 * tail_start(family, degree_bound) + 4):
             assert brute_force_new_generators(
                 family, m, degree_bound
             ) == unpruned_oracle(family, m, degree_bound), (degree_bound, m)
+
+
+def test_pruned_oracle_matches_unpruned_with_the_unit_template():
+    # with only constant templates the tail starts at weight 1, so every
+    # product comes from the middle of the a range; with the unit among
+    # them, that product is the one that removes the fresh generator 1
+    zero, one = AffineExponent(0, 0), AffineExponent(0, 1)
+    family = GradedMonomialFamily(XY, ((zero, zero), (one, one)))
+    for degree_bound in (0, 2, 4):
+        for m in range(1, 8):
+            oracle = brute_force_new_generators(family, m, degree_bound)
+            assert oracle == unpruned_oracle(family, m, degree_bound), (degree_bound, m)
+            assert oracle == new_generators(family, m), (degree_bound, m)
+
+
+def test_oracle_tail_starts_where_the_tests_expect():
+    assert tail_start(parse_family("x*y, y*z, x*z, x^m, y^m, z^m"), 6) == 7
+    assert tail_start(parse_family("x^(m+5)"), 4) == 1
+    assert tail_start(parse_family("x^(2*m)*y"), 8) == 4
+    assert tail_start(parse_family("x*y, y^2"), 8) == 1
+
+
+def test_oracle_refuses_weight_below_one():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"weight m={m} must be >= 1"):
+            brute_force_new_generators(FAMILY, m)
+
+
+def test_oracle_refuses_negative_degree_bound():
+    with pytest.raises(ValueError, match="degree_bound=-1 must be >= 0"):
+        brute_force_new_generators(FAMILY, 3, degree_bound=-1)
+    assert brute_force_new_generators(parse_family("x^m"), 1, degree_bound=0) == set()
+
+
+def test_oracle_refuses_weights_below_m_min():
+    late = GradedMonomialFamily(FAMILY.variables, FAMILY.templates, m_min=2)
+    with pytest.raises(ValueError) as expected:
+        late.instantiate(1)
+    for m in (1, 2, 3):
+        with pytest.raises(ValueError) as exc:
+            brute_force_new_generators(late, m)
+        assert str(exc.value) == str(expected.value), m
 
 
 def pairwise_multiplicative(family, upto):
@@ -388,6 +448,28 @@ def reference_component(family, m):
     return j_m
 
 
+def assert_weight_pass_matches_reference(family, top):
+    """Every entry point of the weight pass against the references, at every
+    weight below the first one where the family stops being multiplicative."""
+    for upto in range(1, top + 1):
+        assert check_multiplicative(family, upto) == pairwise_multiplicative(
+            family, upto
+        ), upto
+    good = 0
+    while good < top and pairwise_multiplicative(family, good + 1):
+        good += 1
+    rows = rees_report(family, good).rows if good >= 3 else ()
+    for m in range(1, good + 1):
+        j_m = reference_component(family, m)
+        fresh = frozenset(
+            g for g in family.instantiate(m).generators if not j_m.member(g)
+        )
+        assert subalgebra_component(family, m) == j_m, m
+        assert new_generators(family, m) == fresh, m
+        if rows:
+            assert rows[m - 1] == (m, fresh), m
+
+
 REFERENCE_FAMILIES = ORACLE_FAMILIES + (
     "x^m",
     "x*y",
@@ -398,25 +480,43 @@ REFERENCE_FAMILIES = ORACLE_FAMILIES + (
 )
 
 
-@pytest.mark.parametrize("src", REFERENCE_FAMILIES)
+# Slope differences D = slope(s) - slope(t) of template pairs, in both
+# template orders: D >= 0 (x^m*y before x^2*y^2), D <= 0 (x^2*y^2 before
+# z^m), D = 0 (s = t, and x^m*y with x^(m+1)*z) and mixed (x^m*y with
+# x*y^(2*m)).  The first two are not multiplicative past weight 1.
+LINE_FAMILIES = (
+    "x^m*y, x*y^(2*m), x^2*y^2, z^m",
+    "z^m, x^2*y^2, x*y^(2*m), x^m*y",
+    "x^m*y, x*y^(2*m), x^2*y^2, z^m, x*z, y*z",
+    "y*z, x*z, z^m, x^2*y^2, x*y^(2*m), x^m*y",
+    "x^m*y, x^(m+1)*z, y*z",
+    "y*z, x^(m+1)*z, x^m*y",
+    "x^(2*m)*y, x*y^m, x*y",
+)
+
+
+@pytest.mark.parametrize("src", REFERENCE_FAMILIES + LINE_FAMILIES)
 def test_weight_pass_matches_reference(src):
-    family = parse_family(src)
-    top = 15
-    for upto in range(1, top + 1):
-        assert check_multiplicative(family, upto) == pairwise_multiplicative(
-            family, upto
-        ), upto
-    if not pairwise_multiplicative(family, top):
-        return
-    report = rees_report(family, top)
-    for m in range(1, top + 1):
-        j_m = reference_component(family, m)
-        fresh = frozenset(
-            g for g in family.instantiate(m).generators if not j_m.member(g)
+    assert_weight_pass_matches_reference(parse_family(src), 15)
+
+
+def random_family(rng: Random) -> GradedMonomialFamily:
+    """Two to four templates, none of them the unit monomial, in two or
+    three variables, with slopes 0..2 and offsets 0..3."""
+    variables = ("x", "y", "z")[: rng.choice((2, 3))]
+    rows = []
+    while len(rows) < rng.randint(2, 4):
+        row = tuple(
+            AffineExponent(rng.randint(0, 2), rng.randint(0, 3)) for _ in variables
         )
-        assert subalgebra_component(family, m) == j_m, m
-        assert new_generators(family, m) == fresh, m
-        assert report.row(m) == fresh, m
+        if any(ae.slope or ae.offset for ae in row):
+            rows.append(row)
+    return GradedMonomialFamily(variables, tuple(rows))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weight_pass_on_random_families(seed):
+    assert_weight_pass_matches_reference(random_family(Random(seed)), 20)
 
 
 def test_multiplicativity_violation_at_every_entry_point():
