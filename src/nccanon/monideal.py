@@ -335,9 +335,9 @@ def brute_force_new_generators(
     sigma*k + tau, above the bound for every k >= (bound - tau) // sigma + 1;
     slopes are nonnegative, so a template of total slope 0 is the same
     monomial at every k.  From ``stable``, the largest of these thresholds
-    and at least 1, the kept instances no longer change: every a with
-    a >= stable and m - a >= stable gives the same pair products, and they
-    are computed once.
+    and at least 1, the kept instances no longer change, so weight k stands
+    in for min(k, stable) and each distinct pair of such weights is
+    multiplied once.
     """
     if m < 1:
         raise ValueError(f"weight m={m} must be >= 1")
@@ -374,27 +374,20 @@ def brute_force_new_generators(
     stable = max(
         [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
     )
-    # weights 1..min(m, stable); weight stable stands for every k >= stable
+    # weight stable stands for every k >= stable
     raws = {k: kept(k) for k in range(1, min(m, stable) + 1)}
-
-    def at(k: int) -> list[Exponents]:
-        return raws[min(k, stable)]
-
-    ends = min(stable, m) - 1  # a < stable, or m - a < stable
-    spans = {*range(1, ends + 1), *range(m - ends, m)}
-    if 2 * stable <= m:
-        spans.add(stable)
+    pairs = {(min(a, stable), min(m - a, stable)) for a in range(1, m)}
     pair_products = {
         tuple(x + y for x, y in zip(g, h))
-        for a in spans
-        for g in at(a)
-        for h in at(m - a)
+        for i, j in pairs
+        for g in raws[i]
+        for h in raws[j]
         if sum(g) + sum(h) <= degree_bound
     }
 
     difference = set()
     for mono in box(degree_bound):
-        if any(div(g, mono) for g in at(m)) and not any(
+        if any(div(g, mono) for g in raws[min(m, stable)]) and not any(
             div(p, mono) for p in pair_products
         ):
             difference.add(mono)
