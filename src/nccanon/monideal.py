@@ -16,13 +16,24 @@ Two-factor products suffice because the family is multiplicative
 weight instantiates each I_k once, builds J_m and checks multiplicativity on
 it, so the module refuses to report on non-multiplicative families.
 
+J_m is built from the template-pair products s(a)*t(m-a), 0 < a < m, which
+lie on one line per pair.  A line whose slope difference is sign-definite
+contributes only its endpoint product.  On a mixed-sign line, each endpoint
+product divides the points of one integer interval of a, computed by exact
+floor and ceiling division; only the points in the gaps between those
+intervals become candidates.  The brute-force oracle shares none of this:
+it scans a degree box, and from weight 2*stable on (``stable`` is where its
+degree-pruned instances stop changing) it answers with the table of weight
+2*stable, computed once.
+
 Everything here is immutable and pure; per-degree computations are
-independent of one another.
+independent of one another, and the oracle's memo only saves recomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import AffineExponent, Exponents, VariableMismatch, divides
@@ -60,9 +71,14 @@ def monomial_str(variables: Sequence[str], exps: Exponents) -> str:
     return "*".join(factors) if factors else "1"
 
 
+def _print_order(exps: Exponents) -> tuple:
+    """Ascending degree, larger exponents first."""
+    return sum(exps), tuple(-x for x in exps)
+
+
 def generators_str(variables: Sequence[str], gens: Iterable[Exponents]) -> str:
     """The monomials comma-separated, by ascending degree, larger exponents first."""
-    ordered = sorted(gens, key=lambda e: (sum(e), tuple(-x for x in e)))
+    ordered = sorted(gens, key=_print_order)
     return ", ".join(monomial_str(variables, g) for g in ordered)
 
 
@@ -207,6 +223,66 @@ class GradedMonomialFamily:
         return ", ".join(rendered)
 
 
+def _lines(
+    templates: Sequence[tuple[AffineExponent, ...]],
+) -> tuple[list[tuple], list[tuple]]:
+    """The template pairs {s, t} (s = t included), split by the signs of
+    D = slope(s) - slope(t): ``(s, t, rising)`` when D is sign-definite,
+    rising meaning D >= 0, and ``(s, t, D)`` when D has mixed signs."""
+    ends, mixed = [], []
+    for i, s in enumerate(templates):
+        for t in templates[i:]:
+            d = tuple(p.slope - q.slope for p, q in zip(s, t))
+            if min(d) >= 0 or max(d) <= 0:
+                ends.append((s, t, min(d) >= 0))
+            else:
+                mixed.append((s, t, d))
+    return ends, mixed
+
+
+def _candidates(ends: list[tuple], mixed: list[tuple], m: int) -> set[Exponents]:
+    """Products s(a) + t(m-a) that generate J_m, by the interval cut.
+
+    Every endpoint product, and every mixed-line point that no endpoint
+    product divides.  For an endpoint product c and a mixed line P + a*D,
+    c divides the point at a iff c_i <= P_i + a*D_i in each coordinate: a
+    lower bound on a where D_i > 0, an upper bound where D_i < 0, and no a
+    at all where D_i = 0 and c_i > P_i.  The a in [1, m-1] that c covers
+    thus form one integer interval; only the gaps the intervals leave are
+    instantiated.
+    """
+    if m < 2:
+        return set()
+    products = set()
+    for s, t, rising in ends:
+        a = 1 if rising else m - 1
+        products.add(tuple(p.at(a) + q.at(m - a) for p, q in zip(s, t)))
+    points: set[Exponents] = set()
+    for s, t, d in mixed:
+        base = tuple(q.at(m) + p.offset for p, q in zip(s, t))
+        spans = []
+        for c in products:
+            lo, hi = 1, m - 1
+            for ci, pi, di in zip(c, base, d):
+                if di > 0:
+                    lo = max(lo, -((pi - ci) // di))
+                elif di < 0:
+                    hi = min(hi, (ci - pi) // di)
+                elif ci > pi:
+                    break
+            else:
+                if lo <= hi:
+                    spans.append((lo, hi))
+        start = 1
+        # the sentinel (m, m) closes the last gap at a = m-1
+        for lo, hi in sorted(spans) + [(m, m)]:
+            points.update(
+                tuple(pi + a * di for pi, di in zip(base, d)) for a in range(start, lo)
+            )
+            start = max(start, hi + 1)
+    return products | points
+
+
 def _weights(
     family: GradedMonomialFamily, upto: int
 ) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
@@ -218,38 +294,31 @@ def _weights(
     P = slope(t)*m + offset(s) + offset(t) and D = slope(s) - slope(t).  If
     D >= 0 in every coordinate each point divides the later ones, so the
     point at a = 1 generates the whole line; if D <= 0 the point at a = m-1
-    does (D = 0 is one point).  Only a line whose D has mixed signs keeps
-    all its points, and ``minimalize`` sorts those out.  J_m is the same
-    ideal as with every product, so its minimal generators are too.
+    does (D = 0 is one point).  These endpoint products are kept.  On a line
+    whose D has mixed signs, the points that one endpoint product divides
+    form an integer interval of a (``_candidates``); only the points in the
+    gaps between those intervals are kept, and ``minimalize``
+    sorts out the rest.  Every dropped point is a multiple of a kept one,
+    so J_m is the same ideal as with every product, and so are its minimal
+    generators.
 
     The family is multiplicative up to m iff every minimal generator of J_m
     lies in I_m: I_m is closed under multiples and every product I_a*I_b
     with a+b = m is a multiple of some minimal generator of J_m.  The first
     weight where this fails raises ``MultiplicativityViolation`` naming
-    ``upto``.
+    ``upto``, that weight and the first minimal generator of J_m (in
+    printing order) outside I_m.
     """
     ideals = [family.instantiate(k) for k in range(1, upto + 1)]
-    rows = family.templates
-    lines = []
-    for i, s in enumerate(rows):
-        for t in rows[i:]:
-            d = [p.slope - q.slope for p, q in zip(s, t)]
-            lines.append((s, t, all(x >= 0 for x in d), all(x <= 0 for x in d)))
+    ends, mixed = _lines(family.templates)
     for m, i_m in enumerate(ideals, start=1):
-        products = set()
-        for s, t, rising, falling in lines:
-            span = range(1, m)
-            if rising:
-                span = span[:1]
-            elif falling:
-                span = span[-1:]
-            products.update(
-                tuple(p.at(a) + q.at(m - a) for p, q in zip(s, t)) for a in span
-            )
-        j_m = MonomialIdeal(family.variables, products)
-        if not all(i_m.member(g) for g in j_m.generators):
+        j_m = MonomialIdeal(family.variables, _candidates(ends, mixed, m))
+        outside = [g for g in j_m.generators if not i_m.member(g)]
+        if outside:
+            first = monomial_str(family.variables, min(outside, key=_print_order))
             raise MultiplicativityViolation(
-                f"family ({family}) is not multiplicative up to {upto}"
+                f"family ({family}) is not multiplicative up to {upto}: at weight"
+                f" {m} the minimal generator {first} of J_{m} is not in I_{m}"
             )
         yield m, i_m, j_m
 
@@ -302,10 +371,10 @@ class ReesGenerationReport:
     witness_flag: bool
 
     def row(self, m: int) -> frozenset[Exponents]:
-        for k, gens in self.rows:
-            if k == m:
-                return gens
-        raise KeyError(m)
+        """The new generators of weight m; ``rows`` holds m = 1..max_degree in order."""
+        if not 1 <= m <= len(self.rows):
+            raise KeyError(m)
+        return self.rows[m - 1][1]
 
 
 def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGenerationReport:
@@ -337,12 +406,30 @@ def brute_force_new_generators(
     monomial at every k.  From ``stable``, the largest of these thresholds
     and at least 1, the kept instances no longer change, so weight k stands
     in for min(k, stable) and each distinct pair of such weights is
-    multiplied once.
+    multiplied once.  For m >= 2*stable those pairs are (a, stable),
+    (stable, b) with a, b < stable and (stable, stable), and I_m stands in
+    for I_stable, so the answer is that of weight min(m, 2*stable); it is
+    computed once per family, clamped weight and degree bound.
     """
     if m < 1:
         raise ValueError(f"weight m={m} must be >= 1")
     if degree_bound < 0:
         raise ValueError(f"degree_bound={degree_bound} must be >= 0")
+    totals = [
+        (sum(ae.slope for ae in row), sum(ae.offset for ae in row))
+        for row in family.templates
+    ]
+    stable = max(
+        [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
+    )
+    return _clamped_oracle(family, min(m, 2 * stable), degree_bound, stable)
+
+
+@lru_cache(maxsize=1024)
+def _clamped_oracle(
+    family: GradedMonomialFamily, m: int, degree_bound: int, stable: int
+) -> frozenset[Exponents]:
+    """``brute_force_new_generators`` at a weight m <= 2*stable."""
     nvars = len(family.variables)
 
     def kept(k: int) -> list[Exponents]:
@@ -367,13 +454,6 @@ def brute_force_new_generators(
         rec((), bound)
         return monos
 
-    totals = [
-        (sum(ae.slope for ae in row), sum(ae.offset for ae in row))
-        for row in family.templates
-    ]
-    stable = max(
-        [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
-    )
     # weight stable stands for every k >= stable
     raws = {k: kept(k) for k in range(1, min(m, stable) + 1)}
     pairs = {(min(a, stable), min(m - a, stable)) for a in range(1, m)}

@@ -18,6 +18,7 @@ from nccanon.monideal import (
     rees_report,
     subalgebra_component,
 )
+from nccanon.monideal import _candidates, _lines
 
 XY = ("x", "y")
 FAMILY = parse_family("x*y, x^m, y^m")
@@ -184,6 +185,15 @@ def test_rees_report_three_variables():
     for m in range(2, 11):
         assert report.row(m) == {(1, 1, 0)}
         assert report.row(m) == brute_force_new_generators(family, m, 6)
+
+
+def test_rees_report_row_indexes_weights_one_to_max_degree():
+    report = rees_report(FAMILY, 6)
+    for m in range(1, 7):
+        assert report.row(m) == report.rows[m - 1][1]
+    for m in (0, -1, -6, 7):
+        with pytest.raises(KeyError):
+            report.row(m)
 
 
 def test_rees_report_requires_range():
@@ -379,8 +389,9 @@ def tail_start(family, degree_bound):
 def test_pruned_oracle_matches_unpruned(src):
     family = parse_family(src)
     for degree_bound in (4, 6, 8):
-        # past 2 * stable every a in the middle gives the pair (stable, stable)
-        for m in range(1, max(13, 2 * tail_start(family, degree_bound) + 4)):
+        # past 2 * stable every a in the middle gives the pair (stable, stable),
+        # and the oracle answers with its weight-(2 * stable) table
+        for m in range(1, max(13, 2 * tail_start(family, degree_bound) + 6)):
             assert brute_force_new_generators(
                 family, m, degree_bound
             ) == unpruned_oracle(family, m, degree_bound), (degree_bound, m)
@@ -389,7 +400,9 @@ def test_pruned_oracle_matches_unpruned(src):
 def test_pruned_oracle_matches_unpruned_with_the_unit_template():
     # with only constant templates the tail starts at weight 1, so every a
     # gives the pair (1, 1); with the unit among the templates, that pair's
-    # product is the one that removes the fresh generator 1
+    # product is the one that removes the fresh generator 1.  The pair first
+    # appears at weight 2 = 2 * stable, so an oracle clamped one weight too
+    # early answers weight 2 with the table of weight 1
     zero, one = AffineExponent(0, 0), AffineExponent(0, 1)
     family = GradedMonomialFamily(XY, ((zero, zero), (one, one)))
     for degree_bound in (0, 2, 4):
@@ -397,6 +410,20 @@ def test_pruned_oracle_matches_unpruned_with_the_unit_template():
             oracle = brute_force_new_generators(family, m, degree_bound)
             assert oracle == unpruned_oracle(family, m, degree_bound), (degree_bound, m)
             assert oracle == new_generators(family, m), (degree_bound, m)
+
+
+def test_cached_oracle_answers_each_family_separately():
+    # same weight, degree bound and stable = 7, different answers: a cache
+    # keyed without the family would hand one family the other's table
+    first, second = parse_family("x*y, x^m, y^m"), parse_family("x^m, y^m")
+    assert tail_start(first, 6) == tail_start(second, 6) == 7
+    for m in (5, 20, 5):
+        for family in (first, second, first):
+            assert brute_force_new_generators(family, m, 6) == unpruned_oracle(
+                family, m, 6
+            ), (str(family), m)
+    assert brute_force_new_generators(first, 20, 6) == {(1, 1)}
+    assert brute_force_new_generators(second, 20, 6) == frozenset()
 
 
 def test_oracle_tail_starts_where_the_tests_expect():
@@ -496,12 +523,58 @@ LINE_FAMILIES = (
     "x^m*y, x^(m+1)*z, y*z",
     "y*z, x^(m+1)*z, x^m*y",
     "x^(2*m)*y, x*y^m, x*y",
+    "x^(m+1)*y, x*y^(m+1), x^3*y^3",
+    "x^(m+1)*y, x*y^(m+1), x^4*y^4",
 )
 
 
 @pytest.mark.parametrize("src", REFERENCE_FAMILIES + LINE_FAMILIES)
 def test_weight_pass_matches_reference(src):
     assert_weight_pass_matches_reference(parse_family(src), 15)
+
+
+def reference_candidates(family, m):
+    """The product of each sign-definite template pair at a = 1 or a = m-1,
+    and each point of a mixed-sign pair that none of those products divides."""
+    ends, points = set(), set()
+    rows = family.templates
+    for i, s in enumerate(rows):
+        for t in rows[i:]:
+            line = [
+                tuple(p.at(a) + q.at(m - a) for p, q in zip(s, t)) for a in range(1, m)
+            ]
+            d = [p.slope - q.slope for p, q in zip(s, t)]
+            if min(d) >= 0:
+                ends.update(line[:1])
+            elif max(d) <= 0:
+                ends.update(line[-1:])
+            else:
+                points.update(line)
+    return ends | {x for x in points if not any(divides(c, x) for c in ends)}
+
+
+def test_interval_cut_keeps_exactly_the_uncovered_points():
+    rng = Random(47)
+    families = [parse_family(src) for src in REFERENCE_FAMILIES + LINE_FAMILIES]
+    families += [random_family(rng) for _ in range(40)]
+    for family in families:
+        ends, mixed = _lines(family.templates)
+        for m in range(1, 25):
+            assert _candidates(ends, mixed, m) == reference_candidates(family, m), (
+                str(family), m
+            )
+
+
+def test_interval_cut_keeps_two_gaps_of_one_mixed_line():
+    # at m = 10 the mixed line x^m*y * x*y^m has points x^(a+2)*y^(12-a);
+    # x^4*y^4 * x^2*y, x^4*y^4 * x*y^2 and x^8*y^8 cover a in [3, 7]
+    family = parse_family("x^(m+1)*y, x*y^(m+1), x^4*y^4")
+    ends, mixed = _lines(family.templates)
+    assert len(mixed) == 1
+    line = {(a + 2, 12 - a) for a in range(1, 10)}
+    kept = _candidates(ends, mixed, 10) & line
+    assert kept == {(3, 11), (4, 10), (10, 4), (11, 3)}
+    assert kept <= subalgebra_component(family, 10).generators
 
 
 def random_family(rng: Random) -> GradedMonomialFamily:
@@ -534,6 +607,9 @@ def test_multiplicativity_violation_at_every_entry_point():
     ):
         with pytest.raises(MultiplicativityViolation) as exc:
             call()
-        assert str(exc.value) == "family (x^2*m-1) is not multiplicative up to 4"
+        assert str(exc.value) == (
+            "family (x^2*m-1) is not multiplicative up to 4: at weight 2"
+            " the minimal generator x^2 of J_2 is not in I_2"
+        )
     # weight 1 has no lower weights to violate anything
     assert new_generators(skewed, 1) == {(1,)}
