@@ -233,18 +233,6 @@ class LaurentPolynomial:
             )
         return self._terms.get(key, Fraction(0))
 
-    def total_degree(self) -> int | None:
-        """Maximal term degree (sum of exponents); None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
-
-    def degree_in(self, var: str) -> int | None:
-        i = self._index(var)
-        if not self._terms:
-            return None
-        return max(e[i] for e in self._terms)
-
     def low_degree_in(self, var: str) -> int | None:
         i = self._index(var)
         if not self._terms:

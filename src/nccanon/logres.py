@@ -236,20 +236,24 @@ def branch_ideal(model: ChartModel, branch: str, weight: int) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class BranchMatch:
-    """One leg of the gluing: an nc branch identified with a half-plane curve."""
+    """One leg of the gluing: an nc branch identified with a half-plane curve.
 
-    nc_zero_var: str
-    nc_param: str
+    ``nc`` is a branch of ``NC_PAIR`` and ``half`` the branch of
+    ``half_plane`` glued to it; away from the origin the half-plane
+    parameter ``half.param_var`` is identified with the nc parameter
+    ``nc.param_var``.
+    """
+
+    nc: BranchRule
     half_plane: ChartModel
-    half_zero_var: str
-    half_param: str
+    half: BranchRule
 
 
 # the gluing, defined away from the origin: branch (x=0) of the nc curve is
 # the half-plane curve (u1=0) with v1 = y, branch (y=0) is (v2=0) with u2 = x
 SIGMA = (
-    BranchMatch("x", "y", HALF_PLANE_U, "u1", "v1"),
-    BranchMatch("y", "x", HALF_PLANE_V, "v2", "u2"),
+    BranchMatch(NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_U.branch("u1")),
+    BranchMatch(NC_PAIR.branch("y"), HALF_PLANE_V, HALF_PLANE_V.branch("v2")),
 )
 
 
@@ -263,74 +267,66 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
     pullback formulas (dv1)^m -> y^m*eta^m and (du2)^m -> (-x)^m*eta^m.
     """
     match = next(
-        (leg for leg in SIGMA if leg.half_param == restriction.curve_var), None
+        (leg for leg in SIGMA if leg.half.param_var == restriction.curve_var), None
     )
     if match is None:
         raise UnknownBranch(
             f"no gluing is defined on branch parameter {restriction.curve_var!r}"
         )
-    rule = NC_PAIR.branch(match.nc_zero_var)
+    rule = match.nc
     m = restriction.weight
-    h = restriction.h.rename({restriction.curve_var: match.nc_param})
+    h = restriction.h.rename({restriction.curve_var: rule.param_var})
     # (dt)^m = (sign * s)^m * eta^m: coefficient relative to the log frame
     return _fold_log_frame(h.shift((m,), rule.residue_sign**m), rule, m)
 
 
-def glues(
-    section_nc: PluriSection,
-    section_u: PluriSection,
-    section_v: PluriSection,
-) -> bool:
-    """Decide the gluing condition for a triple of equal-weight sections.
+def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
+    """Decide the gluing condition for an nc section and its partners.
 
-    True iff on both nc branches the restriction equals (-1)^m times the
-    pullback of the matched half-plane restriction, as an exact identity of
-    normalized presentations.
+    ``partners`` holds one equal-weight half-plane section per leg of
+    ``SIGMA``, in its order.  True iff on every leg the nc restriction
+    equals (-1)^m times the pullback of the partner's restriction, as an
+    exact identity of normalized presentations.
     """
     if section_nc.model is not NC_PAIR:
         raise ValueError("first section must live on the nc pair")
-    if section_u.model is not HALF_PLANE_U or section_v.model is not HALF_PLANE_V:
-        raise ValueError("partner sections must live on the half planes")
+    if len(partners) != len(SIGMA):
+        raise ValueError(f"expected {len(SIGMA)} partners, got {len(partners)}")
     m = section_nc.weight
-    if section_u.weight != m or section_v.weight != m:
-        raise ValueError("sections must have equal weights")
+    for leg, partner in zip(SIGMA, partners):
+        if partner.model is not leg.half_plane:
+            raise ValueError("partner sections must live on the half planes of SIGMA")
+        if partner.weight != m:
+            raise ValueError("sections must have equal weights")
     sign = (-1) ** m
-    on_x = restrict(section_nc, "x")
-    on_y = restrict(section_nc, "y")
-    from_u = pullback_sigma(restrict(section_u, "u1")).scaled(sign)
-    from_v = pullback_sigma(restrict(section_v, "v2")).scaled(sign)
-    return on_x == from_u and on_y == from_v
+    for leg, partner in zip(SIGMA, partners):
+        on_nc = restrict(section_nc, leg.nc.zero_var)
+        if on_nc != pullback_sigma(restrict(partner, leg.half.zero_var)).scaled(sign):
+            return False
+    return True
 
 
-def partner_sections(
-    section_nc: PluriSection,
-) -> tuple[PluriSection, PluriSection] | None:
+def partner_sections(section_nc: PluriSection) -> tuple[PluriSection, ...] | None:
     """Construct half-plane sections gluing with the given nc section.
 
-    The branch restrictions force the partners' restrictions; a partner
-    exists iff the forced restriction is a polynomial.  Returns None when
-    no holomorphic partners exist.
+    On each leg of ``SIGMA`` the nc restriction forces the partner's
+    restriction; a partner exists iff the forced restriction is a
+    polynomial.  Returns one partner per leg, in the order of ``SIGMA``, or
+    None when some leg has no holomorphic partner.
     """
     m = section_nc.weight
-    leg_u, leg_v = SIGMA
-    on_x = restrict(section_nc, leg_u.nc_zero_var)
-    on_y = restrict(section_nc, leg_v.nc_zero_var)
-    # the U partner absorbs the (-1)^m twist; on the other branch the twist
-    # cancels against the residue sign of the V generator
-    h_u = on_x.h * ((-1) ** m)
-    h_v = on_y.h
-    if not (h_u.is_polynomial() and h_v.is_polynomial()):
-        return None
-    coeff_u = h_u.rename({leg_u.nc_param: leg_u.half_param}).with_variables(
-        leg_u.half_plane.variables
-    )
-    coeff_v = h_v.rename({leg_v.nc_param: leg_v.half_param}).with_variables(
-        leg_v.half_plane.variables
-    )
-    return (
-        PluriSection(leg_u.half_plane, m, coeff_u),
-        PluriSection(leg_v.half_plane, m, coeff_v),
-    )
+    partners = []
+    for leg in SIGMA:
+        on_nc = restrict(section_nc, leg.nc.zero_var)
+        # half-plane branches carry no log pole: a partner restricts to its
+        # coefficient on the curve times residue_sign^m
+        h = on_nc.h * (-leg.half.residue_sign) ** m
+        if not h.is_polynomial():
+            return None
+        coeff = h.rename({leg.nc.param_var: leg.half.param_var})
+        coeff = coeff.with_variables(leg.half_plane.variables)
+        partners.append(PluriSection(leg.half_plane, m, coeff))
+    return tuple(partners)
 
 
 def gluing_ideal(m: int) -> MonomialIdeal:
@@ -342,7 +338,7 @@ def gluing_ideal(m: int) -> MonomialIdeal:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    on_x, on_y = (branch_ideal(NC_PAIR, leg.nc_zero_var, m) for leg in SIGMA)
+    on_x, on_y = (branch_ideal(NC_PAIR, leg.nc.zero_var, m) for leg in SIGMA)
     return on_x & on_y
 
 
@@ -380,30 +376,25 @@ class PlaneEmbedding:
         return f"({variables[0]},{variables[1]})->({','.join(slots)})"
 
 
+# the charts of the glued triple point: the nc pair, then each leg's half plane
+EMBEDDED_CHARTS = (NC_PAIR, *(leg.half_plane for leg in SIGMA))
+
+
 @dataclass(frozen=True)
 class EmbeddingAssignment:
-    """Placements for the nc chart and the two half planes."""
+    """Placements of ``EMBEDDED_CHARTS``, one field per chart in its order."""
 
     nc: PlaneEmbedding
     half_u: PlaneEmbedding
     half_v: PlaneEmbedding
 
-    def placement(self, model: ChartModel) -> PlaneEmbedding:
-        if model is NC_PAIR:
-            return self.nc
-        if model is HALF_PLANE_U:
-            return self.half_u
-        if model is HALF_PLANE_V:
-            return self.half_v
-        raise ValueError(f"chart {model.name} is not part of the assignment")
+    def planes(self) -> tuple[PlaneEmbedding, ...]:
+        return (self.nc, self.half_u, self.half_v)
 
     def __str__(self) -> str:
         return "; ".join(
-            (
-                self.nc.map_str(NC_PAIR.variables),
-                self.half_u.map_str(HALF_PLANE_U.variables),
-                self.half_v.map_str(HALF_PLANE_V.variables),
-            )
+            plane.map_str(model.variables)
+            for model, plane in zip(EMBEDDED_CHARTS, self.planes())
         )
 
 
@@ -427,16 +418,16 @@ def embed_check(assignment: EmbeddingAssignment) -> bool:
     image planes are pairwise distinct, and (iii) points identified by the
     gluing (v1 = y on one branch, u2 = x on the other) have equal images.
     """
-    planes = (assignment.nc, assignment.half_u, assignment.half_v)
+    planes = assignment.planes()
     if any(p.axes[0] == p.axes[1] for p in planes):
         return False
     spans = [p.spanned() for p in planes]
-    if len(set(spans)) != 3:
+    if len(set(spans)) != len(planes):
         return False
-    for leg in SIGMA:
-        nc_image = assignment.nc.param_image(NC_PAIR.variables.index(leg.nc_param))
-        half = assignment.placement(leg.half_plane)
-        half_image = half.param_image(leg.half_plane.variables.index(leg.half_param))
+    nc, *halves = planes
+    for leg, half in zip(SIGMA, halves):
+        nc_image = nc.param_image(NC_PAIR.variables.index(leg.nc.param_var))
+        half_image = half.param_image(leg.half_plane.variables.index(leg.half.param_var))
         if nc_image != half_image:
             return False
     return True

@@ -1,5 +1,6 @@
 """Restriction, gluing, and embedding tests for the plane-chart models."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from nccanon.logres import (
     HALF_PLANE_U,
     HALF_PLANE_V,
     NC_PAIR,
+    SIGMA,
     SMOOTH_PAIR,
     BranchRestriction,
     EmbeddingAssignment,
@@ -181,6 +183,27 @@ def test_sign_coherence():
         )
 
 
+def test_glues_rejects_partners_off_sigma():
+    u, v = zero_partner(HALF_PLANE_U, 1), zero_partner(HALF_PLANE_V, 1)
+    section = nc_section(1, "x*y")
+    assert glues(section, u, v)
+    for partners in ((u,), (u, v, v), (v, u)):
+        with pytest.raises(ValueError):
+            glues(section, *partners)
+    with pytest.raises(ValueError):
+        glues(u, u, v)
+
+
+def test_sigma_legs_are_chart_branches():
+    # every leg names a branch of the nc pair and of its own half plane, so
+    # parameter names and residue signs are read from the chart data
+    for leg in SIGMA:
+        assert leg.nc in NC_PAIR.branches
+        assert leg.half in leg.half_plane.branches
+        assert not leg.half.log_pole
+    assert len({leg.nc for leg in SIGMA}) == len(NC_PAIR.branches)
+
+
 # -- the gluing ideal ------------------------------------------------------------
 
 
@@ -239,6 +262,44 @@ def test_members_glue_and_non_members_do_not():
                     LaurentPolynomial.monomial(NC_PAIR.variables, {"x": a, "y": b}),
                 )
                 assert partner_sections(section) is None
+
+
+def random_nc_polynomial(rng: Random, m: int) -> LaurentPolynomial:
+    """An nc coefficient with 2 to 6 terms, exponents in [0, m + 1]."""
+    size = rng.randrange(2, 7)
+    terms = {}
+    while len(terms) < size:
+        exps = (rng.randrange(m + 2), rng.randrange(m + 2))
+        terms[exps] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 4))
+    return LaurentPolynomial(NC_PAIR.variables, terms)
+
+
+def test_multi_term_sections_glue_iff_terms_in_gluing_ideal():
+    rng = Random(53)
+    outcomes = {True: 0, False: 0}
+    negated = 0
+    for m in range(1, 9):
+        ideal = gluing_ideal(m)
+        for _ in range(25):
+            coeff = random_nc_polynomial(rng, m)
+            section = PluriSection(NC_PAIR, m, coeff)
+            partners = partner_sections(section)
+            in_ideal = all(ideal.member(exps) for exps in coeff.terms())
+            assert (partners is not None) == in_ideal
+            outcomes[in_ideal] += 1
+            if partners is None:
+                continue
+            assert glues(section, *partners)
+            nonzero = [i for i, p in enumerate(partners) if not p.coeff.is_zero]
+            if nonzero:
+                i = rng.choice(nonzero)
+                flipped = list(partners)
+                flipped[i] = PluriSection(partners[i].model, m, -partners[i].coeff)
+                assert not glues(section, *flipped)
+                negated += 1
+    # both outcomes and the negated partners are exercised, not vacuous
+    assert min(outcomes.values()) >= 50
+    assert negated >= 20
 
 
 # -- embedding of the triple point ------------------------------------------------

@@ -197,9 +197,9 @@ def test_gluing_box_monomial_by_monomial():
                 section = nc_monomial(m, a, b)
                 images = []
                 for leg in SIGMA:
-                    image = restrict_monomial(NC_PAIR, leg.nc_zero_var, m, (a, b))
-                    expected = restrict(section, leg.nc_zero_var)
-                    assert kernel_restriction(leg.nc_param, m, image) == expected
+                    image = restrict_monomial(NC_PAIR, leg.nc.zero_var, m, (a, b))
+                    expected = restrict(section, leg.nc.zero_var)
+                    assert kernel_restriction(leg.nc.param_var, m, image) == expected
                     images.append(image)
                 holomorphic = all(i is None or i[1] >= 0 for i in images)
                 assert holomorphic == (partner_sections(section) is not None)
