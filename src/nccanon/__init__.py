@@ -29,11 +29,8 @@ from .monideal import (
     MultiplicativityViolation,
     ReesGenerationReport,
     brute_force_new_generators,
-    check_multiplicative,
     minimalize,
-    new_generators,
     rees_report,
-    subalgebra_component,
 )
 from .logres import (
     ASSIGNMENT_0XY0,
@@ -46,6 +43,7 @@ from .logres import (
     EmbeddingNotFound,
     HALF_PLANE_U,
     HALF_PLANE_V,
+    MonomialMap,
     NC_PAIR,
     PlaneEmbedding,
     PluriSection,
@@ -59,9 +57,9 @@ from .logres import (
     partner_sections,
     pullback_sigma,
     restrict,
-    restrict_monomial,
 )
 from .conecalc import (
+    CONE_MAP,
     ChartElement,
     ConeElement,
     ConeSection,

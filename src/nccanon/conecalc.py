@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import LaurentPolynomial, NegativeExponentAtRestriction
-from .logres import SMOOTH_PAIR, BranchRestriction, restrict_monomial
+from .logres import SMOOTH_PAIR, BranchRestriction, MonomialMap
 
 # re-exported: the benchmark tracer's self-test (bench/test_bench.py) checks
 # that a wrapped ``logres.restrict`` is rebound at this import site as well
@@ -238,61 +238,39 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     return BranchRestriction("u", section.weight, along * sign)
 
 
-def _restrict_cone_monomial(m: int, a: int, b: int, c: int) -> int | None:
-    """``restrict_cone`` of u^a v^b w^c at weight 2m, on integers.
-
-    The restriction of a monomial coefficient is u^e * (du)^{2m} with sign
-    +1 (the weight is even); returns e, or None when the restriction is
-    zero.  Raises IllegalPole exactly where ``restrict_cone`` does.
-    """
-    # normal form u^(a+k) v^(b+k) w^r, then u -> s^2, v -> t^2, w -> s*t
-    k, r = divmod(c, 2)
-    t_exp = 2 * (b + k) + r
-    if t_exp < 0:
-        raise IllegalPole(f"term with t^{t_exp} cannot be restricted to t=0")
-    if t_exp > 0:
-        return None
-    # t_exp == 0 forces r == 0, so the s exponent 2(a+k) descends to u^(a+k)
-    return a + k - m
+# the numbers come from the chart, which sends u^a v^b w^r (normal form,
+# r in {0, 1}) to s^(2a+r) t^(2b+r): normal (0, 2, 1) along (t=0); of the
+# t-exponent 0 terms only u^a = s^(2a) is left, lowered by the half weight m
+CONE_MAP = MonomialMap((0, 2, 1), (1, 0, 0), 1, 1)
 
 
 def pole_bound_s2(m: int) -> int:
-    """Largest pole order the cone side can produce at weight 2m.
-
-    With nonnegative exponents, u^a v^b w^c (c = 2k+r) reaches the chart
-    with t-exponent 2(b+k)+r, which is 0 only when b = c = 0; every other
-    monomial restricts to zero.  That leaves the u^a line, where u^a gives
-    u^(a-m): no pole comes from a > m, so [0, m] is exhaustive.
-    """
+    """Largest pole order the cone side can produce at weight 2m: the
+    lowest exponent of ``CONE_MAP`` at half weight m, reached by u^0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return max(max(0, -_restrict_cone_monomial(m, a, 0, 0)) for a in range(m + 1))
+    return max(0, -CONE_MAP.exponents(m, m)[0])
 
 
 def glued_pole_bound(m: int, degree_cutoff: int | None = None) -> int:
     """Largest pole of a restriction achievable on BOTH sides of the gluing.
 
     The smooth chart (curve y=0) is glued to the cone curve by u = x.  Both
-    restriction maps send monomial coefficients to monomials, so each
-    achievable space is the span of the restricted monomials; the spaces
-    are intersected exactly, over coefficients of total degree up to the
-    cutoff (default 2m).  With nonnegative exponents x^a*y^b restricts to
-    zero unless b = 0, and x^a gives x^a; on the cone only u^a survives (see
-    ``pole_bound_s2``) and gives u^(a-m).  So both scans run over a in
-    [0, cutoff], and the intersection is inhabited iff the cutoff is at
-    least m; below that ValueError is raised rather than a pole bound read
-    off nothing.
+    maps send monomials to monomials, so the exact intersection of their
+    ``exponents`` over coefficients of total degree up to the cutoff
+    (default 2m) is what both sides achieve.  It is empty iff the cutoff is
+    below m, and then ValueError is raised rather than a bound read off
+    nothing.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     cutoff = 2 * m if degree_cutoff is None else degree_cutoff
-    line = range(cutoff + 1)
-    smooth_exps = {restrict_monomial(SMOOTH_PAIR, "y", 2 * m, (a, 0))[1] for a in line}
-    cone_exps = {_restrict_cone_monomial(m, a, 0, 0) for a in line}
-    common = smooth_exps & cone_exps
+    smooth_map = MonomialMap.of(SMOOTH_PAIR.variables, SMOOTH_PAIR.branch("y"))
+    smooth, cone = smooth_map.exponents(2 * m, cutoff), CONE_MAP.exponents(m, cutoff)
+    common = range(max(smooth.start, cone.start), min(smooth.stop, cone.stop))
     if not common:
         raise ValueError(
             f"no restriction is achievable on both sides at m={m} "
             f"with degree cutoff {cutoff}"
         )
-    return max(max(0, -e) for e in common)
+    return max(0, -common[0])

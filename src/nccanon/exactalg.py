@@ -349,25 +349,6 @@ class LaurentPolynomial:
             shifted = {tuple(map(add, e, exps)): c * k for e, c in terms}
         return LaurentPolynomial._trusted(self._vars, shifted)
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("negative powers are defined for monomials only")
-            ((exps, coeff),) = self._terms.items()
-            return LaurentPolynomial(
-                self._vars, {tuple(n * e for e in exps): Fraction(1) / coeff ** (-n)}
-            )
-        result = LaurentPolynomial.constant(self._vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- chart operations --------------------------------------------------
 
     def restrict_var(self, var: str) -> "LaurentPolynomial":
@@ -390,16 +371,6 @@ class LaurentPolynomial:
                 out[exps[:i] + exps[i + 1 :]] = c
         # dropping a coordinate that is 0 in every kept key is injective
         return LaurentPolynomial._trusted(new_vars, out)
-
-    def swap_vars(self, a: str, b: str) -> "LaurentPolynomial":
-        """Exchange the exponents of variables a and b in every term."""
-        i, j = self._index(a), self._index(b)
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self._terms.items():
-            e = list(exps)
-            e[i], e[j] = e[j], e[i]
-            out[tuple(e)] = c
-        return LaurentPolynomial._trusted(self._vars, out)
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPolynomial":
         """Rename variables (the explicit chart-crossing operation)."""

@@ -21,7 +21,7 @@ half-plane restriction back through sigma re-expresses it over the nc
 branch; a triple of sections glues iff the nc restrictions equal (-1)^m
 times the pulled-back half-plane restrictions on both branches.  The set of
 nc coefficients admitting holomorphic half-plane partners at weight m is a
-monomial ideal, computed here from the branch conditions themselves.
+monomial ideal, read off the integer restriction maps (``MonomialMap``).
 
 A separate concern of the same local model: the glued surface has a triple
 point of embedding dimension 4.  ``embed_check`` decides whether a signed
@@ -33,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
-from .exactalg import Exponents, LaurentPolynomial, NegativeExponentAtRestriction
+from .exactalg import (Exponents, LaurentPolynomial, NegativeExponentAtRestriction,
+                       VariableMismatch)
 from .monideal import MonomialIdeal
 
 
@@ -196,42 +198,63 @@ def restrict(section: PluriSection, branch: str) -> BranchRestriction:
     return _fold_log_frame(restricted, rule, section.weight)
 
 
-def restrict_monomial(
-    model: ChartModel, branch: str, weight: int, exps: Exponents
-) -> tuple[int, int] | None:
-    """``restrict`` on the monomial coefficient with exponents ``exps``.
+@dataclass(frozen=True)
+class MonomialMap:
+    """Restriction of monomial coefficients to a curve, on integers.
 
-    Works on integers only: returns ``(sign, e)`` when the restriction is
-    sign * t^e * (dt)^weight with t the branch parameter, and None when it
-    is zero.  Raises NegativeExponentAtRestriction exactly where
-    ``restrict`` does, i.e. on a pole along the branch.
+    With t the curve parameter, the monomial of exponents e restricts to 0
+    if normal·e > 0, has a pole (NegativeExponentAtRestriction) if
+    normal·e < 0, and is sign^weight * t^(along·e - lowering*weight) *
+    (dt)^weight otherwise.  ``normal`` must be nonnegative and vanish only
+    at the unit vector ``along``, so that among the monomials with
+    nonnegative exponents exactly the powers of t survive; ``ideal`` and
+    ``exponents`` read their answers off that.
     """
-    rule = model.branch(branch)
-    e = exps[model.variables.index(rule.zero_var)]
-    if e < 0:
-        raise NegativeExponentAtRestriction(
-            f"term with {rule.zero_var}^{e} cannot be restricted to {rule.zero_var}=0"
-        )
-    if e > 0:
-        return None
-    t_exp = exps[model.variables.index(rule.param_var)]
-    if rule.log_pole:
-        t_exp -= weight
-    return rule.residue_sign**weight, t_exp
 
+    normal: tuple[int, ...]
+    along: tuple[int, ...]
+    lowering: int
+    sign: int
 
-def branch_ideal(model: ChartModel, branch: str, weight: int) -> MonomialIdeal:
-    """Monomial coefficients whose restriction to the branch is holomorphic.
+    def __post_init__(self) -> None:
+        zeros = tuple(int(n == 0) for n in self.normal)
+        if min(self.normal, default=0) < 0 or zeros != self.along or sum(zeros) != 1:
+            raise ValueError(
+                f"normal {self.normal} must be nonnegative and vanish exactly "
+                f"at the unit vector along {self.along}"
+            )
 
-    On (z = 0) with parameter t, a monomial with nonnegative exponents
-    restricts to zero if its z-exponent is positive, else to a power of t
-    lowered by ``weight`` on a log-pole branch (``restrict_monomial``).  So
-    it restricts holomorphically iff it lies in (z, t^(weight if log pole)).
-    """
-    rule = model.branch(branch)
-    powers = ((rule.zero_var, 1), (rule.param_var, weight if rule.log_pole else 0))
-    gens = [tuple(e if v == var else 0 for v in model.variables) for var, e in powers]
-    return MonomialIdeal(model.variables, gens)
+    @classmethod
+    def of(cls, variables: Sequence[str], rule: BranchRule) -> "MonomialMap":
+        """``restrict`` to the branch ``rule`` of a chart over ``variables``."""
+        normal, along = (tuple(int(v == var) for v in variables)
+                         for var in (rule.zero_var, rule.param_var))
+        return cls(normal, along, int(rule.log_pole), rule.residue_sign)
+
+    def image(self, exps: Exponents, weight: int) -> tuple[int, int] | None:
+        """``(sign, e)`` for sign * t^e * (dt)^weight, or None for 0."""
+        if len(exps) != len(self.normal):
+            raise VariableMismatch(f"exponents {tuple(exps)} do not fit {self.normal}")
+        n = sum(map(mul, self.normal, exps))
+        if n < 0:
+            raise NegativeExponentAtRestriction(f"monomial {tuple(exps)} has a pole")
+        if n > 0:
+            return None
+        return self.sign**weight, sum(map(mul, self.along, exps)) - self.lowering * weight
+
+    def ideal(self, variables: Sequence[str], weight: int) -> MonomialIdeal:
+        """The monomials that restrict holomorphically: the variables of
+        positive normal weight, plus t^(lowering*weight)."""
+        size = len(self.normal)
+        gens = [tuple(int(j == i) for j in range(size)) for i in range(size) if self.normal[i]]
+        gens.append(tuple(self.lowering * weight * a for a in self.along))
+        return MonomialIdeal(variables, gens)
+
+    def exponents(self, weight: int, degree: int) -> range:
+        """The t-exponents of the nonzero images of monomials with
+        nonnegative exponents and total degree <= ``degree``, which are t^k
+        for k in [0, degree]."""
+        return range(-self.lowering * weight, degree - self.lowering * weight + 1)
 
 
 @dataclass(frozen=True)
@@ -255,6 +278,9 @@ SIGMA = (
     BranchMatch(NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_U.branch("u1")),
     BranchMatch(NC_PAIR.branch("y"), HALF_PLANE_V, HALF_PLANE_V.branch("v2")),
 )
+
+# the restriction maps of the nc branches that SIGMA glues, in its order
+_NC_MAPS = tuple(MonomialMap.of(NC_PAIR.variables, leg.nc) for leg in SIGMA)
 
 
 def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
@@ -333,12 +359,12 @@ def gluing_ideal(m: int) -> MonomialIdeal:
     """Coefficients on the nc pair admitting half-plane partners at weight m.
 
     A monomial coefficient has partners iff both forced partner restrictions
-    are polynomials, i.e. iff it lies in the branch ideal of each nc branch
-    that ``SIGMA`` glues: the gluing ideal is (x, y^m) & (y, x^m).
+    are polynomials, i.e. iff it lies in the ``MonomialMap.ideal`` of each
+    nc branch that ``SIGMA`` glues: the gluing ideal is (x, y^m) & (y, x^m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    on_x, on_y = (branch_ideal(NC_PAIR, leg.nc.zero_var, m) for leg in SIGMA)
+    on_x, on_y = (nc_map.ideal(NC_PAIR.variables, m) for nc_map in _NC_MAPS)
     return on_x & on_y
 
 
@@ -382,29 +408,28 @@ EMBEDDED_CHARTS = (NC_PAIR, *(leg.half_plane for leg in SIGMA))
 
 @dataclass(frozen=True)
 class EmbeddingAssignment:
-    """Placements of ``EMBEDDED_CHARTS``, one field per chart in its order."""
+    """Placements of ``EMBEDDED_CHARTS``, one per chart in its order."""
 
-    nc: PlaneEmbedding
-    half_u: PlaneEmbedding
-    half_v: PlaneEmbedding
+    planes: tuple[PlaneEmbedding, ...]
 
-    def planes(self) -> tuple[PlaneEmbedding, ...]:
-        return (self.nc, self.half_u, self.half_v)
+    def __post_init__(self) -> None:
+        if len(self.planes) != len(EMBEDDED_CHARTS):
+            raise ValueError(f"expected one placement per chart, got {len(self.planes)}")
 
     def __str__(self) -> str:
         return "; ".join(
             plane.map_str(model.variables)
-            for model, plane in zip(EMBEDDED_CHARTS, self.planes())
+            for model, plane in zip(EMBEDDED_CHARTS, self.planes)
         )
 
 
 # hand-written assignment (x,y)->(0,x,y,0), (u1,v1)->(v1,u1,0,0),
 # (u2,v2)->(0,0,v2,u2); kept as a named input for the consistency check
-ASSIGNMENT_0XY0 = EmbeddingAssignment(
-    nc=PlaneEmbedding((1, 2), (1, 1)),
-    half_u=PlaneEmbedding((1, 0), (1, 1)),
-    half_v=PlaneEmbedding((3, 2), (1, 1)),
-)
+ASSIGNMENT_0XY0 = EmbeddingAssignment((
+    PlaneEmbedding((1, 2), (1, 1)),
+    PlaneEmbedding((1, 0), (1, 1)),
+    PlaneEmbedding((3, 2), (1, 1)),
+))
 
 # chain of three coordinate 2-planes (t1=t2=0), (t2=t3=0), (t3=t4=0),
 # written as the axis sets they span
@@ -418,37 +443,30 @@ def embed_check(assignment: EmbeddingAssignment) -> bool:
     image planes are pairwise distinct, and (iii) points identified by the
     gluing (v1 = y on one branch, u2 = x on the other) have equal images.
     """
-    planes = assignment.planes()
+    planes = assignment.planes
     if any(p.axes[0] == p.axes[1] for p in planes):
         return False
-    spans = [p.spanned() for p in planes]
-    if len(set(spans)) != len(planes):
+    if len({p.spanned() for p in planes}) != len(planes):
         return False
-    nc, *halves = planes
-    for leg, half in zip(SIGMA, halves):
-        nc_image = nc.param_image(NC_PAIR.variables.index(leg.nc.param_var))
-        half_image = half.param_image(leg.half_plane.variables.index(leg.half.param_var))
-        if nc_image != half_image:
-            return False
-    return True
+    return all(_leg_agrees(leg, planes[0], half) for leg, half in zip(SIGMA, planes[1:]))
 
 
-def _candidates(
-    allowed_planes: Sequence[frozenset[int]] | None,
-) -> list[PlaneEmbedding]:
-    out = []
-    for a0 in range(4):
-        for a1 in range(4):
-            if a0 == a1:
-                continue
-            if allowed_planes is not None and frozenset((a0, a1)) not in set(
-                allowed_planes
-            ):
-                continue
-            for s0 in (1, -1):
-                for s1 in (1, -1):
-                    out.append(PlaneEmbedding((a0, a1), (s0, s1)))
-    return out
+def _leg_agrees(leg: BranchMatch, nc: PlaneEmbedding, half: PlaneEmbedding) -> bool:
+    """Whether the glued parameters of ``leg`` have the same image in C^4."""
+    nc_image = nc.param_image(NC_PAIR.variables.index(leg.nc.param_var))
+    return nc_image == half.param_image(leg.half_plane.variables.index(leg.half.param_var))
+
+
+def _candidates(allowed_planes: Iterable[frozenset[int]] | None) -> list[PlaneEmbedding]:
+    allowed = None if allowed_planes is None else set(allowed_planes)
+    return [
+        PlaneEmbedding((a0, a1), (s0, s1))
+        for a0 in range(4)
+        for a1 in range(4)
+        if a0 != a1 and (allowed is None or frozenset((a0, a1)) in allowed)
+        for s0 in (1, -1)
+        for s1 in (1, -1)
+    ]
 
 
 def embed_search(
@@ -460,17 +478,21 @@ def embed_search(
     coordinate 2-planes (axis sets).  Raises EmbeddingNotFound when the
     search space is exhausted.
     """
-    allowed = None if allowed_planes is None else list(allowed_planes)
-    pool = _candidates(allowed)
+    pool = _candidates(allowed_planes)
+
+    def completions(planes: tuple[PlaneEmbedding, ...]) -> Iterator[EmbeddingAssignment]:
+        # in pool order; a half-plane placement that breaks its leg's
+        # identity or repeats a plane is skipped as soon as it is chosen
+        if len(planes) == len(EMBEDDED_CHARTS):
+            yield EmbeddingAssignment(planes)
+            return
+        leg, spans = SIGMA[len(planes) - 1], {p.spanned() for p in planes}
+        for half in pool:
+            if _leg_agrees(leg, planes[0], half) and half.spanned() not in spans:
+                yield from completions(planes + (half,))
+
     for nc in pool:
-        for half_u in pool:
-            # prune on the first branch identity before the inner loop
-            if nc.param_image(1) != half_u.param_image(1):
-                continue
-            if nc.spanned() == half_u.spanned():
-                continue
-            for half_v in pool:
-                assignment = EmbeddingAssignment(nc, half_u, half_v)
-                if embed_check(assignment):
-                    return assignment
+        for assignment in completions((nc,)):
+            if embed_check(assignment):
+                return assignment
     raise EmbeddingNotFound("no consistent signed placement exists")

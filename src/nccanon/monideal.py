@@ -322,35 +322,6 @@ def _new(i_m: MonomialIdeal, j_m: MonomialIdeal) -> frozenset[Exponents]:
     return frozenset(g for g in i_m.generators if not j_m.member(g))
 
 
-def check_multiplicative(family: GradedMonomialFamily, upto: int) -> bool:
-    """Whether I_a * I_b lies inside I_{a+b} for all 1 <= a <= b, a+b <= upto."""
-    try:
-        for _ in _weights(family, upto):
-            pass
-    except MultiplicativityViolation:
-        return False
-    return True
-
-
-def _top_weight(
-    family: GradedMonomialFamily, m: int
-) -> tuple[MonomialIdeal, MonomialIdeal]:
-    if m < 1:
-        raise ValueError(f"weight m={m} must be >= 1")
-    *_, (_, i_m, j_m) = _weights(family, m)
-    return i_m, j_m
-
-
-def subalgebra_component(family: GradedMonomialFamily, m: int) -> MonomialIdeal:
-    """J_m: the weight-m part of the subalgebra spanned by weights below m."""
-    return _top_weight(family, m)[1]
-
-
-def new_generators(family: GradedMonomialFamily, m: int) -> frozenset[Exponents]:
-    """Minimal generators of I_m that the lower weights cannot produce."""
-    return _new(*_top_weight(family, m))
-
-
 @dataclass(frozen=True)
 class ReesGenerationReport:
     """Per-degree table of fresh generators for a graded monomial family.
@@ -384,7 +355,7 @@ def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGeneration
 def brute_force_new_generators(
     family: GradedMonomialFamily, m: int, degree_bound: int = 6
 ) -> frozenset[Exponents]:
-    """Slow independent oracle for ``new_generators``, capped by total degree.
+    """Slow independent oracle for ``rees_report`` rows, capped by total degree.
 
     Enumerates every monomial of total degree <= degree_bound, decides
     membership in I_m and in J_m by direct divisibility against raw

@@ -1,6 +1,7 @@
 """Restriction, gluing, and embedding tests for the plane-chart models."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -309,25 +310,27 @@ def test_assignment_0xy0_fails_glued_points():
     # images of a glued point differ: (0,0,y,0) on one side, (y,0,0,0) on
     # the other, so the hand-written maps are inconsistent with the gluing
     assert not embed_check(ASSIGNMENT_0XY0)
-    assert ASSIGNMENT_0XY0.nc.param_image(1) != ASSIGNMENT_0XY0.half_u.param_image(1)
+    nc, half_u, _ = ASSIGNMENT_0XY0.planes
+    assert nc.param_image(1) != half_u.param_image(1)
 
 
 def test_embed_check_detects_sign_flip():
     good = embed_search()
     assert embed_check(good)
+    nc, half_u, half_v = good.planes
     flipped = EmbeddingAssignment(
-        good.nc,
-        PlaneEmbedding(good.half_u.axes, (good.half_u.signs[0], -good.half_u.signs[1])),
-        good.half_v,
+        (nc, PlaneEmbedding(half_u.axes, (half_u.signs[0], -half_u.signs[1])), half_v)
     )
     assert not embed_check(flipped)
 
 
 def test_embed_check_rejects_repeated_planes():
     same = PlaneEmbedding((0, 1), (1, 1))
-    assert not embed_check(EmbeddingAssignment(same, same, same))
+    assert not embed_check(EmbeddingAssignment((same, same, same)))
     degenerate = PlaneEmbedding((2, 2), (1, 1))
-    assert not embed_check(EmbeddingAssignment(degenerate, same, PlaneEmbedding((2, 3), (1, 1))))
+    assert not embed_check(
+        EmbeddingAssignment((degenerate, same, PlaneEmbedding((2, 3), (1, 1))))
+    )
 
 
 def test_embed_search_full_space():
@@ -340,12 +343,49 @@ def test_embed_search_full_space():
 def test_embed_search_chain_planes():
     found = embed_search(CHAIN_PLANES)
     assert embed_check(found)
-    spans = {found.nc.spanned(), found.half_u.spanned(), found.half_v.spanned()}
+    spans = {plane.spanned() for plane in found.planes}
     assert spans == set(CHAIN_PLANES)
     # the nc chart must sit on the middle component of the chain
-    assert found.nc.spanned() == frozenset({0, 3})
+    assert found.planes[0].spanned() == frozenset({0, 3})
 
 
 def test_embed_search_empty_pool():
     with pytest.raises(EmbeddingNotFound):
         embed_search([])
+
+
+def unpruned_search(allowed_planes=None):
+    """The first of all placements in pool^3 that passes embed_check, in the
+    order of ``embed_search``, or None; nothing is pruned."""
+    pool = [
+        PlaneEmbedding((a0, a1), signs)
+        for a0 in range(4)
+        for a1 in range(4)
+        if a0 != a1
+        and (allowed_planes is None or frozenset((a0, a1)) in allowed_planes)
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    for planes in product(pool, repeat=3):
+        if embed_check(EmbeddingAssignment(planes)):
+            return EmbeddingAssignment(planes)
+    return None
+
+
+def test_embed_search_matches_unpruned_scan():
+    cycle = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 3})]
+    for allowed in (None, CHAIN_PLANES, CHAIN_PLANES[1:], cycle):
+        expected = unpruned_search(allowed)
+        if expected is None:
+            with pytest.raises(EmbeddingNotFound):
+                embed_search(allowed)
+        else:
+            assert embed_search(allowed) == expected, allowed
+    # two planes cannot hold three distinct images
+    assert unpruned_search(CHAIN_PLANES[1:]) is None
+
+
+def test_embedding_assignment_needs_one_placement_per_chart():
+    plane = PlaneEmbedding((0, 1), (1, 1))
+    for planes in ((), (plane, plane), (plane,) * 4):
+        with pytest.raises(ValueError):
+            EmbeddingAssignment(planes)

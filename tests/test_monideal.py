@@ -12,13 +12,10 @@ from nccanon.monideal import (
     MonomialIdeal,
     MultiplicativityViolation,
     brute_force_new_generators,
-    check_multiplicative,
     minimalize,
-    new_generators,
     rees_report,
-    subalgebra_component,
 )
-from nccanon.monideal import _candidates, _lines
+from nccanon.monideal import _candidates, _lines, _weights
 
 XY = ("x", "y")
 FAMILY = parse_family("x*y, x^m, y^m")
@@ -26,6 +23,22 @@ FAMILY = parse_family("x*y, x^m, y^m")
 
 def ideal(*gens, variables=XY) -> MonomialIdeal:
     return MonomialIdeal(variables, gens)
+
+
+def weight_pass(family, m):
+    """(J_m, the minimal generators of I_m outside J_m) from the per-weight
+    pass run up to weight m; raises MultiplicativityViolation as it does."""
+    *_, (_, i_m, j_m) = _weights(family, m)
+    return j_m, frozenset(g for g in i_m.generators if not j_m.member(g))
+
+
+def multiplicative(family, upto):
+    """Whether the per-weight pass up to ``upto`` finds I_a * I_b in I_{a+b}."""
+    try:
+        weight_pass(family, upto)
+    except MultiplicativityViolation:
+        return False
+    return True
 
 
 # -- brute-force oracle: enumerate the monomials of an ideal -----------------
@@ -112,27 +125,28 @@ def test_instantiate_examples():
 
 
 def test_check_multiplicative():
-    assert check_multiplicative(FAMILY, 12)
-    assert check_multiplicative(parse_family("x^m"), 12)
+    assert multiplicative(FAMILY, 12)
+    assert multiplicative(parse_family("x^m"), 12)
     # I_m = (x^(2m-1)) fails: I_1*I_1 = (x^2) is not inside I_2 = (x^3)
     skewed = parse_family("x^(2*m-1)")
-    assert not check_multiplicative(skewed, 4)
+    assert not multiplicative(skewed, 4)
 
 
 def test_subalgebra_component_examples():
-    assert subalgebra_component(FAMILY, 2) == ideal((2, 0), (1, 1), (0, 2))
-    assert subalgebra_component(FAMILY, 3) == ideal((3, 0), (2, 1), (1, 2), (0, 3))
-    assert subalgebra_component(FAMILY, 4) == ideal((4, 0), (2, 1), (1, 2), (0, 4))
-    assert subalgebra_component(FAMILY, 1).is_zero
+    assert weight_pass(FAMILY, 2)[0] == ideal((2, 0), (1, 1), (0, 2))
+    assert weight_pass(FAMILY, 3)[0] == ideal((3, 0), (2, 1), (1, 2), (0, 3))
+    assert weight_pass(FAMILY, 4)[0] == ideal((4, 0), (2, 1), (1, 2), (0, 4))
+    assert weight_pass(FAMILY, 1)[0].is_zero
     with pytest.raises(MultiplicativityViolation):
-        subalgebra_component(parse_family("x^(2*m-1)"), 4)
+        weight_pass(parse_family("x^(2*m-1)"), 4)
 
 
 def test_new_generators_examples():
-    assert new_generators(FAMILY, 1) == {(1, 0), (0, 1)}
-    assert new_generators(FAMILY, 2) == frozenset()
-    assert new_generators(FAMILY, 5) == {(1, 1)}
-    j5 = subalgebra_component(FAMILY, 5)
+    report = rees_report(FAMILY, 5)
+    assert report.row(1) == {(1, 0), (0, 1)}
+    assert report.row(2) == frozenset()
+    assert report.row(5) == {(1, 1)}
+    j5 = weight_pass(FAMILY, 5)[0]
     assert j5.member((5, 0)) and j5.member((0, 5))
     assert not j5.member((1, 1))
 
@@ -172,7 +186,7 @@ def test_rees_report_constant_family_truth():
         assert constant.row(m) == brute_force_new_generators(
             parse_family("x*y"), m, 6
         )
-    assert subalgebra_component(parse_family("x*y"), 2) == ideal((2, 2))
+    assert weight_pass(parse_family("x*y"), 2)[0] == ideal((2, 2))
 
 
 def test_rees_report_three_variables():
@@ -299,7 +313,7 @@ def test_subalgebra_inside_instantiation():
     for family in (FAMILY, parse_family("x^m"), parse_family("x*y")):
         for m in range(1, 13):
             i_m = family.instantiate(m)
-            j_m = subalgebra_component(family, m)
+            j_m = weight_pass(family, m)[0]
             for g in j_m.generators:
                 assert i_m.member(g)
 
@@ -409,7 +423,7 @@ def test_pruned_oracle_matches_unpruned_with_the_unit_template():
         for m in range(1, 8):
             oracle = brute_force_new_generators(family, m, degree_bound)
             assert oracle == unpruned_oracle(family, m, degree_bound), (degree_bound, m)
-            assert oracle == new_generators(family, m), (degree_bound, m)
+            assert oracle == rees_report(family, max(m, 3)).row(m), (degree_bound, m)
 
 
 def test_cached_oracle_answers_each_family_separately():
@@ -479,7 +493,7 @@ def assert_weight_pass_matches_reference(family, top):
     """Every entry point of the weight pass against the references, at every
     weight below the first one where the family stops being multiplicative."""
     for upto in range(1, top + 1):
-        assert check_multiplicative(family, upto) == pairwise_multiplicative(
+        assert multiplicative(family, upto) == pairwise_multiplicative(
             family, upto
         ), upto
     good = 0
@@ -491,8 +505,7 @@ def assert_weight_pass_matches_reference(family, top):
         fresh = frozenset(
             g for g in family.instantiate(m).generators if not j_m.member(g)
         )
-        assert subalgebra_component(family, m) == j_m, m
-        assert new_generators(family, m) == fresh, m
+        assert weight_pass(family, m) == (j_m, fresh), m
         if rows:
             assert rows[m - 1] == (m, fresh), m
 
@@ -574,7 +587,7 @@ def test_interval_cut_keeps_two_gaps_of_one_mixed_line():
     line = {(a + 2, 12 - a) for a in range(1, 10)}
     kept = _candidates(ends, mixed, 10) & line
     assert kept == {(3, 11), (4, 10), (10, 4), (11, 3)}
-    assert kept <= subalgebra_component(family, 10).generators
+    assert kept <= weight_pass(family, 10)[0].generators
 
 
 def random_family(rng: Random) -> GradedMonomialFamily:
@@ -598,13 +611,9 @@ def test_weight_pass_on_random_families(seed):
 
 def test_multiplicativity_violation_at_every_entry_point():
     skewed = parse_family("x^(2*m-1)")
-    assert not check_multiplicative(skewed, 4)
-    assert not check_multiplicative(parse_family("x^(m+1)*y, y^(2*m)"), 2)
-    for call in (
-        lambda: rees_report(skewed, 4),
-        lambda: new_generators(skewed, 4),
-        lambda: subalgebra_component(skewed, 4),
-    ):
+    assert not multiplicative(skewed, 4)
+    assert not multiplicative(parse_family("x^(m+1)*y, y^(2*m)"), 2)
+    for call in (lambda: rees_report(skewed, 4), lambda: weight_pass(skewed, 4)):
         with pytest.raises(MultiplicativityViolation) as exc:
             call()
         assert str(exc.value) == (
@@ -612,4 +621,4 @@ def test_multiplicativity_violation_at_every_entry_point():
             " the minimal generator x^2 of J_2 is not in I_2"
         )
     # weight 1 has no lower weights to violate anything
-    assert new_generators(skewed, 1) == {(1,)}
+    assert weight_pass(skewed, 1)[1] == {(1,)}

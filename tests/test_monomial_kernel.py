@@ -1,12 +1,13 @@
-"""The integer monomial kernel against the polynomial route it replaces.
+"""The integer restriction maps against the polynomial route they replace.
 
-``gluing_ideal`` intersects the branch ideals of the glued nc branches, and
-``pole_bound_s2`` and ``glued_pole_bound`` scan only the u^a line with
-``restrict_monomial`` and the cone helper ``_restrict_cone_monomial``, on
+``gluing_ideal`` intersects the ``MonomialMap.ideal`` of the glued nc
+branches, and ``pole_bound_s2`` and ``glued_pole_bound`` read the ranges of
+``MonomialMap.exponents`` of the smooth branch and of ``CONE_MAP``, on
 integers.  The oracles below scan the full boxes the way those functions
 once did, on the polynomial route: they build a ``LaurentPolynomial``
 section for every monomial and run the full restriction on it.  The tests
-compare the kernel with them result by result and monomial by monomial.
+compare the maps with them result by result and monomial by monomial, and
+compare ``ideal`` and ``exponents`` with a scan of ``MonomialMap.image``.
 """
 
 from itertools import product
@@ -14,15 +15,19 @@ from itertools import product
 import pytest
 
 from nccanon.conecalc import (
+    CONE_MAP,
     ConeElement,
     ConeSection,
     IllegalPole,
-    _restrict_cone_monomial,
     glued_pole_bound,
     pole_bound_s2,
     restrict_cone,
 )
-from nccanon.exactalg import LaurentPolynomial, NegativeExponentAtRestriction
+from nccanon.exactalg import (
+    LaurentPolynomial,
+    NegativeExponentAtRestriction,
+    VariableMismatch,
+)
 from nccanon.logres import (
     HALF_PLANE_U,
     HALF_PLANE_V,
@@ -30,18 +35,18 @@ from nccanon.logres import (
     SIGMA,
     SMOOTH_PAIR,
     BranchRestriction,
+    MonomialMap,
     PluriSection,
     UnknownBranch,
-    branch_ideal,
     gluing_ideal,
     partner_sections,
     restrict,
-    restrict_monomial,
 )
 from nccanon.monideal import MonomialIdeal
 
 UV = ("u", "v")
 XY = ("x", "y")
+PLANE_CHARTS = (NC_PAIR, SMOOTH_PAIR, HALF_PLANE_U, HALF_PLANE_V)
 
 
 # -- polynomial oracles -------------------------------------------------------
@@ -147,8 +152,9 @@ def test_restrict_monomial_matches_restrict_on_every_chart():
     # exponents in [-2, 3]^2 cover zero restrictions, poles in the branch
     # parameter and the raising case of a pole transverse to the branch
     raised = zeros = 0
-    for model in (NC_PAIR, SMOOTH_PAIR, HALF_PLANE_U, HALF_PLANE_V):
+    for model in PLANE_CHARTS:
         for rule in model.branches:
+            kernel = MonomialMap.of(model.variables, rule)
             for weight in range(0, 5):
                 for e0 in range(-2, 4):
                     for e1 in range(-2, 4):
@@ -160,33 +166,35 @@ def test_restrict_monomial_matches_restrict_on_every_chart():
                         except NegativeExponentAtRestriction:
                             raised += 1
                             with pytest.raises(NegativeExponentAtRestriction):
-                                restrict_monomial(model, rule.zero_var, weight, exps)
+                                kernel.image(exps, weight)
                             continue
-                        image = restrict_monomial(model, rule.zero_var, weight, exps)
+                        image = kernel.image(exps, weight)
                         zeros += image is None
                         assert kernel_restriction(rule.param_var, weight, image) == expected
     assert raised and zeros
 
 
 def test_branch_ideal_matches_restrict_monomial():
-    for model in (NC_PAIR, SMOOTH_PAIR, HALF_PLANE_U, HALF_PLANE_V):
+    for model in PLANE_CHARTS:
         for rule in model.branches:
+            kernel = MonomialMap.of(model.variables, rule)
             for weight in range(0, 5):
-                ideal = branch_ideal(model, rule.zero_var, weight)
+                ideal = kernel.ideal(model.variables, weight)
                 assert ideal.variables == model.variables
                 # generators have exponents at most 4, so [0, 5]^2 decides
                 # membership of every monomial
                 for exps in product(range(6), repeat=2):
-                    image = restrict_monomial(model, rule.zero_var, weight, exps)
+                    image = kernel.image(exps, weight)
                     holomorphic = image is None or image[1] >= 0
                     assert ideal.member(exps) == holomorphic, (model.name, exps)
-    with pytest.raises(UnknownBranch):
-        branch_ideal(NC_PAIR, "u1", 1)
 
 
 def test_restrict_monomial_unknown_branch():
     with pytest.raises(UnknownBranch):
-        restrict_monomial(NC_PAIR, "u1", 1, (0, 0))
+        NC_PAIR.branch("u1")
+    # a branch of another chart names no variable of the nc pair
+    with pytest.raises(ValueError):
+        MonomialMap.of(NC_PAIR.variables, HALF_PLANE_U.branch("u1"))
 
 
 def test_gluing_box_monomial_by_monomial():
@@ -197,7 +205,7 @@ def test_gluing_box_monomial_by_monomial():
                 section = nc_monomial(m, a, b)
                 images = []
                 for leg in SIGMA:
-                    image = restrict_monomial(NC_PAIR, leg.nc.zero_var, m, (a, b))
+                    image = MonomialMap.of(XY, leg.nc).image((a, b), m)
                     expected = restrict(section, leg.nc.zero_var)
                     assert kernel_restriction(leg.nc.param_var, m, image) == expected
                     images.append(image)
@@ -207,20 +215,23 @@ def test_gluing_box_monomial_by_monomial():
 
 
 def test_glued_smooth_side_monomial_by_monomial():
+    kernel = MonomialMap.of(XY, SMOOTH_PAIR.branch("y"))
     for m in range(1, 11):
         for a in range(2 * m + 1):
             for b in range(2 * m + 1 - a):
                 coeff = LaurentPolynomial.monomial(XY, {"x": a, "y": b})
                 expected = restrict(PluriSection(SMOOTH_PAIR, 2 * m, coeff), "y")
-                image = restrict_monomial(SMOOTH_PAIR, "y", 2 * m, (a, b))
+                image = kernel.image((a, b), 2 * m)
                 assert kernel_restriction("x", 2 * m, image) == expected
 
 
 # -- monomial by monomial: the cone ------------------------------------------------
 
 
-def cone_kernel_restriction(m: int, e) -> BranchRestriction:
-    return kernel_restriction("u", 2 * m, None if e is None else (1, e))
+def cone_restriction(m: int, a: int, b: int, c: int) -> BranchRestriction:
+    """``CONE_MAP`` on u^a*v^b*w^c at half weight m, after w^2 -> u*v."""
+    k, r = divmod(c, 2)
+    return kernel_restriction("u", 2 * m, CONE_MAP.image((a + k, b + k, r), m))
 
 
 def test_cone_helper_on_scanned_boxes():
@@ -238,7 +249,7 @@ def test_cone_helper_on_scanned_boxes():
         ]
         for a, b, c in boxes:
             expected = restrict_cone(ConeSection(2 * m, ConeElement.monomial(a, b, c)))
-            assert cone_kernel_restriction(m, _restrict_cone_monomial(m, a, b, c)) == expected
+            assert cone_restriction(m, a, b, c) == expected
 
 
 def test_cone_helper_reduces_w_powers():
@@ -249,11 +260,11 @@ def test_cone_helper_reduces_w_powers():
                     expected = restrict_cone(
                         ConeSection(2 * m, ConeElement.monomial(a, b, c))
                     )
-                    image = _restrict_cone_monomial(m, a, b, c)
-                    assert cone_kernel_restriction(m, image) == expected
+                    assert cone_restriction(m, a, b, c) == expected
 
 
 def test_cone_helper_meromorphic_coefficients():
+    # a pole on the restrict_cone route is a pole of CONE_MAP
     raised = 0
     for m in range(1, 4):
         for a in range(-2, 3):
@@ -266,9 +277,59 @@ def test_cone_helper_meromorphic_coefficients():
                         expected = restrict_cone(section)
                     except IllegalPole:
                         raised += 1
-                        with pytest.raises(IllegalPole):
-                            _restrict_cone_monomial(m, a, b, c)
+                        with pytest.raises(NegativeExponentAtRestriction):
+                            cone_restriction(m, a, b, c)
                         continue
-                    image = _restrict_cone_monomial(m, a, b, c)
-                    assert cone_kernel_restriction(m, image) == expected
+                    assert cone_restriction(m, a, b, c) == expected
     assert raised
+
+
+# -- what the maps read off their images ---------------------------------------------
+
+
+def every_map():
+    """(variables, map) for every plane branch and for the cone."""
+    planes = [
+        (model.variables, MonomialMap.of(model.variables, rule))
+        for model in PLANE_CHARTS
+        for rule in model.branches
+    ]
+    return planes + [(("u", "v", "w"), CONE_MAP)]
+
+
+def test_exponents_and_ideal_match_a_scan_of_image():
+    for variables, kernel in every_map():
+        size = len(variables)
+        for weight in range(0, 5):
+            # degree -1 reaches nothing
+            for degree in range(-1, 7):
+                triangle = [
+                    e for e in product(range(degree + 1), repeat=size) if sum(e) <= degree
+                ]
+                images = [kernel.image(e, weight) for e in triangle]
+                reached = {i[1] for i in images if i is not None}
+                assert reached == set(kernel.exponents(weight, degree)), (kernel, weight)
+            # generators have exponents at most 4, so [0, 5]^size decides
+            # membership of every monomial
+            ideal = kernel.ideal(variables, weight)
+            for exps in product(range(6), repeat=size):
+                image = kernel.image(exps, weight)
+                assert ideal.member(exps) == (image is None or image[1] >= 0), exps
+    for m in range(0, 6):
+        cone_ideal = CONE_MAP.ideal(("u", "v", "w"), m)
+        assert cone_ideal == MonomialIdeal(("u", "v", "w"), [(0, 1, 0), (0, 0, 1), (m, 0, 0)])
+
+
+def test_monomial_map_refuses_what_ideal_and_exponents_cannot_read():
+    for normal, along in (
+        ((-1, 0), (0, 1)),  # a negative normal weight
+        ((1, 0), (1, 0)),  # along is not where normal vanishes
+        ((0, 0), (1, 0)),  # normal vanishes twice
+        ((0, 0), (1, 1)),  # along is not a unit vector
+        ((1, 2), (0, 0)),  # normal never vanishes
+        ((1, 0, 0), (0, 1)),  # lengths differ
+    ):
+        with pytest.raises(ValueError):
+            MonomialMap(normal, along, 1, 1)
+    with pytest.raises(VariableMismatch):
+        CONE_MAP.image((1, 0), 1)
