@@ -54,6 +54,7 @@ from .logres import (
     embed_search,
     gluing_ideal,
     glues,
+    obstructions,
     partner_sections,
     pullback_sigma,
     restrict,

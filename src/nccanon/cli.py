@@ -66,6 +66,7 @@ from .logres import (
     embed_search,
     gluing_ideal,
     glues,
+    obstructions,
     partner_sections,
 )
 from .monideal import (
@@ -73,6 +74,7 @@ from .monideal import (
     MultiplicativityViolation,
     brute_force_new_generators,
     generators_str,
+    monomial_str,
     rees_report,
 )
 
@@ -333,9 +335,17 @@ def _suite_glue_check(max_degree: int) -> list[CheckRecord]:
             if partners is None or not glues(section, *partners):
                 members_ok = False
         records.append(_check(f"glue/m={m}/members-glue", True, members_ok))
-        rejected_ok = all(
-            partner_sections(_nc_monomial_section(m, *exps)) is None
-            for exps in ideal.staircase()
+        # the whole staircase as one section; its coefficients are distinct,
+        # so obstructions cannot read one term back as another
+        staircase = ideal.staircase()
+        coeff = LaurentPolynomial(
+            NC_PAIR.variables, {exps: i for i, exps in enumerate(staircase, 1)}
+        )
+        rejected = obstructions(PluriSection(NC_PAIR, m, coeff))
+        rejected_ok = rejected == frozenset(staircase) or next(
+            (f"{monomial_str(NC_PAIR.variables, exps)} has partners"
+             for exps in staircase if exps not in rejected),
+            False,
         )
         records.append(_check(f"glue/m={m}/non-members-rejected", True, rejected_ok))
     return records

@@ -355,6 +355,34 @@ def partner_sections(section_nc: PluriSection) -> tuple[PluriSection, ...] | Non
     return tuple(partners)
 
 
+def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
+    """The terms of an nc section that have a pole on some leg of ``SIGMA``.
+
+    ``partner_sections`` returns None iff this set is nonempty.  Each leg
+    restricts the section once: restriction is linear and sends the terms
+    it keeps to distinct powers t^k of the branch parameter, all with the
+    sign ``sign^m``, so no two terms merge or cancel, and a pole t^k is
+    the term ``along*(k + lowering*m)`` of that leg's ``MonomialMap``.
+    Raises AssertionError if a read-back coefficient is not the section's
+    own, so a merged term fails instead of passing.
+    """
+    m = section_nc.weight
+    found = set()
+    for leg, nc_map in zip(SIGMA, _NC_MAPS):
+        on_nc = restrict(section_nc, leg.nc.zero_var)
+        sign = nc_map.sign**m
+        for (k,), c in on_nc.h.terms().items():
+            if k >= 0:
+                continue
+            exps = tuple(a * (k + nc_map.lowering * m) for a in nc_map.along)
+            if c != sign * section_nc.coeff.coefficient(exps):
+                raise AssertionError(
+                    f"t^{k} on branch ({leg.nc.zero_var}=0) is not the term {exps}"
+                )
+            found.add(exps)
+    return frozenset(found)
+
+
 def gluing_ideal(m: int) -> MonomialIdeal:
     """Coefficients on the nc pair admitting half-plane partners at weight m.
 

@@ -30,6 +30,7 @@ from nccanon.logres import (
     embed_search,
     gluing_ideal,
     glues,
+    obstructions,
     partner_sections,
     pullback_sigma,
     restrict,
@@ -279,14 +280,20 @@ def test_multi_term_sections_glue_iff_terms_in_gluing_ideal():
     rng = Random(53)
     outcomes = {True: 0, False: 0}
     negated = 0
+    # (sign, non-integer) of the coefficients that obstructions reads back
+    kinds = set()
     for m in range(1, 9):
         ideal = gluing_ideal(m)
         for _ in range(25):
             coeff = random_nc_polynomial(rng, m)
             section = PluriSection(NC_PAIR, m, coeff)
             partners = partner_sections(section)
-            in_ideal = all(ideal.member(exps) for exps in coeff.terms())
-            assert (partners is not None) == in_ideal
+            terms = coeff.terms()
+            outside = frozenset(exps for exps in terms if not ideal.member(exps))
+            assert obstructions(section) == outside
+            assert (partners is None) == bool(outside)
+            kinds.update((terms[e] > 0, terms[e].denominator > 1) for e in outside)
+            in_ideal = not outside
             outcomes[in_ideal] += 1
             if partners is None:
                 continue
@@ -301,6 +308,37 @@ def test_multi_term_sections_glue_iff_terms_in_gluing_ideal():
     # both outcomes and the negated partners are exercised, not vacuous
     assert min(outcomes.values()) >= 50
     assert negated >= 20
+    assert kinds == set(product((True, False), repeat=2))
+
+
+def test_obstructions_fail_loudly_on_a_merged_term(monkeypatch):
+    import nccanon.logres as logres
+
+    section = nc_section(2, "1 + x + y^3")
+    assert obstructions(section) == {(0, 0), (1, 0)}
+    # two equal terms merged on a leg would double the coefficient read back
+    restrict_once = logres.restrict
+    monkeypatch.setattr(logres, "restrict", lambda s, b: restrict_once(s, b).scaled(2))
+    with pytest.raises(AssertionError, match="is not the term"):
+        obstructions(section)
+
+
+def test_glue_check_fails_and_names_what_obstructions_misses(monkeypatch):
+    import nccanon.cli as cli
+
+    # the suite reads the name cli imported from logres
+    real = cli.obstructions
+    for dropped, named in (({(2, 0)}, "x^2"), ({(2, 0), (0, 1)}, "y")):
+        monkeypatch.setattr(cli, "obstructions", lambda s, d=dropped: real(s) - d)
+        rows = {r.name: r for r in cli._suite_glue_check(4)}
+        for m in range(1, 5):
+            row = rows[f"glue/m={m}/non-members-rejected"]
+            missed = [e for e in gluing_ideal(m).staircase() if e in dropped]
+            if missed:
+                # the first missed monomial in staircase order is named
+                assert (row.verdict, row.computed) == ("fail", f"{named} has partners")
+            else:
+                assert (row.verdict, row.computed) == ("pass", "True")
 
 
 # -- embedding of the triple point ------------------------------------------------

@@ -8,12 +8,15 @@ once did, on the polynomial route: they build a ``LaurentPolynomial``
 section for every monomial and run the full restriction on it.  The tests
 compare the maps with them result by result and monomial by monomial, and
 compare ``ideal`` and ``exponents`` with a scan of ``MonomialMap.image``.
+``obstructions``, which decides a whole staircase of non-members in one
+section, is compared with ``partner_sections`` on each of its monomials.
 """
 
 from itertools import product
 
 import pytest
 
+from nccanon.cli import _suite_glue_check
 from nccanon.conecalc import (
     CONE_MAP,
     ConeElement,
@@ -39,6 +42,7 @@ from nccanon.logres import (
     PluriSection,
     UnknownBranch,
     gluing_ideal,
+    obstructions,
     partner_sections,
     restrict,
 )
@@ -212,6 +216,19 @@ def test_gluing_box_monomial_by_monomial():
                 holomorphic = all(i is None or i[1] >= 0 for i in images)
                 assert holomorphic == (partner_sections(section) is not None)
                 assert holomorphic == members.member((a, b))
+
+
+def test_obstructions_match_partner_sections_on_every_staircase():
+    verdicts = {r.name: r.verdict for r in _suite_glue_check(40)}
+    for m in range(1, 41):
+        staircase = gluing_ideal(m).staircase()
+        rejected = frozenset(
+            exps for exps in staircase if partner_sections(nc_monomial(m, *exps)) is None
+        )
+        coeff = LaurentPolynomial(XY, {exps: i for i, exps in enumerate(staircase, 1)})
+        assert obstructions(PluriSection(NC_PAIR, m, coeff)) == rejected
+        expected = "pass" if rejected == frozenset(staircase) else "fail"
+        assert verdicts[f"glue/m={m}/non-members-rejected"] == expected
 
 
 def test_glued_smooth_side_monomial_by_monomial():
