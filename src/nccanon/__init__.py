@@ -64,7 +64,6 @@ from .conecalc import (
     ChartElement,
     ConeElement,
     ConeSection,
-    IllegalPole,
     glued_pole_bound,
     mult_along_c2,
     pole_bound_s2,

@@ -36,7 +36,8 @@ from .conecalc import (
     restrict_cone_log_frame,
     glued_pole_bound,
 )
-from .exactalg import AffineExponent, LaurentPolynomial, Tokens, parse_polynomial
+from .exactalg import (AffineExponent, LaurentPolynomial, Tokens, monomial_str,
+                       parse_polynomial)
 from .geomcheck import (
     ECCurve,
     INFINITY,
@@ -74,7 +75,6 @@ from .monideal import (
     MultiplicativityViolation,
     brute_force_new_generators,
     generators_str,
-    monomial_str,
     rees_report,
 )
 
@@ -488,7 +488,7 @@ def _suite_example2() -> list[CheckRecord]:
             not binary_forms_share_root((0, 1, 0), (1, 0, 1)),
         ),
     ]
-    bidegree = product_canonical_bidegree(curve_c.genus, curve_e.genus, 2)
+    bidegree = product_canonical_bidegree(curve_c.genus, curve_e.genus)
     records.append(_check("example2/pullback-bidegree", (2, 2), bidegree))
     records.append(_check("example2/pullback-ample", True, product_ample(bidegree)))
     for m in range(1, 6):

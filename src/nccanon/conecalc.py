@@ -30,9 +30,8 @@ all, for every m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactalg import LaurentPolynomial, NegativeExponentAtRestriction
+from .exactalg import LaurentPolynomial
 from .logres import SMOOTH_PAIR, BranchRestriction, MonomialMap
 
 # re-exported: the benchmark tracer's self-test (bench/test_bench.py) checks
@@ -41,10 +40,6 @@ from .logres import restrict  # noqa: F401
 
 _UV = ("u", "v")
 _ST = ("s", "t")
-
-
-class IllegalPole(Exception):
-    """The coefficient is too singular along the curve to restrict."""
 
 
 class ConeElement:
@@ -74,12 +69,12 @@ class ConeElement:
         return cls(LaurentPolynomial.constant(_UV, 1))
 
     @classmethod
-    def monomial(cls, a: int, b: int, c: int = 0, coeff: Fraction | int = 1) -> "ConeElement":
+    def monomial(cls, a: int, b: int, c: int = 0) -> "ConeElement":
         """u^a * v^b * w^c, reduced to normal form."""
         if min(a, b, c) < 0:
             raise ValueError("cone monomials have nonnegative exponents")
         k, r = divmod(c, 2)
-        body = LaurentPolynomial.monomial(_UV, {"u": a + k, "v": b + k}, coeff)
+        body = LaurentPolynomial.monomial(_UV, {"u": a + k, "v": b + k})
         if r == 0:
             return cls(body)
         return cls(LaurentPolynomial.zero(_UV), body)
@@ -154,7 +149,7 @@ class ChartElement:
 
 def to_chart(element: ConeElement) -> ChartElement:
     """Substitute u = s^2, v = t^2, w = s*t."""
-    images = {"u": (1, {"s": 2}), "v": (1, {"t": 2})}
+    images = {"u": {"s": 2}, "v": {"t": 2}}
     part0 = element.c0.substitute_monomials(_ST, images)
     part1 = element.c1.substitute_monomials(_ST, images)
     return ChartElement(part0 + part1.shift((1, 1)))
@@ -203,14 +198,11 @@ def restrict_cone(section: ConeSection) -> BranchRestriction:
 
     The generator contributes ((ds^dt)/t)^{2m} after pullback (the powers
     of 2 cancel against du = 2s ds), so the coefficient relative to the log
-    frame is the chart image itself; it must be holomorphic across (t=0).
+    frame is the chart image itself; it must be holomorphic across (t=0),
+    else ``NegativeExponentAtRestriction`` is raised.
     """
     m = section.half_weight
-    chart = to_chart(section.coeff).poly
-    try:
-        along = chart.restrict_var("t")
-    except NegativeExponentAtRestriction as exc:
-        raise IllegalPole(str(exc)) from exc
+    along = to_chart(section.coeff).poly.restrict_var("t")
     # residue sign of ((ds^dt)/t)^{2m} is (-1)^{2m}: always +1 at even weight
     sign = (-1) ** section.weight
     h = _even_substitute(along, "u").shift((-m,), sign)
@@ -225,15 +217,11 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     (w=0) of that frame is (-du)^{2m}.
     """
     m = section.half_weight
-    images = {"u": (1, {"u": 1}), "v": (1, {"u": -1, "w": 2})}
+    images = {"u": {"u": 1}, "v": {"u": -1, "w": 2}}
     uw_vars = ("u", "w")
     body = section.coeff.c0.substitute_monomials(uw_vars, images)
     body = body + section.coeff.c1.substitute_monomials(uw_vars, images).shift((0, 1))
-    body = body.shift((-m, 0))
-    try:
-        along = body.restrict_var("w")
-    except NegativeExponentAtRestriction as exc:
-        raise IllegalPole(str(exc)) from exc
+    along = body.shift((-m, 0)).restrict_var("w")
     sign = (-1) ** section.weight
     return BranchRestriction("u", section.weight, along * sign)
 

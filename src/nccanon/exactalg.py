@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -84,10 +84,6 @@ class AffineExponent:
     def at(self, m: int) -> int:
         return self.slope * m + self.offset
 
-    def is_valid_from(self, m_min: int = 1) -> bool:
-        # slope >= 0, so the minimum over m >= m_min is attained at m_min
-        return self.at(m_min) >= 0
-
     def __str__(self) -> str:
         if self.slope == 0:
             return str(self.offset)
@@ -111,6 +107,12 @@ def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
     if len(set(vars_t)) != len(vars_t):
         raise ValueError(f"duplicate variable names in {vars_t}")
     return vars_t
+
+
+def monomial_str(variables: Sequence[str], exps: Exponents) -> str:
+    """The monomial as factors ``v`` or ``v^e`` joined by ``*``, or ``1``."""
+    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e != 0]
+    return "*".join(factors) if factors else "1"
 
 
 def _grlex_key(exps: Exponents) -> tuple:
@@ -400,44 +402,37 @@ class LaurentPolynomial:
     def substitute_monomials(
         self,
         variables: Iterable[str],
-        images: Mapping[str, tuple[Fraction | int, Mapping[str, int]]],
+        images: Mapping[str, Mapping[str, int]],
     ) -> "LaurentPolynomial":
-        """Substitute every variable by a scalar multiple of a monomial.
+        """Substitute every variable by a monomial.
 
-        ``images`` maps each current variable to ``(coeff, exponents)`` over
-        the new variable list.  Monomial images keep negative exponents
-        meaningful, which is what the chart-to-chart coordinate changes
-        need (e.g. u -> s^2 or v -> u^-1*w^2).
+        ``images`` maps each current variable to the exponents of its image
+        monomial over the new variable list.  Monomial images keep negative
+        exponents meaningful, which is what the chart-to-chart coordinate
+        changes need (e.g. u -> s^2 or v -> u^-1*w^2).
         """
         new_vars = _distinct(variables)
-        # per current variable: the image coefficient, or None when it is 1
-        # and its powers need not be taken, and the nonzero entries
-        # (position, exponent) of the image monomial over new_vars
-        aligned: list[tuple[Fraction | None, list[tuple[int, int]]]] = []
+        # per current variable: the nonzero entries (position, exponent) of
+        # its image monomial over new_vars
+        aligned: list[list[tuple[int, int]]] = []
         for v in self._vars:
             if v not in images:
                 raise UnknownVariable(f"no image given for {v!r}")
-            coeff, exp_map = images[v]
-            c = _exact(coeff)
-            if c == 0:
-                raise ValueError(f"image of {v!r} must be a nonzero monomial")
+            exp_map = images[v]
             for name, e in exp_map.items():
                 if name not in new_vars:
                     raise UnknownVariable(f"{name!r} not among {new_vars}")
                 if not isinstance(e, int):
                     raise ValueError(f"non-integer exponent {e!r} in image of {v!r}")
-            aligned.append((
-                None if c == 1 else c,
-                [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)],
-            ))
+            aligned.append(
+                [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
+            )
         out: dict[Exponents, Fraction] = {}
         for exps, c in self._terms.items():
             vec = [0] * len(new_vars)
-            for e, (ic, ivec) in zip(exps, aligned):
+            for e, ivec in zip(exps, aligned):
                 if e == 0:
                     continue
-                if ic is not None:
-                    c *= ic ** e
                 for k, iv in ivec:
                     vec[k] += e * iv
             key = tuple(vec)
@@ -470,18 +465,13 @@ class LaurentPolynomial:
         parts: list[str] = []
         for exps in sorted(self._terms, key=_grlex_key):
             c = self._terms[exps]
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self._vars, exps)
-                if e != 0
-            ]
             mag = abs(c)
-            if not factors:
+            if not any(exps):
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = monomial_str(self._vars, exps)
             else:
-                body = str(mag) + "*" + "*".join(factors)
+                body = str(mag) + "*" + monomial_str(self._vars, exps)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:

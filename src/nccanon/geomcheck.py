@@ -169,7 +169,6 @@ class IntersectionLattice:
         basis: Sequence[str],
         pairing: Sequence[Sequence[int]],
         classes: Mapping[str, Sequence[int]] | None = None,
-        canonical: str = "K",
     ) -> None:
         self.basis = tuple(basis)
         n = len(self.basis)
@@ -191,9 +190,8 @@ class IntersectionLattice:
         for name, vec in self.classes.items():
             if len(vec) != n:
                 raise ValueError(f"class {name!r} has wrong length")
-        if canonical not in self.classes:
-            raise ValueError(f"canonical class {canonical!r} is not defined")
-        self.canonical = canonical
+        if "K" not in self.classes:
+            raise ValueError("canonical class 'K' is not defined")
 
     def class_vector(self, name: str) -> tuple[int, ...]:
         return self.classes[name]
@@ -220,7 +218,7 @@ class IntersectionLattice:
         for name, mult in center_incidences.items():
             if name not in self.classes:
                 raise ValueError(f"unknown class {name!r}")
-            if name == self.canonical:
+            if name == "K":
                 raise ValueError("the canonical class is not a blow-up center datum")
             if mult < 0:
                 raise ValueError("multiplicities must be >= 0")
@@ -233,48 +231,48 @@ class IntersectionLattice:
         new_classes: dict[str, tuple[int, ...]] = {}
         for name, vec in self.classes.items():
             ext = vec + (0,)
-            if name == self.canonical:
+            if name == "K":
                 ext = vec + (1,)
             elif name in center_incidences:
                 ext = vec + (-center_incidences[name],)
             new_classes[name] = ext
         new_classes[exceptional] = (0,) * n + (1,)
-        return IntersectionLattice(new_basis, new_matrix, new_classes, self.canonical)
+        return IntersectionLattice(new_basis, new_matrix, new_classes)
 
 
 def nc_pullback_degree(
     lattice: IntersectionLattice, boundary: Iterable[str], target: str
 ) -> int:
     """(K + sum of boundary classes) . target"""
-    vec = list(lattice.class_vector(lattice.canonical))
+    vec = list(lattice.class_vector("K"))
     for name in boundary:
         bv = lattice.class_vector(name)
         vec = [a + b for a, b in zip(vec, bv)]
     return lattice.pair(vec, target)
 
 
-def genus2_fibration_lattice(k_self: int = 0) -> IntersectionLattice:
+def genus2_fibration_lattice() -> IntersectionLattice:
     """K and the two fibers Fp, Fq of a fibration with K.F = 2, F.F = 0.
 
-    K.K is not used by any degree computed here and defaults to 0.
+    K.K is not used by any degree computed here and is set to 0.
     """
     return IntersectionLattice(
         ("K", "Fp", "Fq"),
         (
-            (k_self, 2, 2),
+            (0, 2, 2),
             (2, 0, 0),
             (2, 0, 0),
         ),
     )
 
 
-def genus2_pencil_lattice(k_self: int = 0) -> IntersectionLattice:
+def genus2_pencil_lattice() -> IntersectionLattice:
     """The fibration lattice with four points of the two fibers blown up.
 
     The four exceptional classes Eq1, Eq2 (centers on Fp) and Ep1, Ep2
     (centers on Fq) are appended in that order.
     """
-    lattice = genus2_fibration_lattice(k_self).blowup({"Fp": 1}, "Eq1")
+    lattice = genus2_fibration_lattice().blowup({"Fp": 1}, "Eq1")
     lattice = lattice.blowup({"Fp": 1}, "Eq2")
     lattice = lattice.blowup({"Fq": 1}, "Ep1")
     lattice = lattice.blowup({"Fq": 1}, "Ep2")
@@ -456,13 +454,11 @@ def h0_p1(d: int) -> int:
     return max(d + 1, 0)
 
 
-def product_canonical_bidegree(
-    genus_first: int, genus_second: int, glued_points: int = 2
-) -> tuple[int, int]:
-    """Bidegree of the canonical class twisted by the glued fibers.
+def product_canonical_bidegree(genus_first: int, genus_second: int) -> tuple[int, int]:
+    """Bidegree of the canonical class twisted by the two glued fibers.
 
-    On a product of curves of the given genera with ``glued_points``
+    On a product of curves of the given genera with the two glued
     horizontal fibers added, the restriction to the factors has degrees
-    (2g1 - 2, 2g2 - 2 + glued_points).
+    (2g1 - 2, 2g2 - 2 + 2) = (2g1 - 2, 2g2).
     """
-    return (2 * genus_first - 2, 2 * genus_second - 2 + glued_points)
+    return (2 * genus_first - 2, 2 * genus_second)

@@ -68,8 +68,12 @@ class BranchRule:
 class ChartModel:
     name: str
     variables: tuple[str, str]
-    curve: str
     branches: tuple[BranchRule, ...]
+
+    @property
+    def curve(self) -> str:
+        """The marked curve as an equation, one factor per branch."""
+        return "*".join(rule.zero_var for rule in self.branches) + "=0"
 
     def branch(self, zero_var: str) -> BranchRule:
         for rule in self.branches:
@@ -83,7 +87,6 @@ class ChartModel:
 NC_PAIR = ChartModel(
     "nc-pair",
     ("x", "y"),
-    "x*y=0",
     (
         BranchRule("x", "y", +1, True),
         BranchRule("y", "x", -1, True),
@@ -93,21 +96,18 @@ NC_PAIR = ChartModel(
 SMOOTH_PAIR = ChartModel(
     "smooth-pair",
     ("x", "y"),
-    "y=0",
     (BranchRule("y", "x", +1, False),),
 )
 
 HALF_PLANE_U = ChartModel(
     "half-plane-u",
     ("u1", "v1"),
-    "u1=0",
     (BranchRule("u1", "v1", +1, False),),
 )
 
 HALF_PLANE_V = ChartModel(
     "half-plane-v",
     ("u2", "v2"),
-    "v2=0",
     (BranchRule("v2", "u2", -1, False),),
 )
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import AffineExponent, Exponents, VariableMismatch, divides
+from .exactalg import AffineExponent, Exponents, VariableMismatch, divides, monomial_str
 
 
 class MultiplicativityViolation(Exception):
@@ -64,11 +64,6 @@ def minimalize(generators: Iterable[Exponents]) -> frozenset[Exponents]:
         if not any(all(a <= b for a, b in zip(h, g)) for h in keep):
             keep.append(g)
     return frozenset(keep)
-
-
-def monomial_str(variables: Sequence[str], exps: Exponents) -> str:
-    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e != 0]
-    return "*".join(factors) if factors else "1"
 
 
 def _print_order(exps: Exponents) -> tuple:
@@ -174,32 +169,28 @@ class GradedMonomialFamily:
     """Monomial generator templates with exponents affine in the weight m.
 
     ``templates`` holds one exponent row per generator, aligned with
-    ``variables``.  Instantiation at every m >= m_min must give nonnegative
-    exponents; this is checked at construction.
+    ``variables``.  Instantiation at every weight m >= 1 must give
+    nonnegative exponents; this is checked at construction.
     """
 
     variables: tuple[str, ...]
     templates: tuple[tuple[AffineExponent, ...], ...]
-    m_min: int = 1
 
     def __post_init__(self) -> None:
-        if self.m_min < 1:
-            raise ValueError("m_min must be >= 1")
         for row in self.templates:
             if len(row) != len(self.variables):
                 raise ValueError(
                     f"template {row} does not fit variables {self.variables}"
                 )
             for ae in row:
-                if not ae.is_valid_from(self.m_min):
-                    raise ValueError(
-                        f"exponent {ae} is negative at m={self.m_min}"
-                    )
+                # slope >= 0, so the minimum over m >= 1 is attained at m = 1
+                if ae.at(1) < 0:
+                    raise ValueError(f"exponent {ae} is negative at m=1")
 
     def instantiate(self, m: int) -> MonomialIdeal:
         """The ideal I_m, minimalized."""
-        if m < self.m_min:
-            raise ValueError(f"m={m} below validated range (m >= {self.m_min})")
+        if m < 1:
+            raise ValueError(f"m={m} below validated range (m >= 1)")
         gens = [tuple(ae.at(m) for ae in row) for row in self.templates]
         return MonomialIdeal(self.variables, gens)
 
@@ -326,18 +317,16 @@ def _new(i_m: MonomialIdeal, j_m: MonomialIdeal) -> frozenset[Exponents]:
 class ReesGenerationReport:
     """Per-degree table of fresh generators for a graded monomial family.
 
-    ``witness_flag`` is True exactly when every degree in [3, max_degree]
-    contributed at least one new generator: a standing demand for new
+    ``witness_flag`` is True exactly when every degree from 3 to the last
+    row contributed at least one new generator: a standing demand for new
     generators in that window is the finite-generation failure witness.
     """
 
-    family: GradedMonomialFamily
     rows: tuple[tuple[int, frozenset[Exponents]], ...]
-    max_degree: int
     witness_flag: bool
 
     def row(self, m: int) -> frozenset[Exponents]:
-        """The new generators of weight m; ``rows`` holds m = 1..max_degree in order."""
+        """The new generators of weight m; ``rows`` holds m = 1, 2, ... in order."""
         if not 1 <= m <= len(self.rows):
             raise KeyError(m)
         return self.rows[m - 1][1]
@@ -349,7 +338,7 @@ def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGeneration
         raise ValueError("max_degree must be >= 3")
     rows = [(m, _new(i_m, j_m)) for m, i_m, j_m in _weights(family, max_degree)]
     witness = all(gens for m, gens in rows if 3 <= m <= max_degree)
-    return ReesGenerationReport(family, tuple(rows), max_degree, witness)
+    return ReesGenerationReport(tuple(rows), witness)
 
 
 def brute_force_new_generators(
@@ -399,8 +388,6 @@ def _clamped_oracle(
     nvars = len(family.variables)
 
     def kept(k: int) -> list[Exponents]:
-        if k < family.m_min:
-            raise ValueError(f"m={k} below validated range (m >= {family.m_min})")
         insts = [tuple(ae.at(k) for ae in row) for row in family.templates]
         return [g for g in insts if sum(g) <= degree_bound]
 

@@ -8,7 +8,6 @@ from nccanon.conecalc import (
     ChartElement,
     ConeElement,
     ConeSection,
-    IllegalPole,
     glued_pole_bound,
     mult_along_c2,
     pole_bound_s2,
@@ -16,7 +15,11 @@ from nccanon.conecalc import (
     restrict_cone_log_frame,
     to_chart,
 )
-from nccanon.exactalg import LaurentPolynomial, parse_polynomial
+from nccanon.exactalg import (
+    LaurentPolynomial,
+    NegativeExponentAtRestriction,
+    parse_polynomial,
+)
 from nccanon.logres import BranchRestriction
 
 UV = ("u", "v")
@@ -142,9 +145,9 @@ def test_restriction_pole_formula():
 
 def test_illegal_pole():
     meromorphic = ConeElement(LaurentPolynomial.monomial(UV, {"v": -1}))
-    with pytest.raises(IllegalPole):
+    with pytest.raises(NegativeExponentAtRestriction):
         restrict_cone(ConeSection(2, meromorphic))
-    with pytest.raises(IllegalPole):
+    with pytest.raises(NegativeExponentAtRestriction):
         restrict_cone_log_frame(ConeSection(2, meromorphic))
 
 

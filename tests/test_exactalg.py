@@ -141,22 +141,18 @@ def test_rename_and_with_variables():
 
 def test_substitute_monomials():
     p = poly("u + v", ("u", "v"))
-    image = p.substitute_monomials(
-        ("s", "t"), {"u": (1, {"s": 2}), "v": (1, {"t": 2})}
-    )
+    image = p.substitute_monomials(("s", "t"), {"u": {"s": 2}, "v": {"t": 2}})
     assert image == poly("s^2 + t^2", ("s", "t"))
     q = poly("v", ("u", "v"))
-    laurent = q.substitute_monomials(("u", "w"), {"u": (1, {"u": 1}), "v": (1, {"u": -1, "w": 2})})
+    laurent = q.substitute_monomials(("u", "w"), {"u": {"u": 1}, "v": {"u": -1, "w": 2}})
     assert laurent == LaurentPolynomial.monomial(("u", "w"), {"u": -1, "w": 2})
     with pytest.raises(ValueError):
-        q.substitute_monomials(("u", "w"), {"u": (0, {}), "v": (1, {})})
-    with pytest.raises(ValueError):
-        q.substitute_monomials(("u", "w"), {"u": (1, {"u": 0.5}), "v": (1, {})})
+        q.substitute_monomials(("u", "w"), {"u": {"u": 0.5}, "v": {}})
 
 
 def test_substitute_monomials_is_ring_morphism():
     rng = Random(19)
-    images = {"x": (2, {"s": 2}), "y": (Fraction(1, 3), {"s": -1, "t": 1})}
+    images = {"x": {"s": 2}, "y": {"s": -1, "t": 1}}
     for _ in range(100):
         p, q = random_poly(rng), random_poly(rng)
         sub = lambda f: f.substitute_monomials(("s", "t"), images)
@@ -173,8 +169,6 @@ def test_affine_exponent():
     assert AffineExponent(1, 0).at(5) == 5
     assert AffineExponent(2, -1).at(3) == 5
     assert AffineExponent(0, 4).at(100) == 4
-    assert AffineExponent(1, -1).is_valid_from(1)
-    assert not AffineExponent(0, -1).is_valid_from(1)
     with pytest.raises(ValueError):
         AffineExponent(-1, 0)
     assert str(AffineExponent(1, 0)) == "m"
@@ -195,8 +189,6 @@ def test_inexact_coefficients_rejected():
         LaurentPolynomial.constant(XY, 0.5)
     with pytest.raises(TypeError):
         LaurentPolynomial.monomial(XY, {"x": 1}, "2")
-    with pytest.raises(TypeError):
-        poly("x").substitute_monomials(("s",), {"x": (0.5, {"s": 1}), "y": (1, {})})
     exact = LaurentPolynomial(("x",), {(1,): Fraction(1, 3), (0,): 2})
     assert exact == poly("1/3*x + 2", ("x",))
     assert LaurentPolynomial.constant(XY, Fraction(1, 2)) == poly("1/2")
@@ -219,7 +211,7 @@ def test_duplicate_variable_guards():
     with pytest.raises(ValueError):
         p.with_variables(("x", "x", "y"))
     with pytest.raises(ValueError):
-        p.substitute_monomials(("s", "s"), {"x": (1, {"s": 1}), "y": (1, {})})
+        p.substitute_monomials(("s", "s"), {"x": {"s": 1}, "y": {}})
 
 
 # -- trusted term path against a slow oracle -----------------------------------
@@ -290,20 +282,15 @@ def oracle_substitute(p, new_vars, images):
     for exps, c in p.terms().items():
         key = [0] * len(new_vars)
         for v, e in zip(p.variables, exps):
-            ic, exp_map = images[v]
-            c *= Fraction(ic) ** e
             for k, w in enumerate(new_vars):
-                key[k] += e * exp_map.get(w, 0)
+                key[k] += e * images[v].get(w, 0)
         out[tuple(key)] = out.get(tuple(key), 0) + c
     return LaurentPolynomial(new_vars, out)
 
 
 def random_images(rng: Random, variables, new_vars):
     return {
-        v: (
-            rng.choice([1, -1, 2, Fraction(-2, 3), Fraction(1, 5)]),
-            {w: rng.randint(-2, 2) for w in new_vars if rng.random() < 0.7},
-        )
+        v: {w: rng.randint(-2, 2) for w in new_vars if rng.random() < 0.7}
         for v in variables
     }
 
@@ -368,13 +355,14 @@ def test_trusted_path_cancellation():
     # cross terms cancel in the product
     assert xy * poly("x - y") == poly("x^2 - y^2")
     # two variables sent to one monomial: terms collide and cancel
-    collide = {"x": (1, {"s": 1}), "y": (-1, {"s": 1})}
-    assert xy.substitute_monomials(("s",), collide) == LaurentPolynomial.zero(("s",))
-    # non-unit coefficients under negative powers
-    images = {"x": (Fraction(-2, 3), {"s": -1}), "y": (3, {"s": 2, "t": -1})}
+    collide = {"x": {"s": 1}, "y": {"s": 1}}
+    x_minus_y = poly("x - y")
+    assert x_minus_y.substitute_monomials(("s",), collide) == LaurentPolynomial.zero(("s",))
+    # negative powers of the images
+    images = {"x": {"s": -1}, "y": {"s": 2, "t": -1}}
     sub = poly("x^-2*y + 1/2*x^3*y^-1").substitute_monomials(("s", "t"), images)
-    assert sub == poly("27/4*s^4*t^-1 - 4/81*s^-5*t", ("s", "t"))
-    for p in (xy * poly("x - y"), xy.substitute_monomials(("s",), collide), sub):
+    assert sub == poly("s^4*t^-1 + 1/2*s^-5*t", ("s", "t"))
+    for p in (xy * poly("x - y"), x_minus_y.substitute_monomials(("s",), collide), sub):
         assert_normalised(p)
     assert_normalised(xy * 0)
     assert xy * 1 is xy
@@ -411,7 +399,7 @@ def test_shift_checks_its_arguments():
 def test_even_substitute_matches_oracle():
     rng = Random(29)
     for _ in range(100):
-        p = dense_poly(rng, ("s",)).substitute_monomials(("s",), {"s": (1, {"s": 2})})
+        p = dense_poly(rng, ("s",)).substitute_monomials(("s",), {"s": {"s": 2}})
         got = _even_substitute(p, "u")
         assert_normalised(got)
         assert got == oracle_map(p, ("u",), lambda e: (e[0] // 2,))

@@ -249,7 +249,7 @@ def test_squarefree_edge_cases():
 
 
 def test_ample_and_h0():
-    assert product_canonical_bidegree(2, 1, 2) == (2, 2)
+    assert product_canonical_bidegree(2, 1) == (2, 2)
     assert product_ample((2, 2))
     assert not product_ample((0, 5))
     assert not product_ample((2, 0))

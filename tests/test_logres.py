@@ -83,6 +83,20 @@ def test_unknown_branch():
         pullback_sigma(BranchRestriction("x", 1, upoly("x", "x")))
 
 
+def test_chart_curve_is_the_product_of_its_branches():
+    curves = [model.curve for model in (NC_PAIR, SMOOTH_PAIR, HALF_PLANE_U, HALF_PLANE_V)]
+    assert curves == ["x*y=0", "y=0", "u1=0", "v2=0"]
+
+
+def test_unknown_branch_message():
+    with pytest.raises(UnknownBranch) as exc:
+        NC_PAIR.branch("u1")
+    assert str(exc.value) == "chart nc-pair has no branch (u1=0); curve is x*y=0"
+    with pytest.raises(UnknownBranch) as exc:
+        HALF_PLANE_V.branch("u2")
+    assert str(exc.value) == "chart half-plane-v has no branch (u2=0); curve is v2=0"
+
+
 def test_meromorphic_coefficient():
     with pytest.raises(ValueError):
         nc_section(1, "x^-1")

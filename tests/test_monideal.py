@@ -1,5 +1,6 @@
 """Monomial ideal tests, cross-checked against brute-force enumeration."""
 
+import re
 from itertools import product as cartesian
 from random import Random
 
@@ -337,6 +338,18 @@ def test_family_validation():
     assert family.instantiate(1) == ideal((0, 1))
 
 
+def test_family_refuses_a_template_negative_at_weight_one():
+    # the least weight is m = 1; each exponent is checked there, and the
+    # message names the first one that is negative
+    for row, name in (
+        ((AffineExponent(1, -2), AffineExponent(0, 0)), "m-2"),
+        ((AffineExponent(1, -1), AffineExponent(0, -1)), "-1"),
+        ((AffineExponent(3, -4), AffineExponent(2, -5)), "3*m-4"),
+    ):
+        with pytest.raises(ValueError, match=rf"^exponent {re.escape(name)} is negative at m=1$"):
+            GradedMonomialFamily(XY, (row,))
+
+
 def test_ideal_str():
     assert str(ideal((1, 1), (3, 0), (0, 3))) == "(x*y, x^3, y^3)"
     assert str(MonomialIdeal(XY, ())) == "(0)"
@@ -460,13 +473,12 @@ def test_oracle_refuses_negative_degree_bound():
 
 
 def test_oracle_refuses_weights_below_m_min():
-    late = GradedMonomialFamily(FAMILY.variables, FAMILY.templates, m_min=2)
-    with pytest.raises(ValueError) as expected:
-        late.instantiate(1)
-    for m in (1, 2, 3):
-        with pytest.raises(ValueError) as exc:
-            brute_force_new_generators(late, m)
-        assert str(exc.value) == str(expected.value), m
+    # m = 1 is the least weight of every family
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=rf"^m={m} below validated range \(m >= 1\)$"):
+            FAMILY.instantiate(m)
+        with pytest.raises(ValueError):
+            brute_force_new_generators(FAMILY, m)
 
 
 def pairwise_multiplicative(family, upto):

@@ -21,10 +21,10 @@ from nccanon.conecalc import (
     CONE_MAP,
     ConeElement,
     ConeSection,
-    IllegalPole,
     glued_pole_bound,
     pole_bound_s2,
     restrict_cone,
+    restrict_cone_log_frame,
 )
 from nccanon.exactalg import (
     LaurentPolynomial,
@@ -152,7 +152,7 @@ def kernel_restriction(curve_var: str, weight: int, image) -> BranchRestriction:
     return BranchRestriction(curve_var, weight, h)
 
 
-def test_restrict_monomial_matches_restrict_on_every_chart():
+def test_monomial_map_matches_restrict_on_every_chart():
     # exponents in [-2, 3]^2 cover zero restrictions, poles in the branch
     # parameter and the raising case of a pole transverse to the branch
     raised = zeros = 0
@@ -178,7 +178,7 @@ def test_restrict_monomial_matches_restrict_on_every_chart():
     assert raised and zeros
 
 
-def test_branch_ideal_matches_restrict_monomial():
+def test_monomial_map_ideal_matches_its_image():
     for model in PLANE_CHARTS:
         for rule in model.branches:
             kernel = MonomialMap.of(model.variables, rule)
@@ -193,7 +193,7 @@ def test_branch_ideal_matches_restrict_monomial():
                     assert ideal.member(exps) == holomorphic, (model.name, exps)
 
 
-def test_restrict_monomial_unknown_branch():
+def test_monomial_map_unknown_branch():
     with pytest.raises(UnknownBranch):
         NC_PAIR.branch("u1")
     # a branch of another chart names no variable of the nc pair
@@ -251,7 +251,7 @@ def cone_restriction(m: int, a: int, b: int, c: int) -> BranchRestriction:
     return kernel_restriction("u", 2 * m, CONE_MAP.image((a + k, b + k, r), m))
 
 
-def test_cone_helper_on_scanned_boxes():
+def test_cone_map_on_scanned_boxes():
     for m in range(1, 11):
         # the pole_bound_s2 box, then the glued_pole_bound triangle
         boxes = [
@@ -269,7 +269,7 @@ def test_cone_helper_on_scanned_boxes():
             assert cone_restriction(m, a, b, c) == expected
 
 
-def test_cone_helper_reduces_w_powers():
+def test_cone_map_reduces_w_powers():
     for m in range(1, 5):
         for a in range(4):
             for b in range(3):
@@ -280,8 +280,9 @@ def test_cone_helper_reduces_w_powers():
                     assert cone_restriction(m, a, b, c) == expected
 
 
-def test_cone_helper_meromorphic_coefficients():
-    # a pole on the restrict_cone route is a pole of CONE_MAP
+def test_cone_map_meromorphic_coefficients():
+    # a pole on either polynomial route is a pole of CONE_MAP, and all
+    # three raise the same error
     raised = 0
     for m in range(1, 4):
         for a in range(-2, 3):
@@ -292,11 +293,14 @@ def test_cone_helper_meromorphic_coefficients():
                     section = ConeSection(2 * m, element)
                     try:
                         expected = restrict_cone(section)
-                    except IllegalPole:
+                    except NegativeExponentAtRestriction:
                         raised += 1
+                        with pytest.raises(NegativeExponentAtRestriction):
+                            restrict_cone_log_frame(section)
                         with pytest.raises(NegativeExponentAtRestriction):
                             cone_restriction(m, a, b, c)
                         continue
+                    assert restrict_cone_log_frame(section) == expected
                     assert cone_restriction(m, a, b, c) == expected
     assert raised
 
