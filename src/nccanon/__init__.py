@@ -80,8 +80,6 @@ from .geomcheck import (
     WeightedHyperellipticCurve,
     binary_forms_share_root,
     ec_add,
-    ec_mul,
-    ec_neg,
     fixed_points,
     genus2_pencil_lattice,
     h0_p1,

@@ -36,8 +36,8 @@ from .conecalc import (
     restrict_cone_log_frame,
     glued_pole_bound,
 )
-from .exactalg import (AffineExponent, LaurentPolynomial, Tokens, monomial_str,
-                       parse_polynomial)
+from .exactalg import (AffineExponent, LaurentPolynomial, ParseError, Tokens,
+                       monomial_str, parse_polynomial)
 from .geomcheck import (
     ECCurve,
     INFINITY,
@@ -86,10 +86,8 @@ REES_ORACLE_DEGREE = 6
 _ASSOC_SEED = 118932
 
 
-class FamilyParseError(ValueError):
-    def __init__(self, message: str, pos: int) -> None:
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+class FamilyParseError(ParseError, ValueError):
+    """A malformed family, with the position where parsing stopped."""
 
 
 # ---------------------------------------------------------------------------

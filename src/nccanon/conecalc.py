@@ -42,21 +42,16 @@ _UV = ("u", "v")
 _ST = ("s", "t")
 
 
+@dataclass(frozen=True, slots=True)
 class ConeElement:
     """c0 + c1*w in the coordinate ring of the cone, w^2 reduced to u*v."""
 
-    __slots__ = ("_c0", "_c1")
+    c0: LaurentPolynomial
+    c1: LaurentPolynomial = LaurentPolynomial.zero(_UV)
 
-    def __init__(self, c0: LaurentPolynomial, c1: LaurentPolynomial | None = None) -> None:
-        if c1 is None:
-            c1 = LaurentPolynomial.zero(_UV)
-        if c0.variables != _UV or c1.variables != _UV:
+    def __post_init__(self) -> None:
+        if self.c0.variables != _UV or self.c1.variables != _UV:
             raise ValueError("cone elements live over the variables (u, v)")
-        object.__setattr__(self, "_c0", c0)
-        object.__setattr__(self, "_c1", c1)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("ConeElement is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -82,24 +77,16 @@ class ConeElement:
     # -- queries -----------------------------------------------------------
 
     @property
-    def c0(self) -> LaurentPolynomial:
-        return self._c0
-
-    @property
-    def c1(self) -> LaurentPolynomial:
-        return self._c1
-
-    @property
     def is_zero(self) -> bool:
-        return self._c0.is_zero and self._c1.is_zero
+        return self.c0.is_zero and self.c1.is_zero
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ConeElement") -> "ConeElement":
-        return ConeElement(self._c0 + other._c0, self._c1 + other._c1)
+        return ConeElement(self.c0 + other.c0, self.c1 + other.c1)
 
     def __neg__(self) -> "ConeElement":
-        return ConeElement(-self._c0, -self._c1)
+        return ConeElement(-self.c0, -self.c1)
 
     def __sub__(self, other: "ConeElement") -> "ConeElement":
         return self + (-other)
@@ -108,24 +95,16 @@ class ConeElement:
         # validating on purpose: bench/workloads.py reads a zero
         # exactalg.construct.calls on sections-dense as an unbound wrapper
         uv = LaurentPolynomial.monomial(_UV, {"u": 1, "v": 1})
-        c0 = self._c0 * other._c0 + uv * (self._c1 * other._c1)
-        c1 = self._c0 * other._c1 + self._c1 * other._c0
+        c0 = self.c0 * other.c0 + uv * (self.c1 * other.c1)
+        c1 = self.c0 * other.c1 + self.c1 * other.c0
         return ConeElement(c0, c1)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConeElement):
-            return NotImplemented
-        return self._c0 == other._c0 and self._c1 == other._c1
-
-    def __hash__(self) -> int:
-        return hash((self._c0, self._c1))
-
     def __str__(self) -> str:
-        if self._c1.is_zero:
-            return str(self._c0)
-        if self._c0.is_zero:
-            return f"({self._c1})*w"
-        return f"{self._c0} + ({self._c1})*w"
+        if self.c1.is_zero:
+            return str(self.c0)
+        if self.c0.is_zero:
+            return f"({self.c1})*w"
+        return f"{self.c0} + ({self.c1})*w"
 
     def __repr__(self) -> str:
         return f"ConeElement({self!s})"
@@ -204,8 +183,7 @@ def restrict_cone(section: ConeSection) -> BranchRestriction:
     m = section.half_weight
     along = to_chart(section.coeff).poly.restrict_var("t")
     # residue sign of ((ds^dt)/t)^{2m} is (-1)^{2m}: always +1 at even weight
-    sign = (-1) ** section.weight
-    h = _even_substitute(along, "u").shift((-m,), sign)
+    h = _even_substitute(along, "u").shift((-m,))
     return BranchRestriction("u", section.weight, h)
 
 
@@ -222,14 +200,17 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     body = section.coeff.c0.substitute_monomials(uw_vars, images)
     body = body + section.coeff.c1.substitute_monomials(uw_vars, images).shift((0, 1))
     along = body.shift((-m, 0)).restrict_var("w")
-    sign = (-1) ** section.weight
-    return BranchRestriction("u", section.weight, along * sign)
+    # the residue sign of (-du)^{2m} is +1: the weight is even
+    return BranchRestriction("u", section.weight, along)
 
 
 # the numbers come from the chart, which sends u^a v^b w^r (normal form,
 # r in {0, 1}) to s^(2a+r) t^(2b+r): normal (0, 2, 1) along (t=0); of the
 # t-exponent 0 terms only u^a = s^(2a) is left, lowered by the half weight m
 CONE_MAP = MonomialMap((0, 2, 1), (1, 0, 0), 1, 1)
+
+# the smooth chart's branch (y=0), glued to the cone curve by u = x
+_SMOOTH_MAP = MonomialMap.of(SMOOTH_PAIR.variables, SMOOTH_PAIR.branch("y"))
 
 
 def pole_bound_s2(m: int) -> int:
@@ -240,25 +221,18 @@ def pole_bound_s2(m: int) -> int:
     return max(0, -CONE_MAP.exponents(m, m)[0])
 
 
-def glued_pole_bound(m: int, degree_cutoff: int | None = None) -> int:
+def glued_pole_bound(m: int) -> int:
     """Largest pole of a restriction achievable on BOTH sides of the gluing.
 
     The smooth chart (curve y=0) is glued to the cone curve by u = x.  Both
     maps send monomials to monomials, so the exact intersection of their
-    ``exponents`` over coefficients of total degree up to the cutoff
-    (default 2m) is what both sides achieve.  It is empty iff the cutoff is
-    below m, and then ValueError is raised rather than a bound read off
-    nothing.
+    ``exponents`` over coefficients of total degree up to 2m is what both
+    sides achieve.  It is never empty at that degree; if it were, reading
+    its first exponent would raise IndexError rather than give a bound read
+    off nothing.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    cutoff = 2 * m if degree_cutoff is None else degree_cutoff
-    smooth_map = MonomialMap.of(SMOOTH_PAIR.variables, SMOOTH_PAIR.branch("y"))
-    smooth, cone = smooth_map.exponents(2 * m, cutoff), CONE_MAP.exponents(m, cutoff)
+    smooth, cone = _SMOOTH_MAP.exponents(2 * m, 2 * m), CONE_MAP.exponents(m, 2 * m)
     common = range(max(smooth.start, cone.start), min(smooth.stop, cone.stop))
-    if not common:
-        raise ValueError(
-            f"no restriction is achievable on both sides at m={m} "
-            f"with degree cutoff {cutoff}"
-        )
     return max(0, -common[0])

@@ -10,7 +10,8 @@ between threads.
 
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
-value between coordinate charts is always an explicit ``rename``.  This is
+value between coordinate charts is always an explicit ``rename`` or
+``substitute_monomials``.  This is
 deliberate: the gluing maps between charts permute and rescale coordinates,
 and silent reconciliation of variable lists would hide exactly the
 bookkeeping this library exists to get right.
@@ -129,7 +130,7 @@ class LaurentPolynomial:
     arithmetic are normalised by construction and skip those checks.
     """
 
-    __slots__ = ("_vars", "_terms", "_hash")
+    __slots__ = ("_vars", "_terms")
 
     def __init__(
         self,
@@ -159,7 +160,6 @@ class LaurentPolynomial:
                 stored[key] = c
         object.__setattr__(self, "_vars", vars_t)
         object.__setattr__(self, "_terms", stored)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(
@@ -175,7 +175,6 @@ class LaurentPolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "_vars", vars_t)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -383,22 +382,6 @@ class LaurentPolynomial:
         # the terms dict is never mutated, so the renamed value can share it
         return LaurentPolynomial._trusted(new_vars, self._terms)
 
-    def with_variables(self, variables: Iterable[str]) -> "LaurentPolynomial":
-        """Reinterpret over a larger variable list containing the current one."""
-        new_vars = _distinct(variables)
-        positions = []
-        for v in self._vars:
-            if v not in new_vars:
-                raise UnknownVariable(f"{v!r} not among {new_vars}")
-            positions.append(new_vars.index(v))
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self._terms.items():
-            vec = [0] * len(new_vars)
-            for pos, e in zip(positions, exps):
-                vec[pos] = e
-            out[tuple(vec)] = c
-        return LaurentPolynomial._trusted(new_vars, out)
-
     def substitute_monomials(
         self,
         variables: Iterable[str],
@@ -454,10 +437,7 @@ class LaurentPolynomial:
         return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            h = hash((self._vars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self._vars, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:

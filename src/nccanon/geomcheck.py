@@ -96,12 +96,6 @@ class ECPoint:
 INFINITY = ECPoint(None, None)
 
 
-def ec_neg(p: ECPoint) -> ECPoint:
-    if p.is_infinity:
-        return p
-    return ECPoint(p.x, -p.y)
-
-
 def ec_add(curve: ECCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-tangent group sum; infinity is the identity."""
     if p.is_infinity:
@@ -119,20 +113,6 @@ def ec_add(curve: ECCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     x3 = slope * slope - p.x - q.x
     y3 = slope * (p.x - x3) - p.y
     return ECPoint(x3, y3)
-
-
-def ec_mul(curve: ECCurve, n: int, p: ECPoint) -> ECPoint:
-    if n < 0:
-        return ec_mul(curve, -n, ec_neg(p))
-    acc = INFINITY
-    step = p
-    while n:
-        if n & 1:
-            acc = ec_add(curve, acc, step)
-        n >>= 1
-        if n:
-            step = ec_add(curve, step, step)
-    return acc
 
 
 def linear_equiv(
@@ -193,9 +173,6 @@ class IntersectionLattice:
         if "K" not in self.classes:
             raise ValueError("canonical class 'K' is not defined")
 
-    def class_vector(self, name: str) -> tuple[int, ...]:
-        return self.classes[name]
-
     def pair(self, left: str | Sequence[int], right: str | Sequence[int]) -> int:
         lv = self.classes[left] if isinstance(left, str) else tuple(left)
         rv = self.classes[right] if isinstance(right, str) else tuple(right)
@@ -244,10 +221,9 @@ def nc_pullback_degree(
     lattice: IntersectionLattice, boundary: Iterable[str], target: str
 ) -> int:
     """(K + sum of boundary classes) . target"""
-    vec = list(lattice.class_vector("K"))
+    vec = list(lattice.classes["K"])
     for name in boundary:
-        bv = lattice.class_vector(name)
-        vec = [a + b for a, b in zip(vec, bv)]
+        vec = [a + b for a, b in zip(vec, lattice.classes[name])]
     return lattice.pair(vec, target)
 
 

@@ -77,10 +77,12 @@ def generators_str(variables: Sequence[str], gens: Iterable[Exponents]) -> str:
     return ", ".join(monomial_str(variables, g) for g in ordered)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class MonomialIdeal:
     """A monomial ideal presented by its minimal generators."""
 
-    __slots__ = ("_vars", "_gens")
+    variables: tuple[str, ...]
+    generators: frozenset[Exponents]
 
     def __init__(self, variables: Iterable[str], generators: Iterable[Exponents]) -> None:
         vars_t = tuple(variables)
@@ -88,50 +90,41 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != len(vars_t):
                 raise ValueError(f"generator {g} does not fit variables {vars_t}")
-        object.__setattr__(self, "_vars", vars_t)
-        object.__setattr__(self, "_gens", gens)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("MonomialIdeal is immutable")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self._vars
-
-    @property
-    def generators(self) -> frozenset[Exponents]:
-        return self._gens
+        object.__setattr__(self, "variables", vars_t)
+        object.__setattr__(self, "generators", gens)
 
     @property
     def is_zero(self) -> bool:
-        return not self._gens
+        return not self.generators
 
     def member(self, mono: Exponents) -> bool:
         """True iff some generator divides the monomial."""
-        return any(divides(g, mono) for g in self._gens)
+        return any(divides(g, mono) for g in self.generators)
 
     def _check_compatible(self, other: "MonomialIdeal") -> None:
-        if self._vars != other._vars:
-            raise ValueError(f"variable lists differ: {self._vars} vs {other._vars}")
+        if self.variables != other.variables:
+            raise ValueError(
+                f"variable lists differ: {self.variables} vs {other.variables}"
+            )
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_compatible(other)
         prods = {
             tuple(a + b for a, b in zip(g, h))
-            for g in self._gens
-            for h in other._gens
+            for g in self.generators
+            for h in other.generators
         }
-        return MonomialIdeal(self._vars, prods)
+        return MonomialIdeal(self.variables, prods)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_compatible(other)
-        return MonomialIdeal(self._vars, self._gens | other._gens)
+        return MonomialIdeal(self.variables, self.generators | other.generators)
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The intersection: generated by the lcms of all generator pairs."""
         self._check_compatible(other)
-        lcms = {tuple(map(max, g, h)) for g in self._gens for h in other._gens}
-        return MonomialIdeal(self._vars, lcms)
+        lcms = {tuple(map(max, g, h)) for g in self.generators for h in other.generators}
+        return MonomialIdeal(self.variables, lcms)
 
     def staircase(self) -> list[Exponents]:
         """The monomials outside a two-variable ideal, in ascending order.
@@ -141,24 +134,16 @@ class MonomialIdeal:
         falling y-exponents: between neighbours (a0, h) and (a1, _) the
         non-members are x^a*y^b with a0 <= a < a1 and b < h.
         """
-        if len(self._vars) != 2:
-            raise ValueError(f"staircase needs two variables, got {self._vars}")
-        gens = sorted(self._gens)
+        if len(self.variables) != 2:
+            raise ValueError(f"staircase needs two variables, got {self.variables}")
+        gens = sorted(self.generators)
         if not gens or gens[0][0] or gens[-1][1]:
             raise ValueError(f"{self} has infinitely many non-members")
         return [(a, b) for (a0, h), (a1, _) in zip(gens, gens[1:])
                 for a in range(a0, a1) for b in range(h)]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self._vars == other._vars and self._gens == other._gens
-
-    def __hash__(self) -> int:
-        return hash((self._vars, self._gens))
-
     def __str__(self) -> str:
-        return "(" + (generators_str(self._vars, self._gens) or "0") + ")"
+        return "(" + (generators_str(self.variables, self.generators) or "0") + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self!s}"

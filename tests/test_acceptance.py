@@ -117,7 +117,7 @@ def test_criterion_05_pole_containment():
     with criterion(5, "pole containment", 5.0):
         for m in range(1, 11):
             assert pole_bound_s2(m) == m
-            assert glued_pole_bound(m, degree_cutoff=12) == 0
+            assert glued_pole_bound(m) == 0
 
 
 def test_criterion_06_divisor_instance():

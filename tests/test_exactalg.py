@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from nccanon.conecalc import _even_substitute
+from nccanon.conecalc import ConeElement, _even_substitute
 from nccanon.exactalg import (
     AffineExponent,
     LaurentPolynomial,
@@ -16,6 +16,7 @@ from nccanon.exactalg import (
     divides,
     parse_polynomial,
 )
+from nccanon.monideal import MonomialIdeal
 
 XY = ("x", "y")
 
@@ -130,13 +131,9 @@ def test_parse_errors():
 # -- chart plumbing ----------------------------------------------------------
 
 
-def test_rename_and_with_variables():
+def test_rename():
     h = poly("v1^2 + 1", ("v1",))
     assert h.rename({"v1": "y"}) == poly("y^2 + 1", ("y",))
-    wide = h.rename({"v1": "v1"}).with_variables(("u1", "v1"))
-    assert wide == poly("v1^2 + 1", ("u1", "v1"))
-    with pytest.raises(UnknownVariable):
-        h.with_variables(("a", "b"))
 
 
 def test_substitute_monomials():
@@ -209,9 +206,22 @@ def test_duplicate_variable_guards():
     with pytest.raises(ValueError):
         p.rename({"x": "y"})
     with pytest.raises(ValueError):
-        p.with_variables(("x", "x", "y"))
-    with pytest.raises(ValueError):
         p.substitute_monomials(("s", "s"), {"x": {"s": 1}, "y": {}})
+
+
+def test_values_are_frozen_and_hash_by_value():
+    uv = ("u", "v")
+    make = (
+        (lambda: poly("x - 1/2*y^-1"), "variables"),
+        (lambda: MonomialIdeal(XY, [(1, 1), (2, 0), (1, 2)]), "generators"),
+        (lambda: ConeElement(poly("u*v", uv), poly("2", uv)), "c1"),
+    )
+    for build, attr in make:
+        value, twin = build(), build()
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        assert value == twin and value is not twin
+        assert hash(value) == hash(twin)
 
 
 # -- trusted term path against a slow oracle -----------------------------------
@@ -308,7 +318,6 @@ def test_trusted_path_matches_oracle():
         )
         scalar = rng.choice([0, 1, -1, 3, Fraction(2, 7)])
         zero = LaurentPolynomial.zero(variables)
-        wide = ("w",) + variables[::-1]
         results = {
             "add": (p + q, oracle_add(p, q)),
             "neg": (-p, oracle_map(p, variables, scale=-1)),
@@ -324,10 +333,6 @@ def test_trusted_path_matches_oracle():
             "rename": (
                 p.rename({variables[0]: "r"}),
                 oracle_map(p, ("r",) + variables[1:]),
-            ),
-            "with-variables": (
-                p.with_variables(wide),
-                oracle_map(p, wide, lambda e: (0,) + e[::-1]),
             ),
         }
         for new_vars in (("s",), ("s", "t")):
