@@ -42,7 +42,7 @@ _UV = ("u", "v")
 _ST = ("s", "t")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ConeElement:
     """c0 + c1*w in the coordinate ring of the cone, w^2 reduced to u*v."""
 

@@ -15,11 +15,12 @@ F.F = 0 and K.F from adjunction are supplied as inputs: only the
 bookkeeping is mechanized, not the existence of the surface.
 
 Binary forms f(x,y) stand in for double covers z^2 = f: the branch points
-are the projective roots of f, counted via a squarefreeness check (gcd of
-the dehomogenization with its derivative, plus the multiplicity of the
-root at infinity).  Shared roots of two forms are detected the same way,
-which decides both "the involution moves every node off itself" and
-base-point-freeness of a pair of forms.
+are the projective roots of f, counted once f is squarefree.  One test
+decides every root question: two forms share a projective root iff the gcd
+of their dehomogenizations is not constant or both vanish at infinity.  It
+decides squarefreeness, since by Euler's relation x*f_x + y*f_y = d*f a
+repeated root of f is a shared root of its partials; "the involution moves
+every node off itself"; and base-point-freeness of a pair of forms.
 """
 
 from __future__ import annotations
@@ -301,10 +302,6 @@ def poly_gcd(
     return tuple(c / lead for c in a)
 
 
-def _derivative(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
 @dataclass(frozen=True)
 class WeightedHyperellipticCurve:
     """Double cover z^2 = f(x,y) of the projective line, f of even degree.
@@ -349,27 +346,17 @@ class WeightedHyperellipticCurve:
     def genus(self) -> int:
         return (self.degree - 2) // 2
 
-    def dehomogenized(self) -> tuple[Fraction, ...]:
-        """f(t, 1) with coefficients low-to-high in t."""
-        return _trim(tuple(reversed(self.coeffs)))
-
-    def infinity_multiplicity(self) -> int:
-        """Multiplicity of (1:0) as a root of f, i.e. the power of y dividing f."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("zero form")
-
     def is_squarefree(self) -> bool:
-        if self.infinity_multiplicity() > 1:
-            return False
-        p = self.dehomogenized()
-        g = poly_gcd(p, _derivative(p))
-        return len(g) <= 1
+        """Whether f has no repeated projective root.
 
-    def swapped(self) -> "WeightedHyperellipticCurve":
-        """The image under the coordinate swap (x:y) -> (y:x)."""
-        return WeightedHyperellipticCurve(tuple(reversed(self.coeffs)))
+        By Euler's relation x*f_x + y*f_y = d*f (d >= 2), f has a repeated
+        root iff its partials share one; a partial that vanishes
+        identically leaves f a pure power c*x^d or c*y^d.
+        """
+        d = self.degree
+        f_x = tuple((d - i) * c for i, c in enumerate(self.coeffs[:-1]))
+        f_y = tuple(i * c for i, c in enumerate(self.coeffs) if i)
+        return any(f_x) and any(f_y) and not binary_forms_share_root(f_x, f_y)
 
 
 def fixed_points(curve: WeightedHyperellipticCurve) -> int:
@@ -391,27 +378,21 @@ def binary_forms_share_root(
 ) -> bool:
     """Whether two binary forms (coefficient lists, x-degree descending)
     have a common projective root."""
-    fc = tuple(Fraction(c) for c in f)
-    gc = tuple(Fraction(c) for c in g)
-    if all(c == 0 for c in fc) or all(c == 0 for c in gc):
+    if not any(f) or not any(g):
         raise ValueError("forms must be nonzero")
-    p = _trim(tuple(reversed(fc)))
-    q = _trim(tuple(reversed(gc)))
-    if len(poly_gcd(p, q)) > 1:
-        return True
-    # (1:0) is a common root iff both leading x-coefficients vanish
-    return fc[0] == 0 and gc[0] == 0
+    # f(t, 1) and g(t, 1) low-to-high; (1:0) is a common root iff both
+    # leading x-coefficients vanish
+    return len(poly_gcd(f[::-1], g[::-1])) > 1 or f[0] == g[0] == 0
 
 
 def sigma_node_disjoint(curve: WeightedHyperellipticCurve) -> bool:
     """Whether the swap (x:y) -> (y:x) moves every root of f off the roots.
 
-    Decided exactly: the roots of f and of the swapped form are disjoint
-    iff their gcd is constant and they do not share the root at infinity.
+    Decided exactly by the shared-root test on f and the swapped form.
+    Raises NotSquarefree, through ``fixed_points``, if f has a repeated root.
     """
-    if not curve.is_squarefree():
-        raise NotSquarefree(f"branch form {curve.coeffs} has a repeated root")
-    return not binary_forms_share_root(curve.coeffs, curve.swapped().coeffs)
+    fixed_points(curve)
+    return not binary_forms_share_root(curve.coeffs, curve.coeffs[::-1])
 
 
 # ---------------------------------------------------------------------------

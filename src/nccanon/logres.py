@@ -17,8 +17,8 @@ nc pair the curve generator eta restricts to -dx/x on (y=0) and to dy/y on
 
 The half planes are glued to the two branches of the nc curve by the map
 sigma which identifies v1 = y and u2 = x, away from the origin.  Pulling a
-half-plane restriction back through sigma re-expresses it over the nc
-branch; a triple of sections glues iff the nc restrictions equal (-1)^m
+half-plane restriction back through sigma renames its parameter to the nc
+one; a triple of sections glues iff the nc restrictions equal (-1)^m
 times the pulled-back half-plane restrictions on both branches.  The set of
 nc coefficients admitting holomorphic half-plane partners at weight m is a
 monomial ideal, read off the integer restriction maps (``MonomialMap``).
@@ -178,14 +178,6 @@ class BranchRestriction:
         return f"({self.h})*(d{self.curve_var})^{self.weight} pole={self.pole_order}"
 
 
-def _fold_log_frame(
-    coeff: LaurentPolynomial, rule: BranchRule, weight: int
-) -> BranchRestriction:
-    # coeff is relative to (generator restriction)^weight; normalize to (dt)^m
-    h = coeff.shift((-weight if rule.log_pole else 0,), rule.residue_sign**weight)
-    return BranchRestriction(rule.param_var, weight, h)
-
-
 def restrict(section: PluriSection, branch: str) -> BranchRestriction:
     """Restrict a section to one branch of its chart's marked curve.
 
@@ -194,8 +186,11 @@ def restrict(section: PluriSection, branch: str) -> BranchRestriction:
     substitution.
     """
     rule = section.model.branch(branch)
+    m = section.weight
     restricted = section.coeff.restrict_var(rule.zero_var)
-    return _fold_log_frame(restricted, rule, section.weight)
+    # restricted is relative to (generator restriction)^m; normalize to (dt)^m
+    h = restricted.shift((-m if rule.log_pole else 0,), rule.residue_sign**m)
+    return BranchRestriction(rule.param_var, m, h)
 
 
 @dataclass(frozen=True)
@@ -288,9 +283,10 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
 
     With t the half-plane parameter and s the matched nc parameter, the
     identification t = s gives (dt)^m = (sign*s*eta)^m relative to the nc
-    curve generator eta on that branch; folding eta back into the (ds)^m
-    presentation cancels the factor exactly, which is the content of the
-    pullback formulas (dv1)^m -> y^m*eta^m and (du2)^m -> (-x)^m*eta^m.
+    curve generator eta on that branch: the pullback formulas
+    (dv1)^m -> y^m*eta^m and (du2)^m -> (-x)^m*eta^m.  Both nc branches
+    carry a log pole, so eta restricts to sign*ds/s, and the factors cancel:
+    h(t)*(dt)^m pulls back to h(s)*(ds)^m, a renaming of the parameter.
     """
     match = next(
         (leg for leg in SIGMA if leg.half.param_var == restriction.curve_var), None
@@ -299,11 +295,10 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
         raise UnknownBranch(
             f"no gluing is defined on branch parameter {restriction.curve_var!r}"
         )
-    rule = match.nc
-    m = restriction.weight
-    h = restriction.h.rename({restriction.curve_var: rule.param_var})
-    # (dt)^m = (sign * s)^m * eta^m: coefficient relative to the log frame
-    return _fold_log_frame(h.shift((m,), rule.residue_sign**m), rule, m)
+    s = match.nc.param_var
+    return BranchRestriction(
+        s, restriction.weight, restriction.h.rename({restriction.curve_var: s})
+    )
 
 
 def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:

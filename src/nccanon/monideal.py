@@ -77,7 +77,7 @@ def generators_str(variables: Sequence[str], gens: Iterable[Exponents]) -> str:
     return ", ".join(monomial_str(variables, g) for g in ordered)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class MonomialIdeal:
     """A monomial ideal presented by its minimal generators."""
 
@@ -257,7 +257,7 @@ def _candidates(ends: list[tuple], mixed: list[tuple], m: int) -> set[Exponents]
 def _weights(
     family: GradedMonomialFamily, upto: int
 ) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
-    """(m, I_m, J_m) for m = 1, ..., upto, instantiating each I_k once.
+    """(m, I_m, J_m) for m = 1, ..., upto.
 
     I_a is generated by the template instances s(a), so J_m is generated by
     s(a) + t(m-a) over unordered template pairs {s, t} (s = t included) and
@@ -280,9 +280,9 @@ def _weights(
     ``upto``, that weight and the first minimal generator of J_m (in
     printing order) outside I_m.
     """
-    ideals = [family.instantiate(k) for k in range(1, upto + 1)]
     ends, mixed = _lines(family.templates)
-    for m, i_m in enumerate(ideals, start=1):
+    for m in range(1, upto + 1):
+        i_m = family.instantiate(m)
         j_m = MonomialIdeal(family.variables, _candidates(ends, mixed, m))
         outside = [g for g in j_m.generators if not i_m.member(g)]
         if outside:

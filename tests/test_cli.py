@@ -193,50 +193,96 @@ def test_structured_output_is_deterministic(capsys):
     assert first.encode("utf-8") == second.encode("utf-8")
 
 
-# sha256 of the structured `--task all --max-degree 20` report (194 lines),
-# taken before the box scans moved onto the integer monomial kernel
-GOLDEN_ALL_N20_SHA256 = "35bae79742317ba8720d4892af3a96d12b7ccc556f9440d96484998290ccb992"
+# -- golden reports --------------------------------------------------------------
+#
+# Every pinned report, with its line count and the sha256 of its stdout.  Each
+# sha was taken before a change to the code behind the report (noted per
+# row), so the report stays byte-identical across refactors, on every
+# supported version: the polynomial printer and the monomial substitution
+# both feed it.
+
+THREE_VAR = "x*y, y*z, x*z, x^m, y^m, z^m"
+
+GOLDEN_REPORTS = [
+    # taken before the box scans moved onto the integer monomial kernel
+    pytest.param(
+        ["--task", "all", "--max-degree", "20", "--format", "structured"], 194,
+        "35bae79742317ba8720d4892af3a96d12b7ccc556f9440d96484998290ccb992",
+        id="all-n20",
+    ),
+    # taken before the pullback along SIGMA became a renaming
+    pytest.param(
+        ["--task", "all", "--max-degree", "20", "--format", "table"], 196,
+        "6c2cb5221eac5b26520b0cfe4ca8cf5befbc400067f64b57053e3bd6a756a4da",
+        id="all-n20-table",
+    ),
+    # taken before the gluing ideal and the pole bounds were read off the
+    # branch data
+    pytest.param(
+        ["--task", "all", "--max-degree", "80", "--format", "structured"], 674,
+        "3fc476047af1136206646131f950f72a58b0a9cc69034acf3fa291341e4f5a07",
+        id="all-n80",
+    ),
+    # the scaling path, taken before the gluing ideal and the pole bounds
+    # left their box scans
+    pytest.param(
+        ["--task", "all", "--max-degree", "160", "--format", "structured"], 1314,
+        "40f8ceccee3d06b063b29c6b061d087ce3a5eb2e1e127dbaa4a431ce42f3ff28",
+        id="all-n160",
+    ),
+    # the pole bounds far past the weights the oracles reach, taken while
+    # the bounds were still scanned monomial by monomial
+    pytest.param(
+        ["--task", "pole-bounds", "--max-degree", "1000", "--format", "structured"], 2001,
+        "c50162f7e3ba9be37a5b86303ac332b6d9f190d893f094083272394d9b0eb02c",
+        id="pole-bounds-n1000",
+    ),
+    # glue-check far past the weights the oracle reaches, taken while each
+    # non-member was decided by its own partner_sections call
+    pytest.param(
+        ["--task", "glue-check", "--max-degree", "320", "--format", "structured"], 641,
+        "190a04fbc2a1013a10d0621b26490395d1283bb0bc047c138c4100729b7b088f",
+        id="glue-check-n320",
+    ),
+    # the benchmark's rees-3var-n80 run, taken before the per-weight pass
+    pytest.param(
+        ["--task", "rees-report", "--family", THREE_VAR, "--max-degree", "80",
+         "--format", "structured"], 83,
+        "31b6295fd03e32cd748c81cd8b94bb4d9f8ff6a986866223c62f220bd14c95b6",
+        id="rees-3var-n80",
+    ),
+    # taken before J_m and the oracle were pruned along template lines
+    pytest.param(
+        ["--task", "rees-report", "--family", THREE_VAR, "--max-degree", "160",
+         "--format", "structured"], 163,
+        "e5bc56725fb9db317f1a4b96fc6dbde04ff3dab34412f7521c50ec794f46baa3",
+        id="rees-3var-n160",
+    ),
+    # a family with one mixed template line, which its endpoint products
+    # cover from weight 3 on, and a cyclic three-variable family; both taken
+    # before mixed lines were cut by intervals
+    pytest.param(
+        ["--task", "rees-report", "--family", "x*y, x^m, y^m", "--max-degree", "160",
+         "--format", "structured"], 163,
+        "f0cb33f09c3280f2ddc7d29144915b9f59c1a99afdabac85593e10f5c8e43d4c",
+        id="rees-xy-n160",
+    ),
+    pytest.param(
+        ["--task", "rees-report", "--family", "x^m*y, y^m*z, z^m*x, x*y*z",
+         "--max-degree", "160", "--format", "structured"], 318,
+        "654967a6e3271a768cae2ac6efe4580c94c349505ba5a82b038ab066ff8e6542",
+        id="rees-cyclic-n160",
+    ),
+]
 
 
-def test_structured_report_matches_golden(capsys):
-    code = main(["--task", "all", "--max-degree", "20", "--format", "structured"])
+@pytest.mark.parametrize("argv, lines, sha256", GOLDEN_REPORTS)
+def test_golden_report(capsys, argv, lines, sha256):
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert len(out.splitlines()) == 194
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_ALL_N20_SHA256
-
-
-# sha256 of the structured `--task all --max-degree 80` report (674 lines),
-# taken before the gluing ideal and the pole bounds were read off the branch
-# data
-GOLDEN_ALL_N80_SHA256 = "3fc476047af1136206646131f950f72a58b0a9cc69034acf3fa291341e4f5a07"
-
-
-def test_structured_report_n80_matches_golden(capsys):
-    code = main(["--task", "all", "--max-degree", "80", "--format", "structured"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert len(out.splitlines()) == 674
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_ALL_N80_SHA256
-
-
-# sha256 of the structured three-variable Rees report to weight 80 (the
-# benchmark's rees-3var-n80 run), taken before the per-weight pass
-GOLDEN_REES_3VAR_N80_SHA256 = "31b6295fd03e32cd748c81cd8b94bb4d9f8ff6a986866223c62f220bd14c95b6"
-
-
-def test_rees_3var_report_matches_golden(capsys):
-    code = main(
-        [
-            "--task", "rees-report",
-            "--family", "x*y, y*z, x*z, x^m, y^m, z^m",
-            "--max-degree", "80",
-            "--format", "structured",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REES_3VAR_N80_SHA256
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_empty_family_is_a_family_error(capsys):

@@ -218,8 +218,11 @@ def test_values_are_frozen_and_hash_by_value():
     )
     for build, attr in make:
         value, twin = build(), build()
-        with pytest.raises(AttributeError):
-            setattr(value, attr, None)
+        # a field, and a name that is no field (frozen slotted dataclasses
+        # raise TypeError for the latter)
+        for name in (attr, "foo"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
         assert value == twin and value is not twin
         assert hash(value) == hash(twin)
 

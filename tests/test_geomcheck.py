@@ -244,6 +244,49 @@ def test_squarefree_edge_cases():
     assert branch_curve("x^4 + y^4").is_squarefree()
 
 
+def squarefree_by_dehomogenizing(coeffs) -> bool:
+    """f has no root (1:0) of multiplicity > 1, and f(t, 1) is coprime
+    to its derivative."""
+    at_infinity = next(i for i, c in enumerate(coeffs) if c)
+    p = tuple(reversed(coeffs))
+    derivative = tuple(i * c for i, c in enumerate(p))[1:]
+    return at_infinity <= 1 and len(poly_gcd(p, derivative)) <= 1
+
+
+def form_product(f, g):
+    """The product of two binary forms, coefficients x-degree descending."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_squarefree_matches_dehomogenizing_oracle():
+    rng = Random(61)
+    # planted squared linear factors (a*x + b*y)^2, y^2 among them
+    squares = [(1, 0), (0, 1), (1, 1), (2, -3)]
+    forms = [[1] + [0] * d for d in (2, 4, 6, 8)]
+    forms += [[0] * d + [Fraction(-1, 2)] for d in (2, 4, 6, 8)]
+    forms += [form_product((a * a, 2 * a * b, b * b), [1, 0, 1]) for a, b in squares]
+    while len(forms) < 600:
+        d = rng.choice((2, 4, 6, 8))
+        if rng.random() < 0.4:
+            a, b = rng.choice(squares + [(rng.randrange(-3, 4), rng.randrange(1, 4))])
+            rest = [rng.randrange(-3, 4) for _ in range(d - 1)]
+            form = form_product((a * a, 2 * a * b, b * b), rest)
+        else:
+            form = [rng.randrange(-3, 4) for _ in range(d + 1)]
+        if any(form):
+            forms.append(form)
+    verdicts = set()
+    for form in forms:
+        expected = squarefree_by_dehomogenizing(form)
+        assert WeightedHyperellipticCurve(form).is_squarefree() is expected, form
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_ample_and_h0():
     assert product_canonical_bidegree(2, 1) == (2, 2)
     assert product_ample((2, 2))

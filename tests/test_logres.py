@@ -117,6 +117,20 @@ def test_pullback_examples():
     assert pullback_sigma(squared) == BranchRestriction("y", 2, upoly("y", "y"))
 
 
+def test_pullback_matches_log_frame_oracle():
+    # the computation in the nc log frame: rename t to s, write (dt)^m as
+    # (sign*s)^m * eta^m, then fold eta^m = (sign*ds/s)^m back into (ds)^m
+    rng = Random(59)
+    for leg, m, _ in product(SIGMA, range(9), range(12)):
+        t, s, sign = leg.half.param_var, leg.nc.param_var, leg.nc.residue_sign
+        terms = {(rng.randrange(-4, 5),): Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                 for _ in range(rng.randrange(6))}
+        h = LaurentPolynomial((t,), terms)
+        in_log_frame = h.rename({t: s}).shift((m,), sign**m)
+        expected = BranchRestriction(s, m, in_log_frame.shift((-m,), sign**m))
+        assert pullback_sigma(BranchRestriction(t, m, h)) == expected
+
+
 def test_pullback_restrict_multiplicative():
     rng = Random(37)
     for _ in range(60):
