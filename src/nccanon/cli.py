@@ -264,6 +264,8 @@ class Scenario:
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.task == "rees-report" and self.family is None:
             raise ValueError("--family is required for --task rees-report")
+        if self.family is not None and "rees-report" not in self.tasks:
+            raise ValueError(f"--task {self.task} runs no suite that reads --family")
         if "rees-report" in self.tasks and self.max_degree < 3:
             raise ValueError("--max-degree must be >= 3 for the new-generator table")
 

@@ -22,9 +22,9 @@ route through local coordinates (u, w) on the cone (v = w^2/u) must agree,
 and both are implemented.
 
 Finally, gluing a smooth chart to the cone along the curve caps the pole:
-the smooth side only produces pole-free restrictions, so the exact
-intersection of the two achievable restriction spaces allows no pole at
-all, for every m.
+a cone coefficient survives only if the smooth side, which reaches only
+pole-free restrictions, reaches its restriction, so the lowest surviving
+power u^m restricts without a pole, for every m.
 """
 
 from __future__ import annotations
@@ -214,25 +214,21 @@ _SMOOTH_MAP = MonomialMap.of(SMOOTH_PAIR.variables, SMOOTH_PAIR.branch("y"))
 
 
 def pole_bound_s2(m: int) -> int:
-    """Largest pole order the cone side can produce at weight 2m: the
-    lowest exponent of ``CONE_MAP`` at half weight m, reached by u^0."""
+    """Largest pole order the cone side can produce at weight 2m: the pole
+    of the ``CONE_MAP`` image of the coefficient 1 at half weight m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return max(0, -CONE_MAP.exponents(m, m)[0])
+    return max(0, -CONE_MAP.image((0, 0, 0), m)[1])
 
 
 def glued_pole_bound(m: int) -> int:
     """Largest pole of a restriction achievable on BOTH sides of the gluing.
 
-    The smooth chart (curve y=0) is glued to the cone curve by u = x.  Both
-    maps send monomials to monomials, so the exact intersection of their
-    ``exponents`` over coefficients of total degree up to 2m is what both
-    sides achieve.  It is never empty at that degree; if it were, reading
-    its first exponent would raise IndexError rather than give a bound read
-    off nothing.
+    The smooth chart (curve y=0) is glued to the cone curve by u = x.  A
+    cone coefficient survives iff the smooth side at weight 2m reaches its
+    restriction: the largest surviving pole is that of u^``CONE_MAP.rise``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    smooth, cone = _SMOOTH_MAP.exponents(2 * m, 2 * m), CONE_MAP.exponents(m, 2 * m)
-    common = range(max(smooth.start, cone.start), min(smooth.stop, cone.stop))
-    return max(0, -common[0])
+    rise = CONE_MAP.rise(m, _SMOOTH_MAP, 2 * m)
+    return max(0, -CONE_MAP.image(tuple(rise * a for a in CONE_MAP.along), m)[1])

@@ -21,7 +21,7 @@ half-plane restriction back through sigma renames its parameter to the nc
 one; a triple of sections glues iff the nc restrictions equal (-1)^m
 times the pulled-back half-plane restrictions on both branches.  The set of
 nc coefficients admitting holomorphic half-plane partners at weight m is a
-monomial ideal, read off the integer restriction maps (``MonomialMap``).
+monomial ideal, read off the restriction maps of both sides (``MonomialMap``).
 
 A separate concern of the same local model: the glued surface has a triple
 point of embedding dimension 4.  ``embed_check`` decides whether a signed
@@ -202,8 +202,8 @@ class MonomialMap:
     normal·e < 0, and is sign^weight * t^(along·e - lowering*weight) *
     (dt)^weight otherwise.  ``normal`` must be nonnegative and vanish only
     at the unit vector ``along``, so that among the monomials with
-    nonnegative exponents exactly the powers of t survive; ``ideal`` and
-    ``exponents`` read their answers off that.
+    nonnegative exponents exactly the powers of t survive, reaching every
+    t^k with k >= -lowering*weight; ``rise`` and ``ideal`` read that off.
     """
 
     normal: tuple[int, ...]
@@ -237,19 +237,19 @@ class MonomialMap:
             return None
         return self.sign**weight, sum(map(mul, self.along, exps)) - self.lowering * weight
 
-    def ideal(self, variables: Sequence[str], weight: int) -> MonomialIdeal:
-        """The monomials that restrict holomorphically: the variables of
-        positive normal weight, plus t^(lowering*weight)."""
+    def rise(self, weight: int, far: "MonomialMap", far_weight: int) -> int:
+        """The least power of t whose image ``far`` at ``far_weight`` also
+        reaches: both maps reach every power from their lowest one upward."""
+        return max(0, self.lowering * weight - far.lowering * far_weight)
+
+    def ideal(self, variables: Sequence[str], weight: int,
+              far: "MonomialMap", far_weight: int) -> MonomialIdeal:
+        """The monomials whose image ``far`` at ``far_weight`` also reaches:
+        the variables of positive normal weight, and t^rise."""
         size = len(self.normal)
         gens = [tuple(int(j == i) for j in range(size)) for i in range(size) if self.normal[i]]
-        gens.append(tuple(self.lowering * weight * a for a in self.along))
+        gens.append(tuple(self.rise(weight, far, far_weight) * a for a in self.along))
         return MonomialIdeal(variables, gens)
-
-    def exponents(self, weight: int, degree: int) -> range:
-        """The t-exponents of the nonzero images of monomials with
-        nonnegative exponents and total degree <= ``degree``, which are t^k
-        for k in [0, degree]."""
-        return range(-self.lowering * weight, degree - self.lowering * weight + 1)
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,9 @@ SIGMA = (
     BranchMatch(NC_PAIR.branch("y"), HALF_PLANE_V, HALF_PLANE_V.branch("v2")),
 )
 
-# the restriction maps of the nc branches that SIGMA glues, in its order
-_NC_MAPS = tuple(MonomialMap.of(NC_PAIR.variables, leg.nc) for leg in SIGMA)
+# the (nc, half-plane) restriction maps of the legs of SIGMA, in its order
+_LEG_MAPS = tuple((MonomialMap.of(NC_PAIR.variables, leg.nc),
+                   MonomialMap.of(leg.half_plane.variables, leg.half)) for leg in SIGMA)
 
 
 def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
@@ -364,7 +365,7 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
     """
     m = section_nc.weight
     found = set()
-    for leg, nc_map in zip(SIGMA, _NC_MAPS):
+    for leg, (nc_map, _) in zip(SIGMA, _LEG_MAPS):
         on_nc = restrict(section_nc, leg.nc.zero_var)
         sign = nc_map.sign**m
         for (k,), c in on_nc.h.terms().items():
@@ -382,13 +383,13 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
 def gluing_ideal(m: int) -> MonomialIdeal:
     """Coefficients on the nc pair admitting half-plane partners at weight m.
 
-    A monomial coefficient has partners iff both forced partner restrictions
-    are polynomials, i.e. iff it lies in the ``MonomialMap.ideal`` of each
-    nc branch that ``SIGMA`` glues: the gluing ideal is (x, y^m) & (y, x^m).
+    A monomial coefficient has partners iff on every leg of ``SIGMA`` the
+    half-plane map at weight m reaches its nc restriction, i.e. iff it lies
+    in each leg's ``MonomialMap.ideal``: the ideal is (x, y^m) & (y, x^m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    on_x, on_y = (nc_map.ideal(NC_PAIR.variables, m) for nc_map in _NC_MAPS)
+    on_x, on_y = (nc.ideal(NC_PAIR.variables, m, half, m) for nc, half in _LEG_MAPS)
     return on_x & on_y
 
 

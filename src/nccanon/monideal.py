@@ -327,7 +327,7 @@ def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGeneration
 
 
 def brute_force_new_generators(
-    family: GradedMonomialFamily, m: int, degree_bound: int = 6
+    family: GradedMonomialFamily, m: int, degree_bound: int
 ) -> frozenset[Exponents]:
     """Slow independent oracle for ``rees_report`` rows, capped by total degree.
 

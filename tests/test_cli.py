@@ -1,6 +1,10 @@
 """CLI tests: family DSL, report formats, exit codes, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,10 @@ def test_scenario_validation():
         Scenario(task="all", max_degree=2)
     with pytest.raises(ValueError):
         Scenario(task="rees-report")
+    # a family that no suite of the task reads is refused, not ignored
+    with pytest.raises(ValueError, match="--task gluing-ideal runs no suite that reads --family"):
+        Scenario(task="gluing-ideal", family="x^m")
+    Scenario(task="all", family="x^m")
 
 
 # -- runner ------------------------------------------------------------------------
@@ -148,6 +156,28 @@ def test_main_exit_codes(capsys, tmp_path):
     assert main(["--task", "rees-report", "--family", "x^(m-2)", "--max-degree", "5"]) == 2
     err = capsys.readouterr().err
     assert "family error" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--task", "gluing-ideal", "--max-degree", "2", "--family", "@@@"])
+    assert exc.value.code == 2
+    assert "runs no suite that reads --family" in capsys.readouterr().err
+
+
+def test_python_m_nccanon(capsys):
+    # ``python -m nccanon`` from a source checkout, as a separate interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "nccanon", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+
+    argv = ["--task", "gluing-ideal", "--max-degree", "3", "--format", "structured"]
+    done = python_m(*argv)
+    assert done.returncode == main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    refused = python_m("--task", "all", "--max-degree", "0")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert "--max-degree must be >= 1" in refused.stderr
 
 
 def test_exit_code_one_on_failing_check(monkeypatch, capsys):

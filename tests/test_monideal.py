@@ -463,7 +463,7 @@ def test_oracle_tail_starts_where_the_tests_expect():
 def test_oracle_refuses_weight_below_one():
     for m in (0, -1):
         with pytest.raises(ValueError, match=f"weight m={m} must be >= 1"):
-            brute_force_new_generators(FAMILY, m)
+            brute_force_new_generators(FAMILY, m, 6)
 
 
 def test_oracle_refuses_negative_degree_bound():
@@ -478,7 +478,7 @@ def test_oracle_refuses_weights_below_m_min():
         with pytest.raises(ValueError, match=rf"^m={m} below validated range \(m >= 1\)$"):
             FAMILY.instantiate(m)
         with pytest.raises(ValueError):
-            brute_force_new_generators(FAMILY, m)
+            brute_force_new_generators(FAMILY, m, 6)
 
 
 def pairwise_multiplicative(family, upto):

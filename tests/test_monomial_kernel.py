@@ -1,17 +1,19 @@
 """The integer restriction maps against the polynomial route they replace.
 
-``gluing_ideal`` intersects the ``MonomialMap.ideal`` of the glued nc
-branches, and ``pole_bound_s2`` and ``glued_pole_bound`` read the ranges of
-``MonomialMap.exponents`` of the smooth branch and of ``CONE_MAP``, on
-integers.  The oracles below scan the full boxes the way those functions
-once did, on the polynomial route: they build a ``LaurentPolynomial``
-section for every monomial and run the full restriction on it.  The tests
-compare the maps with them result by result and monomial by monomial, and
-compare ``ideal`` and ``exponents`` with a scan of ``MonomialMap.image``.
+``gluing_ideal`` intersects the ``MonomialMap.ideal`` of each leg's nc map
+against its half-plane map, ``glued_pole_bound`` reads the image of the
+power ``MonomialMap.rise`` of ``CONE_MAP`` against the smooth branch, and
+``pole_bound_s2`` the image of the coefficient 1, on integers.  The oracles
+below scan the full boxes the way those functions once did, on the
+polynomial route: they build a ``LaurentPolynomial`` section for every
+monomial and run the full restriction on it.  The tests compare the maps
+with them result by result and monomial by monomial, and compare ``rise``
+and ``ideal`` with a scan of ``MonomialMap.image`` on both sides.
 ``obstructions``, which decides a whole staircase of non-members in one
 section, is compared with ``partner_sections`` on each of its monomials.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -122,8 +124,9 @@ def test_glued_pole_bound_matches_polynomial_oracle():
 
 
 def test_glued_pole_bound_above_old_cutoff():
-    # a fixed cutoff of 12 left nothing to intersect from m = 13 on; the
-    # cutoff derived from m keeps the intersection inhabited
+    # a fixed degree cutoff of 12 once left nothing to intersect from
+    # m = 13 on; glued_pole_bound reads no cutoff, and the oracle's box of
+    # degree 2m still reaches every common exponent 0..m
     for m in range(13, 21):
         common = oracle_glued_common_exponents(m, 2 * m)
         assert common == set(range(0, m + 1))
@@ -166,21 +169,6 @@ def test_monomial_map_matches_restrict_on_every_chart():
                         zeros += image is None
                         assert kernel_restriction(rule.param_var, weight, image) == expected
     assert raised and zeros
-
-
-def test_monomial_map_ideal_matches_its_image():
-    for model in PLANE_CHARTS:
-        for rule in model.branches:
-            kernel = MonomialMap.of(model.variables, rule)
-            for weight in range(0, 5):
-                ideal = kernel.ideal(model.variables, weight)
-                assert ideal.variables == model.variables
-                # generators have exponents at most 4, so [0, 5]^2 decides
-                # membership of every monomial
-                for exps in product(range(6), repeat=2):
-                    image = kernel.image(exps, weight)
-                    holomorphic = image is None or image[1] >= 0
-                    assert ideal.member(exps) == holomorphic, (model.name, exps)
 
 
 def test_monomial_map_unknown_branch():
@@ -308,30 +296,63 @@ def every_map():
     return planes + [(("u", "v", "w"), CONE_MAP)]
 
 
-def test_exponents_and_ideal_match_a_scan_of_image():
-    for variables, kernel in every_map():
-        size = len(variables)
-        for weight in range(0, 5):
-            # degree -1 reaches nothing
-            for degree in range(-1, 7):
-                triangle = [
-                    e for e in product(range(degree + 1), repeat=size) if sum(e) <= degree
-                ]
-                images = [kernel.image(e, weight) for e in triangle]
-                reached = {i[1] for i in images if i is not None}
-                assert reached == set(kernel.exponents(weight, degree)), (kernel, weight)
-            # generators have exponents at most 4, so [0, 5]^size decides
-            # membership of every monomial
-            ideal = kernel.ideal(variables, weight)
-            for exps in product(range(6), repeat=size):
-                image = kernel.image(exps, weight)
-                assert ideal.member(exps) == (image is None or image[1] >= 0), exps
+# every pair of weights up to 4, and the cone's half weight m against the
+# smooth branch's 2m up to m = 5
+WEIGHT_PAIRS = sorted(set(product(range(5), repeat=2)) | {(m, 2 * m) for m in range(6)})
+
+
+def map_pairs():
+    """((variables, near), (variables, far), (weight, far_weight)) for every
+    near/far pair of ``every_map`` and every pair of ``WEIGHT_PAIRS``."""
+    return product(every_map(), every_map(), WEIGHT_PAIRS)
+
+
+@lru_cache(maxsize=None)
+def reach(kernel: MonomialMap, weight: int) -> frozenset[int]:
+    """The t-exponents of the nonzero images of the monomials in [0, 16]^size.
+
+    At weight up to 10 they include every exponent up to 6 that the map
+    reaches, and no monomial in [0, 6]^size has an image above t^6.
+    """
+    box = product(range(17), repeat=len(kernel.normal))
+    images = (kernel.image(exps, weight) for exps in box)
+    return frozenset(i[1] for i in images if i is not None)
+
+
+def test_rise_and_reach_match_a_scan_of_image():
+    for _, kernel in every_map():
+        for weight in range(11):
+            # each map reaches exactly the powers from its lowest one upward
+            low = -kernel.lowering * weight
+            assert reach(kernel, weight) == set(range(low, low + 17)), (kernel, weight)
+    for (_, near), (_, far), (weight, far_weight) in map_pairs():
+        # the least power of t whose image the far side also reaches
+        powers = [
+            k for k in range(17)
+            if near.image(tuple(k * a for a in near.along), weight)[1]
+            in reach(far, far_weight)
+        ]
+        assert near.rise(weight, far, far_weight) == powers[0], (near, far, weight)
+    smooth = MonomialMap.of(XY, SMOOTH_PAIR.branch("y"))
     for m in range(0, 6):
-        cone_ideal = CONE_MAP.ideal(("u", "v", "w"), m)
+        assert CONE_MAP.rise(m, smooth, 2 * m) == m
+        cone_ideal = CONE_MAP.ideal(("u", "v", "w"), m, smooth, 2 * m)
         assert cone_ideal == MonomialIdeal(("u", "v", "w"), [(0, 1, 0), (0, 0, 1), (m, 0, 0)])
 
 
-def test_monomial_map_refuses_what_ideal_and_exponents_cannot_read():
+def test_monomial_map_ideal_matches_its_image():
+    # near monomials in [0, 6]^size decide membership: rise is at most 5
+    for (variables, near), (_, far), (weight, far_weight) in map_pairs():
+        ideal = near.ideal(variables, weight, far, far_weight)
+        assert ideal.variables == variables
+        reached = reach(far, far_weight)
+        for exps in product(range(7), repeat=len(variables)):
+            image = near.image(exps, weight)
+            reaches = image is None or image[1] in reached
+            assert ideal.member(exps) == reaches, (near, far, weight, far_weight, exps)
+
+
+def test_monomial_map_refuses_what_rise_and_ideal_cannot_read():
     for normal, along in (
         ((-1, 0), (0, 1)),  # a negative normal weight
         ((1, 0), (1, 0)),  # along is not where normal vanishes
