@@ -2,8 +2,12 @@
 
 A polynomial is a finite map from exponent vectors to nonzero rational
 coefficients.  Exponents may be negative, so meromorphic coefficient
-functions such as x^-1*y are first-class values.  Every coefficient is an
-exact ``Fraction``; equality of two polynomials is therefore a decidable,
+functions such as x^-1*y are first-class values.  Every coefficient is
+exact and stored in one canonical form: an ``int`` when it is integral,
+otherwise a ``Fraction`` with denominator > 1.  Since ``Fraction(3) == 3``
+and the two hash and print alike, the form is invisible to equality,
+hashing and printing; it only spares integral coefficients the cost of
+``Fraction`` arithmetic.  Equality of two polynomials is a decidable,
 exact test, which is what the downstream gluing and restriction checks rely
 on.  Nothing is mutated after construction, so values can be shared freely
 between threads.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -66,9 +70,9 @@ def divides(m1: Exponents, m2: Exponents) -> bool:
         raise VariableMismatch(
             f"exponent vectors of lengths {len(m1)} and {len(m2)}"
         )
-    if any(e < 0 for e in m1) or any(e < 0 for e in m2):
+    if min(m1, default=0) < 0 or min(m2, default=0) < 0:
         raise ValueError("divisibility is defined for nonnegative exponents only")
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,24 @@ class AffineExponent:
         return f"{head}{self.offset:+d}"
 
 
-def _exact(value) -> Fraction:
-    """A coefficient as a Fraction; only int and Fraction are exact input."""
-    if type(value) is Fraction:
+Coefficient = int | Fraction
+
+
+def _canon(c: Coefficient) -> Coefficient:
+    """An exact result in canonical form: an integral Fraction becomes its int."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact(value) -> Coefficient:
+    """A coefficient in canonical form; only int and Fraction are exact input."""
+    if type(value) is int:
         return value
+    if type(value) is Fraction:
+        return _canon(value)
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"coefficient {value!r} is not an int or Fraction")
-    return Fraction(value)
+    # bool and other subclasses become plain values
+    return _canon(Fraction(value))
 
 
 def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
@@ -126,8 +141,9 @@ class LaurentPolynomial:
     """Immutable sparse Laurent polynomial over named variables.
 
     The public constructor checks everything it is given and accepts only
-    int and Fraction coefficients; the results of the class's own
-    arithmetic are normalised by construction and skip those checks.
+    int and Fraction coefficients, which it stores in canonical form (see
+    the module docstring); the results of the class's own arithmetic are
+    normalised by construction and skip those checks.
     """
 
     __slots__ = ("_vars", "_terms")
@@ -135,10 +151,10 @@ class LaurentPolynomial:
     def __init__(
         self,
         variables: Iterable[str],
-        terms: Mapping[Exponents, Fraction | int] | None = None,
+        terms: Mapping[Exponents, Coefficient] | None = None,
     ) -> None:
         vars_t = _distinct(variables)
-        stored: dict[Exponents, Fraction] = {}
+        stored: dict[Exponents, Coefficient] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
             if len(key) != len(vars_t):
@@ -153,7 +169,7 @@ class LaurentPolynomial:
             if key in stored:
                 total = stored[key] + c
                 if total:
-                    stored[key] = total
+                    stored[key] = _canon(total)
                 else:
                     del stored[key]
             else:
@@ -163,13 +179,13 @@ class LaurentPolynomial:
 
     @classmethod
     def _trusted(
-        cls, vars_t: tuple[str, ...], terms: dict[Exponents, Fraction]
+        cls, vars_t: tuple[str, ...], terms: dict[Exponents, Coefficient]
     ) -> "LaurentPolynomial":
         """Adopt ``terms`` as they are, without the checks of ``__init__``.
 
         For results of this class's own arithmetic only.  The caller
         guarantees distinct variable names, int-tuple keys of length
-        ``len(vars_t)`` and nonzero ``Fraction`` values, and hands over a
+        ``len(vars_t)`` and nonzero values in canonical form, and hands over a
         dict that nobody mutates afterwards.
         """
         self = object.__new__(cls)
@@ -187,7 +203,7 @@ class LaurentPolynomial:
         return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables: Iterable[str], value: Fraction | int) -> "LaurentPolynomial":
+    def constant(cls, variables: Iterable[str], value: Coefficient) -> "LaurentPolynomial":
         vars_t = tuple(variables)
         return cls(vars_t, {(0,) * len(vars_t): value})
 
@@ -204,7 +220,7 @@ class LaurentPolynomial:
         cls,
         variables: Iterable[str],
         exponents: Mapping[str, int],
-        coeff: Fraction | int = 1,
+        coeff: Coefficient = 1,
     ) -> "LaurentPolynomial":
         vars_t = tuple(variables)
         for name in exponents:
@@ -219,20 +235,20 @@ class LaurentPolynomial:
     def variables(self) -> tuple[str, ...]:
         return self._vars
 
-    def terms(self) -> dict[Exponents, Fraction]:
+    def terms(self) -> dict[Exponents, Coefficient]:
         return dict(self._terms)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, exps: Exponents) -> Fraction:
+    def coefficient(self, exps: Exponents) -> Coefficient:
         key = tuple(exps)
         if len(key) != len(self._vars):
             raise VariableMismatch(
                 f"exponent vector {key} does not fit variables {self._vars}"
             )
-        return self._terms.get(key, Fraction(0))
+        return self._terms.get(key, 0)
 
     def low_degree_in(self, var: str) -> int | None:
         i = self._index(var)
@@ -272,7 +288,7 @@ class LaurentPolynomial:
             if exps in out:
                 total = out[exps] + c
                 if total:
-                    out[exps] = total
+                    out[exps] = _canon(total)
                 else:
                     del out[exps]
             else:
@@ -305,7 +321,7 @@ class LaurentPolynomial:
             if other == 0:
                 return LaurentPolynomial._trusted(self._vars, {})
             return LaurentPolynomial._trusted(
-                self._vars, {e: v * other for e, v in self._terms.items()}
+                self._vars, {e: _canon(v * other) for e, v in self._terms.items()}
             )
         rhs = self._coerce(other)
         if rhs is None:
@@ -316,7 +332,7 @@ class LaurentPolynomial:
         if len(small._terms) == 1:
             ((exps, k),) = small._terms.items()
             return big.shift(exps, k)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in rhs._terms.items():
                 key = tuple(map(add, e1, e2))
@@ -325,12 +341,12 @@ class LaurentPolynomial:
                 else:
                     out[key] = c1 * c2
         return LaurentPolynomial._trusted(
-            self._vars, {e: c for e, c in out.items() if c}
+            self._vars, {e: _canon(c) for e, c in out.items() if c}
         )
 
     __rmul__ = __mul__
 
-    def shift(self, exps: Exponents, coeff: Fraction | int = 1) -> "LaurentPolynomial":
+    def shift(self, exps: Exponents, coeff: Coefficient = 1) -> "LaurentPolynomial":
         """The product with ``coeff`` times the monomial of exponents ``exps``.
 
         Adding a fixed exponent vector is injective, so nothing is summed or
@@ -347,7 +363,7 @@ class LaurentPolynomial:
         if k == 1:
             shifted = {tuple(map(add, e, exps)): c for e, c in terms}
         else:
-            shifted = {tuple(map(add, e, exps)): c * k for e, c in terms}
+            shifted = {tuple(map(add, e, exps)): _canon(c * k) for e, c in terms}
         return LaurentPolynomial._trusted(self._vars, shifted)
 
     # -- chart operations --------------------------------------------------
@@ -361,7 +377,7 @@ class LaurentPolynomial:
         """
         i = self._index(var)
         new_vars = self._vars[:i] + self._vars[i + 1 :]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self._terms.items():
             e = exps[i]
             if e < 0:
@@ -410,7 +426,7 @@ class LaurentPolynomial:
             aligned.append(
                 [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
             )
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self._terms.items():
             vec = [0] * len(new_vars)
             for e, ivec in zip(exps, aligned):
@@ -424,7 +440,7 @@ class LaurentPolynomial:
             else:
                 out[key] = c
         return LaurentPolynomial._trusted(
-            new_vars, {e: c for e, c in out.items() if c}
+            new_vars, {e: _canon(c) for e, c in out.items() if c}
         )
 
     # -- equality, hashing, printing ----------------------------------------

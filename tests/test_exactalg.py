@@ -194,7 +194,8 @@ def test_inexact_coefficients_rejected():
 def test_coefficient_checks_exponent_length():
     p = poly("3*x*y + 1")
     assert p.coefficient((1, 1)) == 3
-    assert p.coefficient((2, 0)) == 0
+    missing = p.coefficient((2, 0))
+    assert missing == 0 and type(missing) is int
     with pytest.raises(VariableMismatch):
         p.coefficient((1,))
     with pytest.raises(VariableMismatch):
@@ -227,6 +228,53 @@ def test_values_are_frozen_and_hash_by_value():
         assert hash(value) == hash(twin)
 
 
+# -- canonical coefficient form -----------------------------------------------
+
+
+def test_constructor_stores_integral_coefficients_as_int():
+    p = LaurentPolynomial(
+        XY, {(1, 0): Fraction(4, 2), (0, 1): True, (0, 0): Fraction(1, 3)}
+    )
+    assert_normalised(p)
+    assert p.terms() == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(1, 3)}
+    # two keys that name the same exponent vector are summed
+    half = Fraction(1, 2)
+    halves = LaurentPolynomial(("x",), {(1,): half, range(1, 2): half})
+    assert_normalised(halves)
+    assert halves.terms() == {(1,): 1}
+
+
+def test_integral_results_of_fractions_are_stored_as_int():
+    half = poly("3/2*x + 1/2*y")
+    results = {
+        "scalar": (half * Fraction(2, 3), {(1, 0): 1, (0, 1): Fraction(1, 3)}),
+        "mul": (
+            half * poly("2/3*x + 2*y"),
+            {(2, 0): 1, (1, 1): Fraction(10, 3), (0, 2): 1},
+        ),
+        "shift": (
+            half.shift((0, 1), Fraction(2, 3)),
+            {(1, 1): 1, (0, 2): Fraction(1, 3)},
+        ),
+        "add": (half + poly("1/2*x + 1/2*y"), {(1, 0): 2, (0, 1): 1}),
+        "substitute": (
+            half.substitute_monomials(("s",), {"x": {"s": 1}, "y": {"s": 1}}),
+            {(1,): 2},
+        ),
+    }
+    for name, (got, terms) in results.items():
+        assert_normalised(got)
+        assert got.terms() == terms, name
+
+
+def test_coefficient_form_is_invisible():
+    as_fraction = LaurentPolynomial(XY, {(1, 0): Fraction(3), (0, -1): Fraction(-1)})
+    as_int = LaurentPolynomial(XY, {(1, 0): 3, (0, -1): -1})
+    assert as_fraction == as_int == poly("3*x - y^-1")
+    assert hash(as_fraction) == hash(as_int)
+    assert str(as_fraction) == str(as_int) == "3*x - y^-1"
+
+
 # -- trusted term path against a slow oracle -----------------------------------
 #
 # The arithmetic hands its results to LaurentPolynomial._trusted, which skips
@@ -242,7 +290,9 @@ def assert_normalised(p: LaurentPolynomial) -> None:
     for exps, c in p._terms.items():
         assert type(exps) is tuple and len(exps) == len(p.variables)
         assert all(type(e) is int for e in exps)
-        assert type(c) is Fraction and c != 0
+        # canonical form: an int, or a Fraction that is not integral
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert c != 0
 
 
 def dense_poly(rng: Random, variables, max_terms=5) -> LaurentPolynomial:

@@ -233,6 +233,17 @@ def test_poly_gcd():
     assert poly_gcd((), ()) == ()
 
 
+def test_integer_coefficients_divide_exactly():
+    # LaurentPolynomial stores integral coefficients as int; the divisions
+    # downstream of it must still be exact, never float
+    curve = branch_curve("x^6 + 2*y^6")
+    assert [type(c) for c in curve.coeffs] == [Fraction] * 7
+    assert curve.coeffs == (1, 0, 0, 0, 0, 0, 2)
+    gcd = poly_gcd((1, 0, -1), (-1, 1))
+    assert gcd == (-1, 1)
+    assert [type(c) for c in gcd] == [Fraction, Fraction]
+
+
 def test_squarefree_edge_cases():
     # odd-degree forms are rejected at construction
     with pytest.raises(ValueError):
