@@ -36,8 +36,8 @@ from .conecalc import (
     restrict_cone_log_frame,
     glued_pole_bound,
 )
-from .exactalg import (AffineExponent, LaurentPolynomial, ParseError, Tokens,
-                       monomial_str, parse_polynomial)
+from .exactalg import (AffineExponent, Exponents, LaurentPolynomial, ParseError,
+                       Tokens, monomial_str, parse_polynomial)
 from .geomcheck import (
     ECCurve,
     INFINITY,
@@ -319,34 +319,33 @@ def _suite_gluing_ideal(max_degree: int) -> list[CheckRecord]:
     return records
 
 
-def _nc_monomial_section(m: int, a: int, b: int) -> PluriSection:
-    coeff = LaurentPolynomial.monomial(NC_PAIR.variables, {"x": a, "y": b})
-    return PluriSection(NC_PAIR, m, coeff)
+def _labelled_section(m: int, monomials: list[Exponents]) -> PluriSection:
+    """The weight-m nc section with the distinct coefficients 1, 2, ...
+
+    Restriction to a leg of ``SIGMA`` sends distinct surviving monomials to
+    distinct powers of t (see ``obstructions``), so no two terms merge or
+    cancel: the sum has partners iff every monomial has them, and the glue
+    identity, being linear, holds on the sum iff it holds term by term.
+    """
+    labels = {exps: i for i, exps in enumerate(monomials, 1)}
+    return PluriSection(NC_PAIR, m, LaurentPolynomial(NC_PAIR.variables, labels))
 
 
 def _suite_glue_check(max_degree: int) -> list[CheckRecord]:
     records = []
     for m in range(1, max_degree + 1):
         ideal = gluing_ideal(m)
-        members_ok = True
-        for exps in sorted(ideal.generators):
-            section = _nc_monomial_section(m, *exps)
-            partners = partner_sections(section)
-            if partners is None or not glues(section, *partners):
-                members_ok = False
+        members = _labelled_section(m, sorted(ideal.generators))
+        partners = partner_sections(members)
+        members_ok = glues(members, *partners) if partners is not None else next(
+            (f"{monomial_str(NC_PAIR.variables, exps)} has no partners"
+             for exps in sorted(obstructions(members))), False)
         records.append(_check(f"glue/m={m}/members-glue", True, members_ok))
-        # the whole staircase as one section; its coefficients are distinct,
-        # so obstructions cannot read one term back as another
         staircase = ideal.staircase()
-        coeff = LaurentPolynomial(
-            NC_PAIR.variables, {exps: i for i, exps in enumerate(staircase, 1)}
-        )
-        rejected = obstructions(PluriSection(NC_PAIR, m, coeff))
+        rejected = obstructions(_labelled_section(m, staircase))
         rejected_ok = rejected == frozenset(staircase) or next(
             (f"{monomial_str(NC_PAIR.variables, exps)} has partners"
-             for exps in staircase if exps not in rejected),
-            False,
-        )
+             for exps in staircase if exps not in rejected), False)
         records.append(_check(f"glue/m={m}/non-members-rejected", True, rejected_ok))
     return records
 

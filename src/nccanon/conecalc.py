@@ -168,8 +168,7 @@ def _even_substitute(poly_s: LaurentPolynomial, target: str) -> LaurentPolynomia
         if e % 2 != 0:
             raise ValueError(f"odd exponent {e} cannot descend to the curve")
         out[(e // 2,)] = c
-    # halving even exponents is injective and keeps every coefficient
-    return LaurentPolynomial._trusted((target,), out)
+    return LaurentPolynomial((target,), out)
 
 
 def restrict_cone(section: ConeSection) -> BranchRestriction:

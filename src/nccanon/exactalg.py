@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, le
 from typing import Iterable, Mapping, Sequence
 
@@ -258,7 +259,7 @@ class LaurentPolynomial:
 
     def is_polynomial(self) -> bool:
         """True iff no term carries a negative exponent."""
-        return all(all(e >= 0 for e in exps) for exps in self._terms)
+        return min(chain.from_iterable(self._terms), default=0) >= 0
 
     def _index(self, var: str) -> int:
         try:

@@ -363,7 +363,7 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
     Raises AssertionError if a read-back coefficient is not the section's
     own, so a merged term fails instead of passing.
     """
-    m = section_nc.weight
+    m, own = section_nc.weight, section_nc.coeff.terms()
     found = set()
     for leg, (nc_map, _) in zip(SIGMA, _LEG_MAPS):
         on_nc = restrict(section_nc, leg.nc.zero_var)
@@ -372,7 +372,7 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
             if k >= 0:
                 continue
             exps = tuple(a * (k + nc_map.lowering * m) for a in nc_map.along)
-            if c != sign * section_nc.coeff.coefficient(exps):
+            if c != sign * own.get(exps, 0):
                 raise AssertionError(
                     f"t^{k} on branch ({leg.nc.zero_var}=0) is not the term {exps}"
                 )

@@ -369,6 +369,36 @@ def test_glue_check_fails_and_names_what_obstructions_misses(monkeypatch):
                 assert (row.verdict, row.computed) == ("pass", "True")
 
 
+def test_glue_check_names_a_member_without_partners(monkeypatch):
+    import nccanon.cli as cli
+
+    # y^(m-1) has a pole on the leg (x=0) for m >= 2, and is y^m's divisor
+    real = cli.gluing_ideal
+    monkeypatch.setattr(cli, "gluing_ideal", lambda m: MonomialIdeal(
+        NC_PAIR.variables, real(m).generators | ({(0, m - 1)} if m >= 2 else set())))
+    rows = {r.name: r for r in cli._suite_glue_check(5)}
+    assert rows["glue/m=1/members-glue"].verdict == "pass"
+    for m in range(2, 6):
+        row = rows[f"glue/m={m}/members-glue"]
+        named = "y" if m == 2 else f"y^{m - 1}"
+        assert (row.verdict, row.computed) == ("fail", f"{named} has no partners")
+
+
+def test_glue_check_fails_when_a_partner_does_not_glue(monkeypatch):
+    import nccanon.cli as cli
+
+    real = cli.partner_sections
+
+    def negated_first(section):
+        first, *rest = real(section)
+        return (PluriSection(first.model, first.weight, -first.coeff), *rest)
+
+    monkeypatch.setattr(cli, "partner_sections", negated_first)
+    rows = [r for r in cli._suite_glue_check(5) if r.name.endswith("/members-glue")]
+    assert len(rows) == 5
+    assert {(r.verdict, r.computed) for r in rows} == {("fail", "False")}
+
+
 # -- embedding of the triple point ------------------------------------------------
 
 
