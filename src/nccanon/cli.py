@@ -156,6 +156,8 @@ def parse_family(src: str) -> GradedMonomialFamily:
         for name, exp in template.items():
             if exp == AffineExponent(0, 0):
                 raise FamilyParseError(f"exponent of {name} is identically 0", start)
+            if exp.at(1) < 0:
+                raise FamilyParseError(f"exponent {exp} is negative at m=1", start)
         templates.append(template)
         if not cur.accept(","):
             break
@@ -165,10 +167,7 @@ def parse_family(src: str) -> GradedMonomialFamily:
     rows = tuple(
         tuple(t.get(v, AffineExponent(0, 0)) for v in variables) for t in templates
     )
-    try:
-        return GradedMonomialFamily(variables, rows)
-    except ValueError as exc:
-        raise FamilyParseError(str(exc), 0) from exc
+    return GradedMonomialFamily(variables, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,7 @@ class ConeElement:
         return self + (-other)
 
     def __mul__(self, other: "ConeElement") -> "ConeElement":
-        # validating on purpose: bench/workloads.py reads a zero
-        # exactalg.construct.calls on sections-dense as an unbound wrapper
-        uv = LaurentPolynomial.monomial(_UV, {"u": 1, "v": 1})
-        c0 = self.c0 * other.c0 + uv * (self.c1 * other.c1)
+        c0 = self.c0 * other.c0 + (self.c1 * other.c1).shift((1, 1))
         c1 = self.c0 * other.c1 + self.c1 * other.c0
         return ConeElement(c0, c1)
 

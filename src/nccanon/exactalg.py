@@ -126,8 +126,11 @@ def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
     return vars_t
 
 
-def monomial_str(variables: Sequence[str], exps: Exponents) -> str:
-    """The monomial as factors ``v`` or ``v^e`` joined by ``*``, or ``1``."""
+def monomial_str(variables: Sequence[str], exps: Sequence[int | AffineExponent]) -> str:
+    """The monomial as factors ``v`` or ``v^e`` joined by ``*``, or ``1``.
+
+    An ``AffineExponent`` compares unequal to 0 and 1, so it prints as ``v^e``.
+    """
     factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e != 0]
     return "*".join(factors) if factors else "1"
 

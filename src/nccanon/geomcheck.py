@@ -268,20 +268,16 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _poly_divmod(
+def _poly_rem(
     num: tuple[Fraction, ...], den: tuple[Fraction, ...]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
+) -> tuple[Fraction, ...]:
     rem = list(num)
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
         factor = rem[k + len(den) - 1] / lead
-        quot[k] = factor
         for i, d in enumerate(den):
             rem[k + i] -= factor * d
-    return _trim(quot), _trim(rem)
+    return _trim(rem)
 
 
 def poly_gcd(
@@ -294,8 +290,7 @@ def poly_gcd(
     a = _trim([Fraction(c) for c in p])
     b = _trim([Fraction(c) for c in q])
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+        a, b = b, _poly_rem(a, b)
     if not a:
         return ()
     lead = a[-1]

@@ -22,9 +22,10 @@ contributes only its endpoint product.  On a mixed-sign line, each endpoint
 product divides the points of one integer interval of a, computed by exact
 floor and ceiling division; only the points in the gaps between those
 intervals become candidates.  The brute-force oracle shares none of this:
-it scans a degree box, and from weight 2*stable on (``stable`` is where its
-degree-pruned instances stop changing) it answers with the table of weight
-2*stable, computed once.
+it judges each raw instance of weight m and degree <= its cap against the
+other instances and every pair product, and from weight 2*stable on
+(``stable`` is where its degree-pruned instances stop changing) it answers
+with the table of weight 2*stable, computed once.
 
 Everything here is immutable and pure; per-degree computations are
 independent of one another, and the oracle's memo only saves recomputation.
@@ -180,18 +181,10 @@ class GradedMonomialFamily:
         return MonomialIdeal(self.variables, gens)
 
     def __str__(self) -> str:
-        rendered = []
-        for row in self.templates:
-            factors = []
-            for v, ae in zip(self.variables, row):
-                if ae.slope == 0 and ae.offset == 0:
-                    continue
-                if ae.slope == 0 and ae.offset == 1:
-                    factors.append(v)
-                else:
-                    factors.append(f"{v}^{ae}")
-            rendered.append("*".join(factors) if factors else "1")
-        return ", ".join(rendered)
+        return ", ".join(
+            monomial_str(self.variables, [ae.offset if ae.slope == 0 else ae for ae in row])
+            for row in self.templates
+        )
 
 
 def _lines(
@@ -331,25 +324,31 @@ def brute_force_new_generators(
 ) -> frozenset[Exponents]:
     """Slow independent oracle for ``rees_report`` rows, capped by total degree.
 
-    Enumerates every monomial of total degree <= degree_bound, decides
-    membership in I_m and in J_m by direct divisibility against raw
-    template instantiations (no minimalization, no shared ideal code), and
-    returns the divisibility-minimal elements of the difference.  Those are
-    exactly the minimal generators of I_m outside J_m, as far as the degree
-    cap can see.
+    Judges the raw template instances of weight m directly, by exact
+    divisibility against each other and against the pair products
+    s(a) + t(m-a) (no minimalization, no shared ideal code): an instance
+    of total degree <= degree_bound is new iff no other instance and no
+    pair product divides it.  Those are exactly the minimal generators of
+    I_m outside J_m, as far as the degree cap can see.  Let D be the
+    monomials of degree <= bound in I_m but not in J_m.  A minimal element
+    x of D is a multiple of some minimal generator g of I_m; deg g <= deg x
+    <= bound, and g is not in J_m since J_m is an ideal and x is not in it,
+    so g lies in D and minimality gives g = x.  Conversely a minimal
+    generator of I_m in D is minimal in D, since D lies in I_m.
 
     Exponents are nonnegative, so an instance or pair product of total
-    degree above the bound divides no monomial of the box and is dropped.
-    A template of total slope sigma > 0 and total offset tau has degree
-    sigma*k + tau, above the bound for every k >= (bound - tau) // sigma + 1;
-    slopes are nonnegative, so a template of total slope 0 is the same
-    monomial at every k.  From ``stable``, the largest of these thresholds
-    and at least 1, the kept instances no longer change, so weight k stands
-    in for min(k, stable) and each distinct pair of such weights is
-    multiplied once.  For m >= 2*stable those pairs are (a, stable),
-    (stable, b) with a, b < stable and (stable, stable), and I_m stands in
-    for I_stable, so the answer is that of weight min(m, 2*stable); it is
-    computed once per family, clamped weight and degree bound.
+    degree above the bound divides no monomial of degree <= bound and is
+    dropped.  A template of total slope sigma > 0 and total offset tau has
+    degree sigma*k + tau, above the bound for every
+    k >= (bound - tau) // sigma + 1; slopes are nonnegative, so a template
+    of total slope 0 is the same monomial at every k.  From ``stable``, the
+    largest of these thresholds and at least 1, the kept instances no
+    longer change, so weight k stands in for min(k, stable) and each
+    distinct pair of such weights is multiplied once.  For m >= 2*stable
+    those pairs are (a, stable), (stable, b) with a, b < stable and
+    (stable, stable), and I_m stands in for I_stable, so the answer is that
+    of weight min(m, 2*stable); it is computed once per family, clamped
+    weight and degree bound.
     """
     if m < 1:
         raise ValueError(f"weight m={m} must be >= 1")
@@ -369,8 +368,14 @@ def brute_force_new_generators(
 def _clamped_oracle(
     family: GradedMonomialFamily, m: int, degree_bound: int, stable: int
 ) -> frozenset[Exponents]:
-    """``brute_force_new_generators`` at a weight m <= 2*stable."""
-    nvars = len(family.variables)
+    """``brute_force_new_generators`` at a weight m <= 2*stable.
+
+    A kept instance of weight min(m, stable) is reported iff no other kept
+    instance and no kept pair product divides it: by the argument there,
+    these are the minimal elements of (I_m minus J_m) in degree <= bound,
+    and a divisor of an instance has degree at most its degree, so the
+    dropped instances and products could divide none of them.
+    """
 
     def kept(k: int) -> list[Exponents]:
         insts = [tuple(ae.at(k) for ae in row) for row in family.templates]
@@ -378,19 +383,6 @@ def _clamped_oracle(
 
     def div(g: Exponents, x: Exponents) -> bool:
         return all(a <= b for a, b in zip(g, x))
-
-    def box(bound: int) -> list[Exponents]:
-        monos: list[Exponents] = []
-
-        def rec(prefix: tuple[int, ...], left: int) -> None:
-            if len(prefix) == nvars:
-                monos.append(prefix)
-                return
-            for e in range(left + 1):
-                rec(prefix + (e,), left - e)
-
-        rec((), bound)
-        return monos
 
     # weight stable stands for every k >= stable
     raws = {k: kept(k) for k in range(1, min(m, stable) + 1)}
@@ -403,12 +395,10 @@ def _clamped_oracle(
         if sum(g) + sum(h) <= degree_bound
     }
 
-    difference = set()
-    for mono in box(degree_bound):
-        if any(div(g, mono) for g in raws[min(m, stable)]) and not any(
-            div(p, mono) for p in pair_products
-        ):
-            difference.add(mono)
+    instances = raws[min(m, stable)]
     return frozenset(
-        x for x in difference if not any(y != x and div(y, x) for y in difference)
+        g
+        for g in instances
+        if not any(h != g and div(h, g) for h in instances)
+        and not any(div(p, g) for p in pair_products)
     )

@@ -51,6 +51,10 @@ def test_parse_family_grammar():
 def test_parse_family_errors():
     with pytest.raises(FamilyParseError):
         parse_family("x^(m-2)")  # negative at m=1
+    # the position is that of the template holding the negative exponent
+    with pytest.raises(FamilyParseError, match=r"^exponent m-2 is negative at m=1") as exc:
+        parse_family("x*y, x^(m-2)")
+    assert exc.value.pos == 5
     with pytest.raises(FamilyParseError):
         parse_family("")
     with pytest.raises(FamilyParseError):

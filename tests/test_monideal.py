@@ -360,8 +360,10 @@ def test_ideal_str():
 
 
 def unpruned_oracle(family, m, degree_bound):
-    """The brute-force oracle as it was before degree pruning: every raw pair
-    product of lower weights is tested against every monomial of the box."""
+    """The minimal elements of I_m minus J_m in degree <= degree_bound, from
+    the definition: every monomial of the box is tested against every raw
+    instance of weight m and every raw pair product of lower weights, with
+    no degree pruning and no clamped weight."""
     nvars = len(family.variables)
 
     def raw(k):
@@ -411,10 +413,14 @@ def tail_start(family, degree_bound):
 @pytest.mark.parametrize(
     "src",
     # large offset, slope above 1, constant templates only
-    ORACLE_FAMILIES + ("x^(m+5)", "x^(2*m)*y", "x*y, y^2"),
+    ORACLE_FAMILIES + ("x^(m+5)", "x^(2*m)*y", "x*y, y^2")
+    # instances that coincide, at m = 2 and at every weight
+    + ("x^m, x^2", "x*y, x*y")
+    # an int is the seed of a random family
+    + tuple(pytest.param(seed, id=f"random-{seed}") for seed in range(8)),
 )
 def test_pruned_oracle_matches_unpruned(src):
-    family = parse_family(src)
+    family = random_family(Random(src)) if isinstance(src, int) else parse_family(src)
     for degree_bound in (4, 6, 8):
         # past 2 * stable every a in the middle gives the pair (stable, stable),
         # and the oracle answers with its weight-(2 * stable) table
