@@ -195,7 +195,10 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     uw_vars = ("u", "w")
     body = section.coeff.c0.substitute_monomials(uw_vars, images)
     body = body + section.coeff.c1.substitute_monomials(uw_vars, images).shift((0, 1))
-    along = body.shift((-m, 0)).restrict_var("w")
+    # w = 0 before the u^-m shift: the shift leaves every w-exponent as it
+    # is, so a pole in w still raises and the same terms survive, and the
+    # shift then touches only those terms
+    along = body.restrict_var("w").shift((-m,))
     # the residue sign of (-du)^{2m} is +1: the weight is even
     return BranchRestriction("u", section.weight, along)
 

@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import add, le
 from typing import Iterable, Mapping, Sequence
 
@@ -119,6 +120,20 @@ def _exact(value) -> Coefficient:
     return _canon(Fraction(value))
 
 
+def _over_common_denominator(
+    terms: dict[Exponents, Coefficient],
+) -> tuple[dict[Exponents, int], int]:
+    """The coefficients as int numerators over the lcm d of their denominators.
+
+    Returns ``(numerators, d)``.  In canonical form d = 1 means every value
+    is an int, so such ``terms`` come back as they are.
+    """
+    d = lcm(*[c.denominator for c in terms.values()])
+    if d == 1:
+        return terms, 1
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
 def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
     vars_t = tuple(variables)
     if len(set(vars_t)) != len(vars_t):
@@ -165,8 +180,11 @@ class LaurentPolynomial:
                 raise VariableMismatch(
                     f"exponent vector {key} does not fit variables {vars_t}"
                 )
-            if not all(isinstance(e, int) for e in key):
-                raise ValueError(f"non-integer exponent in {key}")
+            if not all(type(e) is int for e in key):
+                if not all(isinstance(e, int) for e in key):
+                    raise ValueError(f"non-integer exponent in {key}")
+                # bool and other subclasses become plain ints
+                key = tuple(map(int, key))
             c = _exact(coeff)
             if not c:
                 continue
@@ -319,6 +337,16 @@ class LaurentPolynomial:
         return rhs + (-self)
 
     def __mul__(self, other) -> "LaurentPolynomial":
+        """The product with a polynomial or an exact scalar.
+
+        A scalar scales every coefficient, and a one-term factor is a
+        ``shift``.  Otherwise each factor's coefficients are written as int
+        numerators over the lcm of that factor's denominators (1 for an
+        all-int factor); the pair products are summed as ints, and each
+        nonzero sum is divided once by the product of the two denominators,
+        giving an int when the division is exact and a reduced ``Fraction``
+        otherwise.
+        """
         if isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
@@ -336,17 +364,22 @@ class LaurentPolynomial:
         if len(small._terms) == 1:
             ((exps, k),) = small._terms.items()
             return big.shift(exps, k)
-        out: dict[Exponents, Coefficient] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs._terms.items():
+        nums1, d1 = _over_common_denominator(self._terms)
+        nums2, d2 = _over_common_denominator(rhs._terms)
+        out: dict[Exponents, int] = {}
+        for e1, n1 in nums1.items():
+            for e2, n2 in nums2.items():
                 key = tuple(map(add, e1, e2))
                 if key in out:
-                    out[key] += c1 * c2
+                    out[key] += n1 * n2
                 else:
-                    out[key] = c1 * c2
-        return LaurentPolynomial._trusted(
-            self._vars, {e: _canon(c) for e, c in out.items() if c}
-        )
+                    out[key] = n1 * n2
+        d = d1 * d2
+        if d == 1:
+            terms = {e: n for e, n in out.items() if n}
+        else:
+            terms = {e: _canon(Fraction(n, d)) for e, n in out.items() if n}
+        return LaurentPolynomial._trusted(self._vars, terms)
 
     __rmul__ = __mul__
 
@@ -412,8 +445,17 @@ class LaurentPolynomial:
         ``images`` maps each current variable to the exponents of its image
         monomial over the new variable list.  Monomial images keep negative
         exponents meaningful, which is what the chart-to-chart coordinate
-        changes need (e.g. u -> s^2 or v -> u^-1*w^2).
+        changes need (e.g. u -> s^2 or v -> u^-1*w^2).  A key of ``images``
+        that is not a variable of the polynomial raises ``UnknownVariable``.
+
+        Coefficients are summed, and the sums re-canonicalized and filtered
+        for zeros, only when two terms land on the same image exponents; an
+        injective substitution passes its canonical nonzero values through
+        as they are.
         """
+        for name in images:
+            if name not in self._vars:
+                raise UnknownVariable(f"{name!r} not among {self._vars}")
         new_vars = _distinct(variables)
         # per current variable: the nonzero entries (position, exponent) of
         # its image monomial over new_vars
@@ -431,6 +473,7 @@ class LaurentPolynomial:
                 [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
             )
         out: dict[Exponents, Coefficient] = {}
+        collided = False
         for exps, c in self._terms.items():
             vec = [0] * len(new_vars)
             for e, ivec in zip(exps, aligned):
@@ -441,11 +484,12 @@ class LaurentPolynomial:
             key = tuple(vec)
             if key in out:
                 out[key] += c
+                collided = True
             else:
                 out[key] = c
-        return LaurentPolynomial._trusted(
-            new_vars, {e: _canon(c) for e, c in out.items() if c}
-        )
+        if collided:
+            out = {e: _canon(c) for e, c in out.items() if c}
+        return LaurentPolynomial._trusted(new_vars, out)
 
     # -- equality, hashing, printing ----------------------------------------
 

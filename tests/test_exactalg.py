@@ -145,6 +145,9 @@ def test_substitute_monomials():
     assert laurent == LaurentPolynomial.monomial(("u", "w"), {"u": -1, "w": 2})
     with pytest.raises(ValueError):
         q.substitute_monomials(("u", "w"), {"u": {"u": 0.5}, "v": {}})
+    # an image for a name that is no variable of q is a mistake, as in rename
+    with pytest.raises(UnknownVariable, match="'z'"):
+        q.substitute_monomials(("u", "w"), {"u": {"u": 1}, "v": {}, "z": {"w": 1}})
 
 
 def test_substitute_monomials_is_ring_morphism():
@@ -242,6 +245,10 @@ def test_constructor_stores_integral_coefficients_as_int():
     halves = LaurentPolynomial(("x",), {(1,): half, range(1, 2): half})
     assert_normalised(halves)
     assert halves.terms() == {(1,): 1}
+    # bool exponents, like bool coefficients, become plain ints
+    flags = LaurentPolynomial(XY, {(True, False): True})
+    assert_normalised(flags)
+    assert flags.terms() == {(1, 0): 1}
 
 
 def test_integral_results_of_fractions_are_stored_as_int():
@@ -295,14 +302,44 @@ def assert_normalised(p: LaurentPolynomial) -> None:
         assert c != 0
 
 
-def dense_poly(rng: Random, variables, max_terms=5) -> LaurentPolynomial:
+def small_coeff(rng: Random):
+    return rng.choice([1, -1, Fraction(rng.randint(-4, 4), rng.randint(1, 4))])
+
+
+# coprime denominators, and one above 2^64 (the Mersenne prime 2^89 - 1), so a
+# product needs both factors' denominators
+WIDE_DENOMINATORS = (7, 11, 13, 2**89 - 1)
+
+
+def wide_coeff(rng: Random):
+    if rng.random() < 0.3:
+        return rng.choice([1, -1, 2, -5])
+    numerator = rng.choice([-1, 1]) * rng.randint(1, 30)
+    return Fraction(numerator, rng.choice(WIDE_DENOMINATORS))
+
+
+def dense_poly(
+    rng: Random, variables, max_terms=5, coeff=small_coeff
+) -> LaurentPolynomial:
     # exponents in [-3, 3] and at most five terms keep collisions frequent
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
         exps = tuple(rng.randint(-3, 3) for _ in variables)
-        small = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        terms[exps] = rng.choice([1, -1, small])
+        terms[exps] = coeff(rng)
     return LaurentPolynomial(variables, terms)
+
+
+def cancelling_pair(rng: Random, variables, middle):
+    """f = a*M1 + b*M2 and g = c*M1*S + d*M2*S, with d chosen so that the
+    coefficient a*d + b*c of M1*M2*S in f*g is ``middle``."""
+    m1, m2 = rng.sample(range(-3, 4), 2)
+    s = rng.randint(-2, 2)
+    a, b, c = (wide_coeff(rng) for _ in range(3))
+    d = Fraction(middle - b * c) / a
+    mono = lambda e: (e,) + (0,) * (len(variables) - 1)
+    f = LaurentPolynomial(variables, {mono(m1): a, mono(m2): b})
+    g = LaurentPolynomial(variables, {mono(m1 + s): c, mono(m2 + s): d})
+    return f, g
 
 
 def oracle_map(p, variables, key=lambda e: e, scale=1):
@@ -360,10 +397,17 @@ def random_images(rng: Random, variables, new_vars):
 
 def test_trusted_path_matches_oracle():
     rng = Random(23)
+    # the wide draw (own stream): coprime and huge denominators, int and
+    # Fraction factors mixed, products cancelling to 0 and to integers
+    wide = Random(41)
     restricted = 0
     for _ in range(400):
         variables = VARS[: rng.randint(1, 3)]
         p, q = dense_poly(rng, variables), dense_poly(rng, variables)
+        pw, qw = (dense_poly(wide, variables, coeff=wide_coeff) for _ in range(2))
+        ints = dense_poly(wide, variables, coeff=lambda r: r.choice([-3, -1, 1, 2, 7]))
+        f0, g0 = cancelling_pair(wide, variables, 0)
+        fk, gk = cancelling_pair(wide, variables, wide.choice([-2, 1, 5]))
         mono = LaurentPolynomial.monomial(
             variables,
             {v: rng.randint(-3, 3) for v in variables},
@@ -377,6 +421,10 @@ def test_trusted_path_matches_oracle():
             "sub": (p - q, oracle_add(p, oracle_map(q, variables, scale=-1))),
             "mul": (p * q, oracle_mul(p, q)),
             "mul-monomial": (mono * p, oracle_mul(mono, p)),
+            "mul-wide": (pw * qw, oracle_mul(pw, qw)),
+            "mul-mixed": (pw * ints, oracle_mul(pw, ints)),
+            "mul-to-0": (f0 * g0, oracle_mul(f0, g0)),
+            "mul-to-int": (fk * gk, oracle_mul(fk, gk)),
             "scalar": (p * scalar, oracle_map(p, variables, scale=scalar)),
             "rscalar": (scalar * p, oracle_map(p, variables, scale=scalar)),
             "cancel-add": (p + (-p), zero),
