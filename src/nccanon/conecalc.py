@@ -116,7 +116,7 @@ class ChartElement:
     def __post_init__(self) -> None:
         if self.poly.variables != _ST:
             raise ValueError("chart elements live over the variables (s, t)")
-        for exps in self.poly.terms():
+        for exps in self.poly.support():
             if sum(exps) % 2 != 0:
                 raise ValueError(
                     f"term with exponents {exps} is not (-1,-1)-invariant"

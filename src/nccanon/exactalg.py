@@ -3,14 +3,19 @@
 A polynomial is a finite map from exponent vectors to nonzero rational
 coefficients.  Exponents may be negative, so meromorphic coefficient
 functions such as x^-1*y are first-class values.  Every coefficient is
-exact and stored in one canonical form: an ``int`` when it is integral,
-otherwise a ``Fraction`` with denominator > 1.  Since ``Fraction(3) == 3``
-and the two hash and print alike, the form is invisible to equality,
-hashing and printing; it only spares integral coefficients the cost of
-``Fraction`` arithmetic.  Equality of two polynomials is a decidable,
-exact test, which is what the downstream gluing and restriction checks rely
-on.  Nothing is mutated after construction, so values can be shared freely
-between threads.
+exact.  The map is stored as nonzero ``int`` numerators over one common
+denominator d >= 1, so integral polynomials (d = 1) never touch
+``Fraction`` and rational ones pay for one gcd per result instead of one
+per term: products, sums and scalings divide out the gcd of d and the
+numerators, while restriction, renaming, shifting by an integral unit and
+collision-free substitution keep d as it is, so d is *a* common
+denominator, not always the least.  The storage is invisible: ``terms()``,
+``coefficient()`` and printing give each value as an ``int`` when it is
+integral and as a reduced ``Fraction`` otherwise, equality compares values
+exactly, and equal values hash alike (a constant like the number it
+equals).  Equality of two polynomials is a decidable, exact test, which is
+what the downstream gluing and restriction checks rely on.  Nothing is
+mutated after construction, so values can be shared freely between threads.
 
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
@@ -33,9 +38,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import add, le
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -103,35 +108,31 @@ class AffineExponent:
 Coefficient = int | Fraction
 
 
-def _canon(c: Coefficient) -> Coefficient:
-    """An exact result in canonical form: an integral Fraction becomes its int."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _exact(value) -> Coefficient:
-    """A coefficient in canonical form; only int and Fraction are exact input."""
+    """A coefficient as an int when integral, else as a Fraction; only int
+    and Fraction are exact input."""
     if type(value) is int:
         return value
-    if type(value) is Fraction:
-        return _canon(value)
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"coefficient {value!r} is not an int or Fraction")
-    # bool and other subclasses become plain values
-    return _canon(Fraction(value))
+    if type(value) is not Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"coefficient {value!r} is not an int or Fraction")
+        # bool and other subclasses become plain values
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def _over_common_denominator(
-    terms: dict[Exponents, Coefficient],
-) -> tuple[dict[Exponents, int], int]:
-    """The coefficients as int numerators over the lcm d of their denominators.
+def _value(n: int, den: int) -> Coefficient:
+    """The coefficient n/den as an int when integral, else a reduced Fraction."""
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
 
-    Returns ``(numerators, d)``.  In canonical form d = 1 means every value
-    is an int, so such ``terms`` come back as they are.
-    """
-    d = lcm(*[c.denominator for c in terms.values()])
-    if d == 1:
-        return terms, 1
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+def _reduced(nums: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], int]:
+    """``(nums, den)`` with the gcd of den and every numerator divided out."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {e: n // g for e, n in nums.items()}, den // g
 
 
 def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
@@ -159,13 +160,14 @@ def _grlex_key(exps: Exponents) -> tuple:
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial over named variables.
 
-    The public constructor checks everything it is given and accepts only
-    int and Fraction coefficients, which it stores in canonical form (see
-    the module docstring); the results of the class's own arithmetic are
+    ``_terms`` maps exponent vectors to nonzero int numerators over the
+    common denominator ``_den`` >= 1 (see the module docstring).  The public
+    constructor checks everything it is given and accepts only int and
+    Fraction coefficients; the results of the class's own arithmetic are
     normalised by construction and skip those checks.
     """
 
-    __slots__ = ("_vars", "_terms")
+    __slots__ = ("_vars", "_terms", "_den")
 
     def __init__(
         self,
@@ -173,46 +175,71 @@ class LaurentPolynomial:
         terms: Mapping[Exponents, Coefficient] | None = None,
     ) -> None:
         vars_t = _distinct(variables)
-        stored: dict[Exponents, Coefficient] = {}
+        stored: dict[Exponents, int] = {}
+        den = 1
+        collided = False
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
             if len(key) != len(vars_t):
                 raise VariableMismatch(
                     f"exponent vector {key} does not fit variables {vars_t}"
                 )
-            if not all(type(e) is int for e in key):
-                if not all(isinstance(e, int) for e in key):
-                    raise ValueError(f"non-integer exponent in {key}")
-                # bool and other subclasses become plain ints
-                key = tuple(map(int, key))
-            c = _exact(coeff)
-            if not c:
+            for e in key:
+                if type(e) is not int:
+                    if not all(isinstance(e, int) for e in key):
+                        raise ValueError(f"non-integer exponent in {key}")
+                    # bool and other subclasses become plain ints
+                    key = tuple(map(int, key))
+                    break
+            if type(coeff) is int:
+                n = coeff * den
+            else:
+                if type(coeff) is not Fraction:
+                    coeff = _exact(coeff)
+                num, q = coeff.as_integer_ratio()
+                if den % q:
+                    # bring the numerators so far over lcm(den, q)
+                    scale = q // gcd(den, q)
+                    for e in stored:
+                        stored[e] *= scale
+                    den *= scale
+                n = num * (den // q)
+            if not n:
                 continue
             if key in stored:
-                total = stored[key] + c
+                collided = True
+                total = stored[key] + n
                 if total:
-                    stored[key] = _canon(total)
+                    stored[key] = total
                 else:
                     del stored[key]
             else:
-                stored[key] = c
-        object.__setattr__(self, "_vars", vars_t)
-        object.__setattr__(self, "_terms", stored)
+                stored[key] = n
+        # without a collision the pair is reduced already: each prime power
+        # exactly dividing den is that of some value's reduced denominator q,
+        # and the numerator of that value times den/q is prime to it
+        if collided and den > 1:
+            stored, den = _reduced(stored, den)
+        _set_vars(self, vars_t)
+        _set_terms(self, stored)
+        _set_den(self, den)
 
     @classmethod
     def _trusted(
-        cls, vars_t: tuple[str, ...], terms: dict[Exponents, Coefficient]
+        cls, vars_t: tuple[str, ...], terms: dict[Exponents, int], den: int = 1
     ) -> "LaurentPolynomial":
-        """Adopt ``terms`` as they are, without the checks of ``__init__``.
+        """Adopt ``terms`` over ``den`` as they are, without the checks of
+        ``__init__``.
 
         For results of this class's own arithmetic only.  The caller
         guarantees distinct variable names, int-tuple keys of length
-        ``len(vars_t)`` and nonzero values in canonical form, and hands over a
-        dict that nobody mutates afterwards.
+        ``len(vars_t)``, nonzero int numerators and an int ``den`` >= 1, and
+        hands over a dict that nobody mutates afterwards.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "_vars", vars_t)
-        object.__setattr__(self, "_terms", terms)
+        _set_vars(self, vars_t)
+        _set_terms(self, terms)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -258,7 +285,15 @@ class LaurentPolynomial:
         return self._vars
 
     def terms(self) -> dict[Exponents, Coefficient]:
-        return dict(self._terms)
+        """The coefficients, each an int when integral, else a reduced Fraction."""
+        den = self._den
+        if den == 1:
+            return dict(self._terms)
+        return {e: _value(n, den) for e, n in self._terms.items()}
+
+    def support(self) -> KeysView[Exponents]:
+        """The exponent vectors of the nonzero terms, without their values."""
+        return self._terms.keys()
 
     @property
     def is_zero(self) -> bool:
@@ -270,7 +305,7 @@ class LaurentPolynomial:
             raise VariableMismatch(
                 f"exponent vector {key} does not fit variables {self._vars}"
             )
-        return self._terms.get(key, 0)
+        return _value(self._terms.get(key, 0), self._den)
 
     def low_degree_in(self, var: str) -> int | None:
         i = self._index(var)
@@ -305,23 +340,32 @@ class LaurentPolynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, c in rhs._terms.items():
+        d1, d2 = self._den, rhs._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        if f1 == 1:
+            out = dict(self._terms)
+        else:
+            out = {e: n * f1 for e, n in self._terms.items()}
+        for exps, n in rhs._terms.items():
+            n *= f2
             if exps in out:
-                total = out[exps] + c
+                total = out[exps] + n
                 if total:
-                    out[exps] = _canon(total)
+                    out[exps] = total
                 else:
                     del out[exps]
             else:
-                out[exps] = c
-        return LaurentPolynomial._trusted(self._vars, out)
+                out[exps] = n
+        if den > 1:
+            out, den = _reduced(out, den)
+        return LaurentPolynomial._trusted(self._vars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._trusted(
-            self._vars, {e: -c for e, c in self._terms.items()}
+            self._vars, {e: -n for e, n in self._terms.items()}, self._den
         )
 
     def __sub__(self, other) -> "LaurentPolynomial":
@@ -340,21 +384,18 @@ class LaurentPolynomial:
         """The product with a polynomial or an exact scalar.
 
         A scalar scales every coefficient, and a one-term factor is a
-        ``shift``.  Otherwise each factor's coefficients are written as int
-        numerators over the lcm of that factor's denominators (1 for an
-        all-int factor); the pair products are summed as ints, and each
-        nonzero sum is divided once by the product of the two denominators,
-        giving an int when the division is exact and a reduced ``Fraction``
-        otherwise.
+        ``shift``.  Otherwise the pair products of the two numerator maps
+        are summed as ints over the product d1*d2 of the two denominators,
+        and one gcd of that denominator and every summed numerator reduces
+        the result; no coefficient passes through a ``Fraction``.
         """
         if isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
             if other == 0:
                 return LaurentPolynomial._trusted(self._vars, {})
-            return LaurentPolynomial._trusted(
-                self._vars, {e: _canon(v * other) for e, v in self._terms.items()}
-            )
+            k = _exact(other)
+            return self._scaled(k.numerator, k.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -362,24 +403,25 @@ class LaurentPolynomial:
         if len(big._terms) < len(small._terms):
             big, small = small, big
         if len(small._terms) == 1:
-            ((exps, k),) = small._terms.items()
-            return big.shift(exps, k)
-        nums1, d1 = _over_common_denominator(self._terms)
-        nums2, d2 = _over_common_denominator(rhs._terms)
+            ((exps, n),) = small._terms.items()
+            return big._scaled(n, small._den, exps)
         out: dict[Exponents, int] = {}
-        for e1, n1 in nums1.items():
-            for e2, n2 in nums2.items():
+        for e1, n1 in self._terms.items():
+            for e2, n2 in rhs._terms.items():
                 key = tuple(map(add, e1, e2))
                 if key in out:
                     out[key] += n1 * n2
                 else:
                     out[key] = n1 * n2
-        d = d1 * d2
-        if d == 1:
-            terms = {e: n for e, n in out.items() if n}
-        else:
-            terms = {e: _canon(Fraction(n, d)) for e, n in out.items() if n}
-        return LaurentPolynomial._trusted(self._vars, terms)
+        den = self._den * rhs._den
+        # a sum that cancelled to 0 leaves the gcd as it is
+        g = gcd(den, *out.values())
+        if g > 1:
+            out = {e: n // g for e, n in out.items() if n}
+            den //= g
+        elif 0 in out.values():
+            out = {e: n for e, n in out.items() if n}
+        return LaurentPolynomial._trusted(self._vars, out, den)
 
     __rmul__ = __mul__
 
@@ -391,17 +433,37 @@ class LaurentPolynomial:
         """
         if len(exps) != len(self._vars):
             raise VariableMismatch(f"shift {tuple(exps)} does not fit {self._vars}")
-        if not all(isinstance(e, int) for e in exps):
-            raise ValueError(f"non-integer exponent in {tuple(exps)}")
+        for e in exps:
+            if not isinstance(e, int):
+                raise ValueError(f"non-integer exponent in {tuple(exps)}")
         k = _exact(coeff)
         if not k:
             return LaurentPolynomial._trusted(self._vars, {})
+        return self._scaled(k.numerator, k.denominator, exps)
+
+    def _scaled(
+        self, num: int, q: int = 1, exps: Exponents | None = None
+    ) -> "LaurentPolynomial":
+        """The product with the scalar num/q (num != 0, q >= 1), shifted by
+        ``exps`` if given.
+
+        An integral scalar meets the denominator in one gcd, which keeps a
+        reduced pair reduced; a denominator q > 1 joins the result's, which
+        is then reduced in full.
+        """
+        g = gcd(self._den, num)
+        num //= g
+        den = self._den // g * q
         terms = self._terms.items()
-        if k == 1:
-            shifted = {tuple(map(add, e, exps)): c for e, c in terms}
+        if exps is None:
+            out = {e: n * num for e, n in terms}
+        elif num == 1:
+            out = {tuple(map(add, e, exps)): n for e, n in terms}
         else:
-            shifted = {tuple(map(add, e, exps)): _canon(c * k) for e, c in terms}
-        return LaurentPolynomial._trusted(self._vars, shifted)
+            out = {tuple(map(add, e, exps)): n * num for e, n in terms}
+        if q > 1:
+            out, den = _reduced(out, den)
+        return LaurentPolynomial._trusted(self._vars, out, den)
 
     # -- chart operations --------------------------------------------------
 
@@ -414,7 +476,7 @@ class LaurentPolynomial:
         """
         i = self._index(var)
         new_vars = self._vars[:i] + self._vars[i + 1 :]
-        out: dict[Exponents, Coefficient] = {}
+        out: dict[Exponents, int] = {}
         for exps, c in self._terms.items():
             e = exps[i]
             if e < 0:
@@ -423,8 +485,9 @@ class LaurentPolynomial:
                 )
             if e == 0:
                 out[exps[:i] + exps[i + 1 :]] = c
-        # dropping a coordinate that is 0 in every kept key is injective
-        return LaurentPolynomial._trusted(new_vars, out)
+        # dropping a coordinate that is 0 in every kept key is injective; the
+        # kept numerators stay over the same denominator, reduced or not
+        return LaurentPolynomial._trusted(new_vars, out, self._den)
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPolynomial":
         """Rename variables (the explicit chart-crossing operation)."""
@@ -433,7 +496,7 @@ class LaurentPolynomial:
                 raise UnknownVariable(f"{old!r} not among {self._vars}")
         new_vars = _distinct(mapping.get(v, v) for v in self._vars)
         # the terms dict is never mutated, so the renamed value can share it
-        return LaurentPolynomial._trusted(new_vars, self._terms)
+        return LaurentPolynomial._trusted(new_vars, self._terms, self._den)
 
     def substitute_monomials(
         self,
@@ -448,10 +511,10 @@ class LaurentPolynomial:
         changes need (e.g. u -> s^2 or v -> u^-1*w^2).  A key of ``images``
         that is not a variable of the polynomial raises ``UnknownVariable``.
 
-        Coefficients are summed, and the sums re-canonicalized and filtered
-        for zeros, only when two terms land on the same image exponents; an
-        injective substitution passes its canonical nonzero values through
-        as they are.
+        Numerators are summed, and the sums filtered for zeros and reduced
+        against the denominator, only when two terms land on the same image
+        exponents; an injective substitution passes its numerators and
+        denominator through as they are.
         """
         for name in images:
             if name not in self._vars:
@@ -472,7 +535,7 @@ class LaurentPolynomial:
             aligned.append(
                 [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
             )
-        out: dict[Exponents, Coefficient] = {}
+        out: dict[Exponents, int] = {}
         collided = False
         for exps, c in self._terms.items():
             vec = [0] * len(new_vars)
@@ -487,9 +550,10 @@ class LaurentPolynomial:
                 collided = True
             else:
                 out[key] = c
+        den = self._den
         if collided:
-            out = {e: _canon(c) for e, c in out.items() if c}
-        return LaurentPolynomial._trusted(new_vars, out)
+            out, den = _reduced({e: n for e, n in out.items() if n}, den)
+        return LaurentPolynomial._trusted(new_vars, out, den)
 
     # -- equality, hashing, printing ----------------------------------------
 
@@ -498,18 +562,32 @@ class LaurentPolynomial:
             other = LaurentPolynomial.constant(self._vars, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._vars == other._vars and self._terms == other._terms
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return self._vars == other._vars and self._terms == other._terms
+        if self._vars != other._vars:
+            return False
+        # neither denominator need be the least: compare n1/d1 with n2/d2
+        mine, theirs = self._terms, other._terms
+        return mine.keys() == theirs.keys() and all(
+            n * d2 == theirs[e] * d1 for e, n in mine.items()
+        )
 
     def __hash__(self) -> int:
-        return hash((self._vars, frozenset(self._terms.items())))
+        # equal values have equal reduced pairs; a constant hashes like the
+        # number it equals, since ``==`` lets it equal that number
+        nums, den = _reduced(self._terms, self._den)
+        if not any(chain.from_iterable(nums)):
+            return hash(_value(sum(nums.values()), den))
+        return hash((self._vars, den, frozenset(nums.items())))
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
         for exps in sorted(self._terms, key=_grlex_key):
-            c = self._terms[exps]
-            mag = abs(c)
+            n = self._terms[exps]
+            mag = _value(abs(n), self._den)
             if not any(exps):
                 body = str(mag)
             elif mag == 1:
@@ -517,13 +595,20 @@ class LaurentPolynomial:
             else:
                 body = str(mag) + "*" + monomial_str(self._vars, exps)
             if not parts:
-                parts.append(("-" if c < 0 else "") + body)
+                parts.append(("-" if n < 0 else "") + body)
             else:
-                parts.append(("- " if c < 0 else "+ ") + body)
+                parts.append(("- " if n < 0 else "+ ") + body)
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self._vars!r}, {self!s})"
+
+
+# The slots' own setters store past the immutability guard of ``__setattr__``,
+# at about half the cost of ``object.__setattr__``.
+_set_vars = LaurentPolynomial._vars.__set__
+_set_terms = LaurentPolynomial._terms.__set__
+_set_den = LaurentPolynomial._den.__set__
 
 
 # The one token rule of the polynomial syntax and of the family DSL in

@@ -7,9 +7,14 @@ from the statement being checked, or outputs of independent brute-force
 oracles computed inline.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from itertools import product as cartesian
+from pathlib import Path
 from random import Random
 
 from nccanon.cli import Scenario, main, parse_family, run
@@ -242,3 +247,23 @@ def test_criterion_10_determinism(capsys):
         second = capsys.readouterr().out
         assert code_first == 0 and code_second == 0
         assert first.encode("utf-8") == second.encode("utf-8")
+
+
+# sha256 of the all-n20 golden report of tests/test_cli.py
+ALL_N20_SHA = "35bae79742317ba8720d4892af3a96d12b7ccc556f9440d96484998290ccb992"
+
+
+def test_criterion_10_determinism_across_interpreters():
+    # two fresh interpreters under different string hash seeds, so that no
+    # set or dict order that follows a hash can reach the report
+    with criterion(10, "report determinism across interpreters", 60.0):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["--task", "all", "--max-degree", "20", "--format", "structured"]
+        shas = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-m", "nccanon", *argv], env=env,
+                                  capture_output=True, check=False)
+            assert done.returncode == 0, done.stderr
+            shas.append(hashlib.sha256(done.stdout).hexdigest())
+        assert shas == [ALL_N20_SHA, ALL_N20_SHA]

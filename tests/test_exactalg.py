@@ -1,6 +1,7 @@
 """Arithmetic-layer tests: exact ring operations, restriction, parsing."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -238,13 +239,16 @@ def test_constructor_stores_integral_coefficients_as_int():
     p = LaurentPolynomial(
         XY, {(1, 0): Fraction(4, 2), (0, 1): True, (0, 0): Fraction(1, 3)}
     )
-    assert_normalised(p)
+    assert_reduced(p)
     assert p.terms() == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(1, 3)}
     # two keys that name the same exponent vector are summed
     half = Fraction(1, 2)
     halves = LaurentPolynomial(("x",), {(1,): half, range(1, 2): half})
-    assert_normalised(halves)
+    assert_reduced(halves)
     assert halves.terms() == {(1,): 1}
+    # a sum that cancels the term which needed the denominator 3
+    thirds = {(1,): Fraction(1, 3), range(1, 2): Fraction(-1, 3), (2,): Fraction(1, 2)}
+    assert_reduced(LaurentPolynomial(("x",), thirds))
     # bool exponents, like bool coefficients, become plain ints
     flags = LaurentPolynomial(XY, {(True, False): True})
     assert_normalised(flags)
@@ -282,6 +286,100 @@ def test_coefficient_form_is_invisible():
     assert str(as_fraction) == str(as_int) == "3*x - y^-1"
 
 
+# -- one common denominator ----------------------------------------------------
+
+
+def test_common_denominator_examples():
+    # restriction drops y/3, which set the denominator 6, and keeps 6
+    half_x = poly("1/2*x", ("x",))
+    kept = poly("1/2*x + 1/3*y").restrict_var("y")
+    assert_normalised(kept)
+    assert kept._den == 6
+    assert kept.terms() == {(1,): Fraction(1, 2)}
+    assert kept.coefficient((1,)) == Fraction(1, 2)
+    assert type(kept.coefficient((1,))) is Fraction
+    assert str(kept) == "1/2*x"
+    assert kept == half_x and half_x == kept and hash(kept) == hash(half_x)
+    # an int scalar that shares a factor with the denominator
+    sixth = poly("1/6*x")
+    for got, want in ((sixth * 3, "1/2*x"), (3 * sixth, "1/2*x"), (sixth * -6, "-x")):
+        assert_reduced(got)
+        assert got == poly(want) and str(got) == want
+    assert (sixth * 6).terms() == {(1, 0): 1}
+    # a Fraction shift coefficient, through the shift and a one-term product
+    third = poly("1/3*x + 2/3*y")
+    for shifted in (third.shift((1, 0), Fraction(3, 2)), third * poly("3/2*x")):
+        assert_reduced(shifted)
+        assert shifted.terms() == {(2, 0): Fraction(1, 2), (1, 1): 1}
+    # substitution collisions: summed numerators, reduced against 6
+    both_to_s = {"x": {"s": 1}, "y": {"s": 1}}
+    collided = poly("1/6*x + 1/3*y + 1/2*y^2").substitute_monomials(("s",), both_to_s)
+    assert_reduced(collided)
+    assert collided.terms() == {(1,): Fraction(1, 2), (2,): Fraction(1, 2)}
+    cancelled = poly("1/6*x - 1/6*y + 2*x^2").substitute_monomials(("s",), both_to_s)
+    assert_reduced(cancelled)
+    assert cancelled.terms() == {(2,): 2}
+    # a collision-free substitution keeps the denominator, reduced or not
+    moved = kept.substitute_monomials(("s",), {"x": {"s": 2}})
+    assert moved._den == 6 and moved.terms() == {(2,): Fraction(1, 2)}
+
+
+def test_equal_values_hash_alike_across_construction_routes():
+    target = poly("1/2*x^2 - 3*y + 5/6")
+    xyz = XY + ("z",)
+    routes = {
+        "constructor": LaurentPolynomial(
+            XY, {(2, 0): Fraction(1, 2), (0, 1): Fraction(-6, 2), (0, 0): Fraction(5, 6)}
+        ),
+        "sum": poly("1/4*x^2 + 1/3") + poly("1/4*x^2 - 3*y + 1/2"),
+        "difference": poly("x^2 - 3*y") - poly("1/2*x^2 - 5/6"),
+        "product": poly("3*x^2 - 18*y + 5") * poly("1/6 + 1/6*x") - poly(
+            "1/2*x^3 - 3*x*y + 5/6*x"
+        ),
+        "scalar": poly("3/4*x^2 - 9/2*y + 5/4") * Fraction(2, 3),
+        "restriction": LaurentPolynomial(
+            xyz,
+            {(2, 0, 0): Fraction(1, 2), (0, 1, 0): -3, (0, 0, 0): Fraction(5, 6),
+             (0, 0, 1): Fraction(1, 7)},
+        ).restrict_var("z"),
+        "shift": poly("1/2*x^3 - 3*x*y + 5/6*x").shift((-1, 0)),
+        "substitution": poly("1/2*u - 3*v + 5/6", ("u", "v")).substitute_monomials(
+            XY, {"u": {"x": 2}, "v": {"y": 1}}
+        ),
+        "rename": poly("1/2*a^2 - 3*y + 5/6", ("a", "y")).rename({"a": "x"}),
+    }
+    for name, p in routes.items():
+        assert_normalised(p)
+        assert p == target and target == p, name
+        assert hash(p) == hash(target), name
+        assert str(p) == str(target) and p.terms() == target.terms(), name
+    assert routes["restriction"]._den != target._den
+    assert len({target, *routes.values()}) == 1
+    assert poly("1/2*x^2 - 3*y + 5/7") != target
+    assert poly("1/2*x^2 - 3*y") != target
+
+
+def test_constants_hash_like_the_numbers_they_equal():
+    three = LaurentPolynomial.constant(XY, 3)
+    assert three == 3 and hash(three) == hash(3) and len({three, 3}) == 1
+    half = LaurentPolynomial.constant(XY, Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    # over a denominator the value does not need
+    spare_half = poly("1/2 + 1/3*y").restrict_var("y")
+    assert spare_half._den == 6
+    assert spare_half == Fraction(1, 2) and hash(spare_half) == hash(Fraction(1, 2))
+    zero = LaurentPolynomial.zero(XY)
+    assert zero == 0 and hash(zero) == hash(0) and len({zero, 0}) == 1
+    spare_zero = poly("1/3*y").restrict_var("y")
+    assert_normalised(spare_zero)
+    assert spare_zero.is_zero and str(spare_zero) == "0"
+    assert spare_zero == 0 and hash(spare_zero) == hash(0)
+    assert spare_zero == LaurentPolynomial.zero(("x",))
+    # a non-constant equals no number
+    assert poly("x") != 1 and poly("1/2*x") != Fraction(1, 2)
+
+
 # -- trusted term path against a slow oracle -----------------------------------
 #
 # The arithmetic hands its results to LaurentPolynomial._trusted, which skips
@@ -293,13 +391,26 @@ VARS = ("x", "y", "z")
 
 
 def assert_normalised(p: LaurentPolynomial) -> None:
+    """The stored form: nonzero int numerators over one int denominator >= 1,
+    read back by ``terms()`` as ints and reduced non-integral Fractions."""
     assert len(set(p.variables)) == len(p.variables)
-    for exps, c in p._terms.items():
+    den = p._den
+    assert type(den) is int and den >= 1
+    for exps, n in p._terms.items():
         assert type(exps) is tuple and len(exps) == len(p.variables)
         assert all(type(e) is int for e in exps)
-        # canonical form: an int, or a Fraction that is not integral
+        assert type(n) is int and n != 0
+    terms = p.terms()
+    assert terms == {e: Fraction(n, den) for e, n in p._terms.items()}
+    for c in terms.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
-        assert c != 0
+
+
+def assert_reduced(p: LaurentPolynomial) -> None:
+    """Normalised, and the denominator is the least one (the gcd of it and
+    every numerator is 1), as products, sums and scalings leave it."""
+    assert_normalised(p)
+    assert gcd(p._den, *p._terms.values()) == 1
 
 
 def small_coeff(rng: Random):
@@ -395,12 +506,26 @@ def random_images(rng: Random, variables, new_vars):
     }
 
 
+def unreduced(rng: Random, p: LaurentPolynomial) -> LaurentPolynomial:
+    """p again, over a denominator its values need not: the term of a new
+    variable w that set it is restricted away, and restriction keeps it."""
+    lifted = {e + (0,): c for e, c in p.terms().items()}
+    lifted[(0,) * len(p.variables) + (1,)] = Fraction(1, rng.choice((6, 7, 2**89 - 1)))
+    return LaurentPolynomial(p.variables + ("w",), lifted).restrict_var("w")
+
+
+# the draws whose result may keep a denominator that is not the least one:
+# restriction keeps the denominator it is given, and an int scalar meets it in
+# one gcd only; every other result of the oracle draws is reduced
+KEEPS_DENOMINATOR = {"restrict", "scalar-unreduced"}
+
+
 def test_trusted_path_matches_oracle():
     rng = Random(23)
     # the wide draw (own stream): coprime and huge denominators, int and
     # Fraction factors mixed, products cancelling to 0 and to integers
     wide = Random(41)
-    restricted = 0
+    restricted = spare = 0
     for _ in range(400):
         variables = VARS[: rng.randint(1, 3)]
         p, q = dense_poly(rng, variables), dense_poly(rng, variables)
@@ -442,6 +567,22 @@ def test_trusted_path_matches_oracle():
                 p.substitute_monomials(new_vars, images),
                 oracle_substitute(p, new_vars, images),
             )
+        # the constructor reduces: each operand is over its least denominator
+        for operand in (p, q, pw, qw, ints, f0, g0, fk, gk):
+            assert_reduced(operand)
+        # operands over a denominator larger than their values need
+        pu, qu = unreduced(wide, pw), unreduced(wide, qw)
+        for got, want in ((pu, pw), (qu, qw)):
+            assert_normalised(got)
+            assert got == want and want == got and hash(got) == hash(want)
+            assert str(got) == str(want) and got.terms() == want.terms()
+            spare += gcd(got._den, *got._terms.values()) > 1
+        results.update({
+            "add-unreduced": (pu + qu, oracle_add(pu, qu)),
+            "mul-unreduced": (pu * qu, oracle_mul(pu, qu)),
+            "mul-unreduced-int": (pu * ints, oracle_mul(pu, ints)),
+            "scalar-unreduced": (pu * scalar, oracle_map(pu, variables, scale=scalar)),
+        })
         var = rng.choice(variables)
         expected = oracle_restrict(p, var)
         if expected is None:
@@ -450,10 +591,17 @@ def test_trusted_path_matches_oracle():
         else:
             results["restrict"] = (p.restrict_var(var), expected)
             restricted += 1
+        # a one-term factor is a shift, which scales like a scalar
+        keeps = KEEPS_DENOMINATOR | (
+            {"mul-unreduced-int"} if len(ints.support()) == 1 else set()
+        )
         for name, (got, want) in results.items():
-            assert_normalised(got)
-            assert got == want, (name, p, q)
+            check = assert_normalised if name in keeps else assert_reduced
+            check(got)
+            assert got == want and hash(got) == hash(want), (name, p, q)
+            assert str(got) == str(want), (name, p, q)
     assert restricted > 50
+    assert spare > 200
 
 
 def test_trusted_path_cancellation():
