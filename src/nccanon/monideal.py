@@ -13,15 +13,21 @@ weights below m" is an ideal condition: the weight-m part of the subalgebra
 spanned by lower weights is J_m = sum over a+b=m, 0<a,b<m of I_a*I_b.
 Two-factor products suffice because the family is multiplicative
 (I_a*I_b inside I_{a+b}); deeper products are then absorbed.  One pass per
-weight instantiates each I_k once, builds J_m and checks multiplicativity on
-it, so the module refuses to report on non-multiplicative families.
+weight instantiates each I_k once and checks multiplicativity, so the module
+refuses to report on non-multiplicative families.
 
-J_m is built from the template-pair products s(a)*t(m-a), 0 < a < m, which
-lie on one line per pair.  A line whose slope difference is sign-definite
-contributes only its endpoint product.  On a mixed-sign line, each endpoint
-product divides the points of one integer interval of a, computed by exact
-floor and ceiling division; only the points in the gaps between those
-intervals become candidates.  The brute-force oracle shares none of this:
+The pass never builds J_m as an ideal.  It works on a set of candidates
+that generates J_m, taken from the template-pair products s(a)*t(m-a),
+0 < a < m, which lie on one line per pair.  A line whose slope difference
+is sign-definite contributes only its endpoint product.  On a mixed-sign
+line, each endpoint product divides the points of one integer interval of
+a, computed by exact floor and ceiling division; only the points in the
+gaps between those intervals become candidates.  The family is
+multiplicative at m iff every candidate lies in I_m, and a generator of I_m
+is new iff no candidate divides it.  A failure names the least candidate
+outside I_m in printing order, which is a minimal generator of J_m: a
+minimal generator dividing it is itself a candidate outside I_m, of
+smaller degree unless equal.  The brute-force oracle shares none of this:
 it judges each raw instance of weight m and degree <= its cap against the
 other instances and every pair product, and from weight 2*stable on
 (``stable`` is where its degree-pruned instances stop changing) it answers
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import AffineExponent, Exponents, VariableMismatch, divides, monomial_str
@@ -62,7 +69,10 @@ def minimalize(generators: Iterable[Exponents]) -> frozenset[Exponents]:
     keep: list[Exponents] = []
     # ascending degree: a kept generator can never be divisible by a later one
     for g in sorted(unique, key=lambda e: (sum(e), e)):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in keep):
+        for h in keep:
+            if all(map(le, h, g)):
+                break
+        else:
             keep.append(g)
     return frozenset(keep)
 
@@ -190,17 +200,30 @@ class GradedMonomialFamily:
 def _lines(
     templates: Sequence[tuple[AffineExponent, ...]],
 ) -> tuple[list[tuple], list[tuple]]:
-    """The template pairs {s, t} (s = t included), split by the signs of
-    D = slope(s) - slope(t): ``(s, t, rising)`` when D is sign-definite,
-    rising meaning D >= 0, and ``(s, t, D)`` when D has mixed signs."""
+    """The template pairs {s, t} (s = t included) as integer vectors, split
+    by the signs of D = slope(s) - slope(t); O = offset(s) + offset(t).
+
+    ``ends`` holds ``(K, C)`` for a pair whose D is sign-definite: its
+    generating endpoint is K*m + C, the product at a = 1 (K = slope(t),
+    C = O + D) when D >= 0, else the one at a = m-1 (K = slope(s),
+    C = O - D).  ``mixed`` holds ``(slope(t), O, D)`` for a pair whose D has
+    mixed signs: its products lie on the line slope(t)*m + O + a*D.
+    """
+    rows = [
+        (tuple(ae.slope for ae in row), tuple(ae.offset for ae in row))
+        for row in templates
+    ]
     ends, mixed = [], []
-    for i, s in enumerate(templates):
-        for t in templates[i:]:
-            d = tuple(p.slope - q.slope for p, q in zip(s, t))
-            if min(d) >= 0 or max(d) <= 0:
-                ends.append((s, t, min(d) >= 0))
+    for i, (s_slope, s_offset) in enumerate(rows):
+        for t_slope, t_offset in rows[i:]:
+            d = tuple(map(sub, s_slope, t_slope))
+            o = tuple(map(add, s_offset, t_offset))
+            if min(d) >= 0:
+                ends.append((t_slope, tuple(map(add, o, d))))
+            elif max(d) <= 0:
+                ends.append((s_slope, tuple(map(sub, o, d))))
             else:
-                mixed.append((s, t, d))
+                mixed.append((t_slope, o, d))
     return ends, mixed
 
 
@@ -217,13 +240,10 @@ def _candidates(ends: list[tuple], mixed: list[tuple], m: int) -> set[Exponents]
     """
     if m < 2:
         return set()
-    products = set()
-    for s, t, rising in ends:
-        a = 1 if rising else m - 1
-        products.add(tuple(p.at(a) + q.at(m - a) for p, q in zip(s, t)))
+    products = {tuple(k * m + c for k, c in zip(ks, cs)) for ks, cs in ends}
     points: set[Exponents] = set()
-    for s, t, d in mixed:
-        base = tuple(q.at(m) + p.offset for p, q in zip(s, t))
+    for q, o, d in mixed:
+        base = tuple(qi * m + oi for qi, oi in zip(q, o))
         spans = []
         for c in products:
             lo, hi = 1, m - 1
@@ -249,8 +269,8 @@ def _candidates(ends: list[tuple], mixed: list[tuple], m: int) -> set[Exponents]
 
 def _weights(
     family: GradedMonomialFamily, upto: int
-) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
-    """(m, I_m, J_m) for m = 1, ..., upto.
+) -> Iterator[tuple[int, MonomialIdeal, set[Exponents]]]:
+    """(m, I_m, S_m) for m = 1, ..., upto, where the set S_m generates J_m.
 
     I_a is generated by the template instances s(a), so J_m is generated by
     s(a) + t(m-a) over unordered template pairs {s, t} (s = t included) and
@@ -261,34 +281,40 @@ def _weights(
     does (D = 0 is one point).  These endpoint products are kept.  On a line
     whose D has mixed signs, the points that one endpoint product divides
     form an integer interval of a (``_candidates``); only the points in the
-    gaps between those intervals are kept, and ``minimalize``
-    sorts out the rest.  Every dropped point is a multiple of a kept one,
-    so J_m is the same ideal as with every product, and so are its minimal
-    generators.
+    gaps between those intervals are kept.  Every dropped point is a
+    multiple of a kept one, so S_m generates J_m; no J_m ideal is built.
 
-    The family is multiplicative up to m iff every minimal generator of J_m
-    lies in I_m: I_m is closed under multiples and every product I_a*I_b
-    with a+b = m is a multiple of some minimal generator of J_m.  The first
-    weight where this fails raises ``MultiplicativityViolation`` naming
-    ``upto``, that weight and the first minimal generator of J_m (in
-    printing order) outside I_m.
+    The family is multiplicative up to m iff every element of S_m lies in
+    I_m: I_m is closed under multiples and every product I_a*I_b with
+    a+b = m is a multiple of some element of S_m.  The first weight where
+    this fails raises ``MultiplicativityViolation`` naming ``upto``, that
+    weight and the least element of S_m outside I_m in printing order.
+    That element is a minimal generator of J_m: a minimal generator of J_m
+    dividing it lies in S_m (every generating set holds the minimal
+    generators), lies outside I_m too, and a strict divisor has a smaller
+    degree, so it would come first.  A generator of I_m is new iff no
+    element of S_m divides it, which is membership in J_m.
     """
     ends, mixed = _lines(family.templates)
     for m in range(1, upto + 1):
         i_m = family.instantiate(m)
-        j_m = MonomialIdeal(family.variables, _candidates(ends, mixed, m))
-        outside = [g for g in j_m.generators if not i_m.member(g)]
+        candidates = _candidates(ends, mixed, m)
+        outside = [c for c in candidates if not i_m.member(c)]
         if outside:
             first = monomial_str(family.variables, min(outside, key=_print_order))
             raise MultiplicativityViolation(
                 f"family ({family}) is not multiplicative up to {upto}: at weight"
                 f" {m} the minimal generator {first} of J_{m} is not in I_{m}"
             )
-        yield m, i_m, j_m
+        yield m, i_m, candidates
 
 
-def _new(i_m: MonomialIdeal, j_m: MonomialIdeal) -> frozenset[Exponents]:
-    return frozenset(g for g in i_m.generators if not j_m.member(g))
+def _new(i_m: MonomialIdeal, candidates: set[Exponents]) -> frozenset[Exponents]:
+    """The generators of I_m that no element of the generating set
+    ``candidates`` of J_m divides, i.e. those outside J_m."""
+    return frozenset(
+        g for g in i_m.generators if not any(all(map(le, c, g)) for c in candidates)
+    )
 
 
 @dataclass(frozen=True)
@@ -314,7 +340,7 @@ def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGeneration
     """Compute new generators for every 1 <= m <= max_degree."""
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
-    rows = [(m, _new(i_m, j_m)) for m, i_m, j_m in _weights(family, max_degree)]
+    rows = [(m, _new(i_m, s_m)) for m, i_m, s_m in _weights(family, max_degree)]
     witness = all(gens for m, gens in rows if 3 <= m <= max_degree)
     return ReesGenerationReport(tuple(rows), witness)
 

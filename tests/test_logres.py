@@ -270,6 +270,16 @@ def test_gluing_ideal_small_values():
         gluing_ideal(0)
 
 
+def test_gluing_ideal_is_never_principal():
+    # A glued function restricts onto every function of the nc chart, so a
+    # local generator of the reflexive power omega^[m] at the glued point
+    # would make I_m principal.  I_m = (x, y) at m = 1 and (x*y, x^m, y^m)
+    # from m = 2 on: no reflexive power is locally free there.
+    assert len(gluing_ideal(1).generators) == 2
+    for m in range(2, 201):
+        assert len(gluing_ideal(m).generators) == 3, m
+
+
 def test_members_glue_and_non_members_do_not():
     for m in range(1, 11):
         ideal = gluing_ideal(m)

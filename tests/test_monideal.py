@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from nccanon.cli import parse_family
-from nccanon.exactalg import AffineExponent, VariableMismatch, divides
+from nccanon.exactalg import AffineExponent, VariableMismatch, divides, monomial_str
 from nccanon.monideal import (
     GradedMonomialFamily,
     MonomialIdeal,
@@ -16,7 +16,7 @@ from nccanon.monideal import (
     minimalize,
     rees_report,
 )
-from nccanon.monideal import _candidates, _lines, _weights
+from nccanon.monideal import _candidates, _lines, _new, _print_order, _weights
 
 XY = ("x", "y")
 FAMILY = parse_family("x*y, x^m, y^m")
@@ -28,9 +28,10 @@ def ideal(*gens, variables=XY) -> MonomialIdeal:
 
 def weight_pass(family, m):
     """(J_m, the minimal generators of I_m outside J_m) from the per-weight
-    pass run up to weight m; raises MultiplicativityViolation as it does."""
-    *_, (_, i_m, j_m) = _weights(family, m)
-    return j_m, frozenset(g for g in i_m.generators if not j_m.member(g))
+    pass run up to weight m; raises MultiplicativityViolation as it does.
+    The pass yields only a generating set of J_m, so J_m is rebuilt here."""
+    *_, (_, i_m, candidates) = _weights(family, m)
+    return MonomialIdeal(family.variables, candidates), _new(i_m, candidates)
 
 
 def multiplicative(family, upto):
@@ -640,3 +641,39 @@ def test_multiplicativity_violation_at_every_entry_point():
         )
     # weight 1 has no lower weights to violate anything
     assert weight_pass(skewed, 1)[1] == {(1,)}
+
+
+def test_violation_names_the_least_minimal_generator_outside_i_m():
+    # The pass names the least candidate outside I_m in printing order; the
+    # reference names the least minimal generator of J_m outside I_m.  They
+    # agree because a minimal generator dividing that candidate is itself a
+    # candidate outside I_m, of smaller degree unless equal.  Some draws have
+    # a non-minimal candidate outside I_m, where only that argument helps,
+    # and some have minimal generators outside I_m whose least in printing
+    # order is not the least by plain tuple order.
+    violations = non_minimal = reordered = 0
+    for seed in range(250):
+        family = random_family(Random(seed))
+        if multiplicative(family, 12):
+            continue
+        violations += 1
+        m = next(k for k in range(2, 13) if not pairwise_multiplicative(family, k))
+        i_m = family.instantiate(m)
+        j_m = reference_component(family, m)  # minimal generators
+        minimal_outside = [g for g in j_m.generators if not i_m.member(g)]
+        first = min(minimal_outside, key=_print_order)
+        with pytest.raises(MultiplicativityViolation) as exc:
+            weight_pass(family, 12)
+        assert str(exc.value) == (
+            f"family ({family}) is not multiplicative up to 12: at weight {m}"
+            f" the minimal generator {monomial_str(family.variables, first)}"
+            f" of J_{m} is not in I_{m}"
+        ), seed
+        outside = {
+            c for c in _candidates(*_lines(family.templates), m) if not i_m.member(c)
+        }
+        non_minimal += bool(outside - j_m.generators)
+        reordered += first != min(minimal_outside)
+    assert violations >= 100 and non_minimal >= 5 and reordered >= 5, (
+        violations, non_minimal, reordered
+    )
