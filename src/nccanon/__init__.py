@@ -13,7 +13,6 @@ intersection lattices, and branch-form root counts.
 """
 
 from .exactalg import (
-    AffineExponent,
     ExactAlgError,
     LaurentPolynomial,
     NegativeExponentAtRestriction,
@@ -24,6 +23,7 @@ from .exactalg import (
     parse_polynomial,
 )
 from .monideal import (
+    AffineExponent,
     GradedMonomialFamily,
     MonomialIdeal,
     MultiplicativityViolation,

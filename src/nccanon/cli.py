@@ -11,12 +11,7 @@ Output is deterministic: no timestamps, fixed record order, seeded
 randomness in the property suites.  Two runs of the same scenario produce
 byte-identical reports, so the structured format is safe for golden files.
 
-The monomial-family DSL accepted by ``--family`` is a comma-separated list
-of monomial templates; each factor is ``var`` or ``var^e`` where the
-exponent is an integer, ``m``, ``k*m``, or ``k*m+c``/``k*m-c`` (optionally
-parenthesized), with ``m`` the grading weight.  It shares the tokenizer of
-``exactalg.parse_polynomial``, so names are ASCII.  A variable whose
-exponents sum to 0 is refused: it would print as nothing.
+``--family`` takes a monomial family in the syntax of ``monideal.parse_family``.
 """
 
 from __future__ import annotations
@@ -36,8 +31,7 @@ from .conecalc import (
     restrict_cone_log_frame,
     glued_pole_bound,
 )
-from .exactalg import (AffineExponent, Exponents, LaurentPolynomial, ParseError,
-                       Tokens, monomial_str, parse_polynomial)
+from .exactalg import Exponents, LaurentPolynomial, monomial_str, parse_polynomial
 from .geomcheck import (
     ECCurve,
     INFINITY,
@@ -71,10 +65,12 @@ from .logres import (
     partner_sections,
 )
 from .monideal import (
+    FamilyParseError,
     GradedMonomialFamily,
     MultiplicativityViolation,
     brute_force_new_generators,
     generators_str,
+    parse_family,
     rees_report,
 )
 
@@ -84,90 +80,6 @@ DEFAULT_FAMILY = "x*y, x^m, y^m"
 REES_ORACLE_DEGREE = 6
 
 _ASSOC_SEED = 118932
-
-
-class FamilyParseError(ParseError, ValueError):
-    """A malformed family, with the position where parsing stopped."""
-
-
-# ---------------------------------------------------------------------------
-# family DSL
-# ---------------------------------------------------------------------------
-
-
-def _parse_affine(cur: Tokens) -> AffineExponent:
-    kind, text, pos = cur.take()
-    if kind == "int":
-        if cur.peek()[1] == "*" and cur.peek(1)[1] == "m":
-            cur.take()
-            cur.take()
-            return AffineExponent(int(text), _parse_offset(cur))
-        return AffineExponent(0, int(text))
-    if text == "m":
-        return AffineExponent(1, _parse_offset(cur))
-    raise FamilyParseError(f"expected an exponent, got {text!r}", pos)
-
-
-def _parse_offset(cur: Tokens) -> int:
-    sign = cur.peek()[1]
-    if sign not in ("+", "-"):
-        return 0
-    cur.take()
-    kind, text, pos = cur.take()
-    if kind != "int":
-        raise FamilyParseError("expected an integer after the sign", pos)
-    return int(text) if sign == "+" else -int(text)
-
-
-def _parse_exponent(cur: Tokens) -> AffineExponent:
-    if not cur.accept("("):
-        return _parse_affine(cur)
-    ae = _parse_affine(cur)
-    if not cur.accept(")"):
-        raise FamilyParseError("expected ')'", cur.pos)
-    return ae
-
-
-def parse_family(src: str) -> GradedMonomialFamily:
-    """Parse the monomial-family DSL into a validated graded family."""
-    cur = Tokens(src, FamilyParseError)
-    if cur.peek()[0] == "end":
-        raise FamilyParseError("empty family", 0)
-    templates: list[dict[str, AffineExponent]] = []
-    while True:
-        start = cur.pos
-        template: dict[str, AffineExponent] = {}
-        while True:
-            kind, name, pos = cur.take()
-            if kind != "name" or name == "m":
-                raise FamilyParseError(f"expected a variable, got {name!r}", pos)
-            exp = _parse_exponent(cur) if cur.accept("^") else AffineExponent(0, 1)
-            prev = template.get(name, AffineExponent(0, 0))
-            template[name] = AffineExponent(
-                prev.slope + exp.slope, prev.offset + exp.offset
-            )
-            if not cur.accept("*"):
-                break
-        kind, text, pos = cur.peek()
-        if kind != "end" and text != ",":
-            raise FamilyParseError(f"expected '*' or ',', got {text!r}", pos)
-        # a variable with exponent 0 would print as nothing, so the printed
-        # family could not be parsed back to the same variables
-        for name, exp in template.items():
-            if exp == AffineExponent(0, 0):
-                raise FamilyParseError(f"exponent of {name} is identically 0", start)
-            if exp.at(1) < 0:
-                raise FamilyParseError(f"exponent {exp} is negative at m=1", start)
-        templates.append(template)
-        if not cur.accept(","):
-            break
-        if cur.peek()[0] == "end":
-            raise FamilyParseError("trailing comma", pos)
-    variables = tuple(sorted({v for t in templates for v in t}))
-    rows = tuple(
-        tuple(t.get(v, AffineExponent(0, 0)) for v in variables) for t in templates
-    )
-    return GradedMonomialFamily(variables, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +163,12 @@ class Scenario:
     task: str
     max_degree: int = 10
     family: str | None = None
-    output_format: str = "table"
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.max_degree < 1:
             raise ValueError("--max-degree must be >= 1")
-        if self.output_format not in ("table", "structured"):
-            raise ValueError(f"unknown format {self.output_format!r}")
         if self.task == "rees-report" and self.family is None:
             raise ValueError("--family is required for --task rees-report")
         if self.family is not None and "rees-report" not in self.tasks:
@@ -552,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("table", "structured"),
         default="table",
-        dest="output_format",
     )
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser
@@ -562,13 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        scenario = Scenario(
-            task=ns.task,
-            max_degree=ns.max_degree,
-            family=ns.family,
-            output_format=ns.output_format,
-            out_path=ns.out,
-        )
+        scenario = Scenario(ns.task, ns.max_degree, ns.family)
     except ValueError as exc:
         parser.error(str(exc))
     try:
@@ -580,13 +481,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"nccanon: invalid family: {exc}", file=sys.stderr)
         return 2
     text = (
-        report.render_structured()
-        if scenario.output_format == "structured"
-        else report.render_table()
+        report.render_structured() if ns.format == "structured" else report.render_table()
     )
-    if scenario.out_path:
+    if ns.out:
         try:
-            with open(scenario.out_path, "w", encoding="utf-8") as handle:
+            with open(ns.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             print(f"nccanon: cannot write report: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ enough for golden-file tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -82,29 +81,6 @@ def divides(m1: Exponents, m2: Exponents) -> bool:
     return all(map(le, m1, m2))
 
 
-@dataclass(frozen=True)
-class AffineExponent:
-    """An exponent of the shape slope*m + offset in a grading weight m."""
-
-    slope: int
-    offset: int
-
-    def __post_init__(self) -> None:
-        if self.slope < 0:
-            raise ValueError(f"slope must be nonnegative, got {self.slope}")
-
-    def at(self, m: int) -> int:
-        return self.slope * m + self.offset
-
-    def __str__(self) -> str:
-        if self.slope == 0:
-            return str(self.offset)
-        head = "m" if self.slope == 1 else f"{self.slope}*m"
-        if self.offset == 0:
-            return head
-        return f"{head}{self.offset:+d}"
-
-
 Coefficient = int | Fraction
 
 
@@ -142,10 +118,10 @@ def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
     return vars_t
 
 
-def monomial_str(variables: Sequence[str], exps: Sequence[int | AffineExponent]) -> str:
+def monomial_str(variables: Sequence[str], exps: Sequence[object]) -> str:
     """The monomial as factors ``v`` or ``v^e`` joined by ``*``, or ``1``.
 
-    An ``AffineExponent`` compares unequal to 0 and 1, so it prints as ``v^e``.
+    An exponent that compares unequal to 0 and 1 prints with ``str`` as ``v^e``.
     """
     factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e != 0]
     return "*".join(factors) if factors else "1"
@@ -612,7 +588,7 @@ _set_den = LaurentPolynomial._den.__set__
 
 
 # The one token rule of the polynomial syntax and of the family DSL in
-# ``cli``: ASCII names and digits.
+# ``monideal``: ASCII names and digits.
 _TOKEN = re.compile(
     r"(?P<ratio>[0-9]+/[0-9]+)|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),])"

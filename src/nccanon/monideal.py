@@ -18,20 +18,21 @@ refuses to report on non-multiplicative families.
 
 The pass never builds J_m as an ideal.  It works on a set of candidates
 that generates J_m, taken from the template-pair products s(a)*t(m-a),
-0 < a < m, which lie on one line per pair.  A line whose slope difference
-is sign-definite contributes only its endpoint product.  On a mixed-sign
-line, each endpoint product divides the points of one integer interval of
-a, computed by exact floor and ceiling division; only the points in the
-gaps between those intervals become candidates.  The family is
-multiplicative at m iff every candidate lies in I_m, and a generator of I_m
-is new iff no candidate divides it.  A failure names the least candidate
-outside I_m in printing order, which is a minimal generator of J_m: a
-minimal generator dividing it is itself a candidate outside I_m, of
-smaller degree unless equal.  The brute-force oracle shares none of this:
-it judges each raw instance of weight m and degree <= its cap against the
-other instances and every pair product, and from weight 2*stable on
-(``stable`` is where its degree-pruned instances stop changing) it answers
-with the table of weight 2*stable, computed once.
+0 < a < m, which lie on one line per pair: the generating endpoint of a
+sign-definite line, and the points of a mixed-sign line that no endpoint
+product divides (``_weights`` and ``_candidates`` prove that these
+suffice).  The family is multiplicative at m iff every candidate lies in
+I_m, and a generator of I_m is new iff no candidate divides it.  The
+brute-force oracle shares none of this: it judges the raw instances of
+weight m against each other and every pair product.
+
+A family is written as a comma-separated list of monomial templates
+(``parse_family``, and ``str`` of a ``GradedMonomialFamily``); each factor
+is ``var`` or ``var^e`` where the exponent is an integer, ``m``, ``k*m``,
+or ``k*m+c``/``k*m-c`` (optionally parenthesized), with ``m`` the grading
+weight.  It shares the tokenizer of ``exactalg.parse_polynomial``, so
+names are ASCII.  A variable whose exponents sum to 0 is refused: it would
+print as nothing.
 
 Everything here is immutable and pure; per-degree computations are
 independent of one another, and the oracle's memo only saves recomputation.
@@ -44,7 +45,8 @@ from functools import lru_cache
 from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import AffineExponent, Exponents, VariableMismatch, divides, monomial_str
+from .exactalg import (Exponents, ParseError, Tokens, VariableMismatch, divides,
+                       monomial_str)
 
 
 class MultiplicativityViolation(Exception):
@@ -161,6 +163,29 @@ class MonomialIdeal:
 
 
 @dataclass(frozen=True)
+class AffineExponent:
+    """An exponent of the shape slope*m + offset in a grading weight m."""
+
+    slope: int
+    offset: int
+
+    def __post_init__(self) -> None:
+        if self.slope < 0:
+            raise ValueError(f"slope must be nonnegative, got {self.slope}")
+
+    def at(self, m: int) -> int:
+        return self.slope * m + self.offset
+
+    def __str__(self) -> str:
+        if self.slope == 0:
+            return str(self.offset)
+        head = "m" if self.slope == 1 else f"{self.slope}*m"
+        if self.offset == 0:
+            return head
+        return f"{head}{self.offset:+d}"
+
+
+@dataclass(frozen=True)
 class GradedMonomialFamily:
     """Monomial generator templates with exponents affine in the weight m.
 
@@ -195,6 +220,85 @@ class GradedMonomialFamily:
             monomial_str(self.variables, [ae.offset if ae.slope == 0 else ae for ae in row])
             for row in self.templates
         )
+
+
+class FamilyParseError(ParseError, ValueError):
+    """A malformed family, with the position where parsing stopped."""
+
+
+def _parse_affine(cur: Tokens) -> AffineExponent:
+    kind, text, pos = cur.take()
+    if kind == "int":
+        if cur.peek()[1] == "*" and cur.peek(1)[1] == "m":
+            cur.take()
+            cur.take()
+            return AffineExponent(int(text), _parse_offset(cur))
+        return AffineExponent(0, int(text))
+    if text == "m":
+        return AffineExponent(1, _parse_offset(cur))
+    raise FamilyParseError(f"expected an exponent, got {text!r}", pos)
+
+
+def _parse_offset(cur: Tokens) -> int:
+    sign = cur.peek()[1]
+    if sign not in ("+", "-"):
+        return 0
+    cur.take()
+    kind, text, pos = cur.take()
+    if kind != "int":
+        raise FamilyParseError("expected an integer after the sign", pos)
+    return int(text) if sign == "+" else -int(text)
+
+
+def _parse_exponent(cur: Tokens) -> AffineExponent:
+    if not cur.accept("("):
+        return _parse_affine(cur)
+    ae = _parse_affine(cur)
+    if not cur.accept(")"):
+        raise FamilyParseError("expected ')'", cur.pos)
+    return ae
+
+
+def parse_family(src: str) -> GradedMonomialFamily:
+    """Parse the family syntax into a validated graded family."""
+    cur = Tokens(src, FamilyParseError)
+    if cur.peek()[0] == "end":
+        raise FamilyParseError("empty family", 0)
+    templates: list[dict[str, AffineExponent]] = []
+    while True:
+        start = cur.pos
+        template: dict[str, AffineExponent] = {}
+        while True:
+            kind, name, pos = cur.take()
+            if kind != "name" or name == "m":
+                raise FamilyParseError(f"expected a variable, got {name!r}", pos)
+            exp = _parse_exponent(cur) if cur.accept("^") else AffineExponent(0, 1)
+            prev = template.get(name, AffineExponent(0, 0))
+            template[name] = AffineExponent(
+                prev.slope + exp.slope, prev.offset + exp.offset
+            )
+            if not cur.accept("*"):
+                break
+        kind, text, pos = cur.peek()
+        if kind != "end" and text != ",":
+            raise FamilyParseError(f"expected '*' or ',', got {text!r}", pos)
+        # a variable with exponent 0 would print as nothing, so the printed
+        # family could not be parsed back to the same variables
+        for name, exp in template.items():
+            if exp == AffineExponent(0, 0):
+                raise FamilyParseError(f"exponent of {name} is identically 0", start)
+            if exp.at(1) < 0:
+                raise FamilyParseError(f"exponent {exp} is negative at m=1", start)
+        templates.append(template)
+        if not cur.accept(","):
+            break
+        if cur.peek()[0] == "end":
+            raise FamilyParseError("trailing comma", pos)
+    variables = tuple(sorted({v for t in templates for v in t}))
+    rows = tuple(
+        tuple(t.get(v, AffineExponent(0, 0)) for v in variables) for t in templates
+    )
+    return GradedMonomialFamily(variables, rows)
 
 
 def _lines(

@@ -1,4 +1,4 @@
-"""CLI tests: family DSL, report formats, exit codes, determinism."""
+"""CLI tests: report formats, exit codes, determinism."""
 
 import hashlib
 import os
@@ -9,74 +9,12 @@ from pathlib import Path
 import pytest
 
 from nccanon.cli import (
-    FamilyParseError,
     Report,
     Scenario,
     CheckRecord,
     main,
-    parse_family,
     run,
 )
-from nccanon.exactalg import AffineExponent
-
-
-# -- family DSL -----------------------------------------------------------------
-
-
-def test_parse_family_round_trip():
-    for src in ("x*y, x^m, y^m", "x^m", "x*y", "x^m*y^m", "x^(m-1)*y^2"):
-        family = parse_family(src)
-        assert str(parse_family(str(family))) == str(family)
-
-
-def test_parse_family_canonical_output():
-    assert str(parse_family("x*y, x^m, y^m")) == "x*y, x^m, y^m"
-    assert str(parse_family("y^m , x^m")) == "y^m, x^m"
-    assert str(parse_family("x ^ 2*m+1")) == "x^2*m+1"
-    assert str(parse_family("x^(2*m-1)")) == "x^2*m-1"
-
-
-def test_parse_family_grammar():
-    family = parse_family("x^2*m")
-    assert family.templates[0][0] == AffineExponent(2, 0)
-    mixed = parse_family("x^2*y")
-    assert mixed.templates[0] == (AffineExponent(0, 2), AffineExponent(0, 1))
-    repeated = parse_family("x*x")
-    assert repeated.templates[0][0] == AffineExponent(0, 2)
-    shifted = parse_family("x^m-1")
-    assert shifted.templates[0][0] == AffineExponent(1, -1)
-    assert shifted.instantiate(3).generators == {(2,)}
-
-
-def test_parse_family_errors():
-    with pytest.raises(FamilyParseError):
-        parse_family("x^(m-2)")  # negative at m=1
-    # the position is that of the template holding the negative exponent
-    with pytest.raises(FamilyParseError, match=r"^exponent m-2 is negative at m=1") as exc:
-        parse_family("x*y, x^(m-2)")
-    assert exc.value.pos == 5
-    with pytest.raises(FamilyParseError):
-        parse_family("")
-    with pytest.raises(FamilyParseError):
-        parse_family("x*y,")
-    with pytest.raises(FamilyParseError):
-        parse_family("x^")
-    with pytest.raises(FamilyParseError):
-        parse_family("m")
-    with pytest.raises(FamilyParseError):
-        parse_family("x$y")
-    with pytest.raises(FamilyParseError):
-        parse_family("x^(m")
-    with pytest.raises(FamilyParseError):
-        parse_family("3, x")
-    # a zero exponent would print as nothing and not parse back
-    for src in ("x^0", "x^0, y^m", "x^0*y", "x^0*m", "x^(0*m-1)*x"):
-        with pytest.raises(FamilyParseError):
-            parse_family(src)
-    # the name and number rules are the polynomial parser's
-    for src in ("x\u00b2", "x^1/2"):
-        with pytest.raises(FamilyParseError):
-            parse_family(src)
 
 
 # -- report rendering --------------------------------------------------------------
@@ -104,8 +42,6 @@ def test_scenario_validation():
         Scenario(task="nonsense")
     with pytest.raises(ValueError):
         Scenario(task="all", max_degree=0)
-    with pytest.raises(ValueError):
-        Scenario(task="all", output_format="json")
     # the new-generator table needs weight 3; rees-report needs a family
     with pytest.raises(ValueError):
         Scenario(task="rees-report", max_degree=2, family="x^m")
@@ -157,6 +93,10 @@ def test_main_exit_codes(capsys, tmp_path):
         main(["--task", "all", "--unknown-flag"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--task", "all", "--format", "json"])
+    assert exc.value.code == 2
+    assert "argument --format" in capsys.readouterr().err
     assert main(["--task", "rees-report", "--family", "x^(m-2)", "--max-degree", "5"]) == 2
     err = capsys.readouterr().err
     assert "family error" in err

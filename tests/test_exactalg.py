@@ -8,7 +8,6 @@ import pytest
 
 from nccanon.conecalc import ConeElement, _even_substitute
 from nccanon.exactalg import (
-    AffineExponent,
     LaurentPolynomial,
     NegativeExponentAtRestriction,
     ParseError,
@@ -164,18 +163,6 @@ def test_substitute_monomials_is_ring_morphism():
 def test_variable_mismatch():
     with pytest.raises(VariableMismatch):
         poly("x") + poly("u1", ("u1", "v1"))
-
-
-def test_affine_exponent():
-    assert AffineExponent(1, 0).at(5) == 5
-    assert AffineExponent(2, -1).at(3) == 5
-    assert AffineExponent(0, 4).at(100) == 4
-    with pytest.raises(ValueError):
-        AffineExponent(-1, 0)
-    assert str(AffineExponent(1, 0)) == "m"
-    assert str(AffineExponent(2, 1)) == "2*m+1"
-    assert str(AffineExponent(1, -2)) == "m-2"
-    assert str(AffineExponent(0, 3)) == "3"
 
 
 # -- validating constructor ----------------------------------------------------

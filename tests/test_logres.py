@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-from nccanon.cli import parse_family
 from nccanon.exactalg import (
     LaurentPolynomial,
     NegativeExponentAtRestriction,
@@ -35,7 +34,7 @@ from nccanon.logres import (
     pullback_sigma,
     restrict,
 )
-from nccanon.monideal import MonomialIdeal
+from nccanon.monideal import MonomialIdeal, parse_family
 
 
 def nc_section(m: int, coeff_src: str, meromorphic=False) -> PluriSection:

@@ -6,14 +6,16 @@ from random import Random
 
 import pytest
 
-from nccanon.cli import parse_family
-from nccanon.exactalg import AffineExponent, VariableMismatch, divides, monomial_str
+from nccanon.exactalg import VariableMismatch, divides, monomial_str
 from nccanon.monideal import (
+    AffineExponent,
+    FamilyParseError,
     GradedMonomialFamily,
     MonomialIdeal,
     MultiplicativityViolation,
     brute_force_new_generators,
     minimalize,
+    parse_family,
     rees_report,
 )
 from nccanon.monideal import _candidates, _lines, _new, _print_order, _weights
@@ -355,6 +357,110 @@ def test_ideal_str():
     assert str(ideal((1, 1), (3, 0), (0, 3))) == "(x*y, x^3, y^3)"
     assert str(MonomialIdeal(XY, ())) == "(0)"
     assert str(ideal((0, 0))) == "(1)"
+
+
+# -- the family format ---------------------------------------------------------
+
+
+def test_parse_family_round_trip():
+    for src in ("x*y, x^m, y^m", "x^m", "x*y", "x^m*y^m", "x^(m-1)*y^2"):
+        family = parse_family(src)
+        assert str(parse_family(str(family))) == str(family)
+
+
+def test_parse_family_canonical_output():
+    assert str(parse_family("x*y, x^m, y^m")) == "x*y, x^m, y^m"
+    assert str(parse_family("y^m , x^m")) == "y^m, x^m"
+    assert str(parse_family("x ^ 2*m+1")) == "x^2*m+1"
+    assert str(parse_family("x^(2*m-1)")) == "x^2*m-1"
+
+
+def test_parse_family_grammar():
+    family = parse_family("x^2*m")
+    assert family.templates[0][0] == AffineExponent(2, 0)
+    mixed = parse_family("x^2*y")
+    assert mixed.templates[0] == (AffineExponent(0, 2), AffineExponent(0, 1))
+    repeated = parse_family("x*x")
+    assert repeated.templates[0][0] == AffineExponent(0, 2)
+    shifted = parse_family("x^m-1")
+    assert shifted.templates[0][0] == AffineExponent(1, -1)
+    assert shifted.instantiate(3).generators == {(2,)}
+
+
+def test_parse_family_errors():
+    with pytest.raises(FamilyParseError):
+        parse_family("x^(m-2)")  # negative at m=1
+    # the position is that of the template holding the negative exponent
+    with pytest.raises(FamilyParseError, match=r"^exponent m-2 is negative at m=1") as exc:
+        parse_family("x*y, x^(m-2)")
+    assert exc.value.pos == 5
+    with pytest.raises(FamilyParseError):
+        parse_family("")
+    with pytest.raises(FamilyParseError):
+        parse_family("x*y,")
+    with pytest.raises(FamilyParseError):
+        parse_family("x^")
+    with pytest.raises(FamilyParseError):
+        parse_family("m")
+    with pytest.raises(FamilyParseError):
+        parse_family("x$y")
+    with pytest.raises(FamilyParseError):
+        parse_family("x^(m")
+    with pytest.raises(FamilyParseError):
+        parse_family("3, x")
+    # a zero exponent would print as nothing and not parse back
+    for src in ("x^0", "x^0, y^m", "x^0*y", "x^0*m", "x^(0*m-1)*x"):
+        with pytest.raises(FamilyParseError):
+            parse_family(src)
+    # the name and number rules are the polynomial parser's
+    for src in ("x\u00b2", "x^1/2"):
+        with pytest.raises(FamilyParseError):
+            parse_family(src)
+
+
+def test_affine_exponent():
+    assert AffineExponent(1, 0).at(5) == 5
+    assert AffineExponent(2, -1).at(3) == 5
+    assert AffineExponent(0, 4).at(100) == 4
+    with pytest.raises(ValueError):
+        AffineExponent(-1, 0)
+    assert str(AffineExponent(1, 0)) == "m"
+    assert str(AffineExponent(2, 1)) == "2*m+1"
+    assert str(AffineExponent(1, -2)) == "m-2"
+    assert str(AffineExponent(0, 3)) == "3"
+
+
+def random_printable_family(rng: Random) -> GradedMonomialFamily:
+    """One to four templates over a sorted set of one to four variables,
+    each variable used by some template and no template the unit monomial.
+    An exponent is absent (0) or has slope 0..3 and offset -3..3, is not
+    identically 0 and is nonnegative at m = 1."""
+    names = sorted(rng.sample(("a", "b", "u", "x", "y", "z"), rng.randint(1, 4)))
+    while True:
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            row = [AffineExponent(0, 0)] * len(names)
+            for i in rng.sample(range(len(names)), rng.randint(1, len(names))):
+                while row[i] == AffineExponent(0, 0) or row[i].at(1) < 0:
+                    row[i] = AffineExponent(rng.randint(0, 3), rng.randint(-3, 3))
+            rows.append(tuple(row))
+        if all(any(row[i] != AffineExponent(0, 0) for row in rows)
+               for i in range(len(names))):
+            return GradedMonomialFamily(tuple(names), tuple(rows))
+
+
+def test_family_round_trips_as_a_value():
+    shapes = set()
+    for seed in range(300):
+        family = random_printable_family(Random(seed))
+        assert parse_family(str(family)) == family, (seed, str(family))
+        for ae in (ae for row in family.templates for ae in row):
+            if ae.slope == 0:
+                shapes.add("c" if ae.offset else "absent")
+            elif ae.slope > 1 and ae.offset:
+                shapes.add("k*m+c" if ae.offset > 0 else "k*m-c")
+    # the draws print every exponent shape of the syntax
+    assert shapes == {"absent", "c", "k*m+c", "k*m-c"}
 
 
 # -- the per-weight pass against straightforward references ---------------------
