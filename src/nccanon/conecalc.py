@@ -188,17 +188,21 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
 
     Rewriting the generator over the log frame ((du^dw)/w)^{2m} multiplies
     the coefficient by w^{2m} u^{-2m} v^{-m} = u^{-m}; the residue along
-    (w=0) of that frame is (-du)^{2m}.
+    (w=0) of that frame is (-du)^{2m}.  The c0 image and the w-shifted c1
+    image are restricted each on its own, and the two restrictions summed.
     """
     m = section.half_weight
     images = {"u": {"u": 1}, "v": {"u": -1, "w": 2}}
     uw_vars = ("u", "w")
-    body = section.coeff.c0.substitute_monomials(uw_vars, images)
-    body = body + section.coeff.c1.substitute_monomials(uw_vars, images).shift((0, 1))
-    # w = 0 before the u^-m shift: the shift leaves every w-exponent as it
-    # is, so a pole in w still raises and the same terms survive, and the
-    # shift then touches only those terms
-    along = body.restrict_var("w").shift((-m,))
+    part0 = section.coeff.c0.substitute_monomials(uw_vars, images)
+    part1 = section.coeff.c1.substitute_monomials(uw_vars, images).shift((0, 1))
+    # w = 0 on each part before the sum: every w-exponent of part0 is even
+    # (v -> u^-1*w^2) and every one of part1 odd, so no term of one cancels
+    # a term of the other, the terms of the sum are those of the two parts,
+    # and restricting the parts raises exactly when restricting the sum does.
+    # The u^-m shift comes last: it leaves every w-exponent as it is and
+    # then touches only the surviving terms
+    along = (part0.restrict_var("w") + part1.restrict_var("w")).shift((-m,))
     # the residue sign of (-du)^{2m} is +1: the weight is even
     return BranchRestriction("u", section.weight, along)
 

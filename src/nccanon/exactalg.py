@@ -17,6 +17,21 @@ equals).  Equality of two polynomials is a decidable, exact test, which is
 what the downstream gluing and restriction checks rely on.  Nothing is
 mutated after construction, so values can be shared freely between threads.
 
+Substitution and shifting have two kernels, picked by term count alone.
+Up to ``_COLUMN_TERMS`` terms they loop over the terms and build each image
+exponent vector in turn.  Above it they transpose the exponent vectors once
+into one column per variable and build the result a column at a time:
+substitution sums the old columns times their image entries (an entry of 1
+passes its column through uncopied), a shift adds each entry to its column
+(a 0 entry leaves it as it is), and the new vectors are zipped back onto the
+numerators.  A substitution result shorter than its input means that two
+terms collided; only then are numerators summed, zeros dropped and the
+denominator reduced.  The transposition costs more than it saves on the
+one- to three-term polynomials that restriction and gluing make by the
+thousand (1.2-1.7x slower below 4 terms); the two kernels cross at about
+6 terms for substitution and 9 for a shift, and at 27-55 terms the columns
+substitute about 2x and shift about 1.5x faster.
+
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
 value between coordinate charts is always an explicit ``rename`` or
@@ -42,6 +57,10 @@ from operator import add, le
 from typing import Iterable, KeysView, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+
+# Above this many terms, ``substitute_monomials`` and ``shift`` build the
+# result's exponent vectors a column at a time (see the module docstring).
+_COLUMN_TERMS = 8
 
 
 class ExactAlgError(Exception):
@@ -433,6 +452,15 @@ class LaurentPolynomial:
         terms = self._terms.items()
         if exps is None:
             out = {e: n * num for e, n in terms}
+        elif len(terms) > _COLUMN_TERMS:
+            columns = [
+                col if s == 0 else [e + s for e in col]
+                for col, s in zip(zip(*self._terms), exps)
+            ]
+            nums = self._terms.values()
+            if num != 1:
+                nums = [n * num for n in nums]
+            out = dict(zip(zip(*columns), nums))
         elif num == 1:
             out = {tuple(map(add, e, exps)): n for e, n in terms}
         else:
@@ -511,25 +539,60 @@ class LaurentPolynomial:
             aligned.append(
                 [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
             )
-        out: dict[Exponents, int] = {}
-        collided = False
-        for exps, c in self._terms.items():
-            vec = [0] * len(new_vars)
-            for e, ivec in zip(exps, aligned):
-                if e == 0:
-                    continue
-                for k, iv in ivec:
-                    vec[k] += e * iv
-            key = tuple(vec)
-            if key in out:
-                out[key] += c
-                collided = True
-            else:
-                out[key] = c
+        terms = self._terms
+        if len(terms) > _COLUMN_TERMS:
+            keys = self._image_keys(len(new_vars), aligned)
+            out = dict(zip(keys, terms.values()))
+            # a result shorter than the input means that two terms collided
+            collided = len(out) < len(terms)
+            if collided:
+                out = {}
+                for key, c in zip(keys, terms.values()):
+                    out[key] = out.get(key, 0) + c
+        else:
+            out = {}
+            collided = False
+            for exps, c in terms.items():
+                vec = [0] * len(new_vars)
+                for e, ivec in zip(exps, aligned):
+                    if e == 0:
+                        continue
+                    for k, iv in ivec:
+                        vec[k] += e * iv
+                key = tuple(vec)
+                if key in out:
+                    out[key] += c
+                    collided = True
+                else:
+                    out[key] = c
         den = self._den
         if collided:
             out, den = _reduced({e: n for e, n in out.items() if n}, den)
         return LaurentPolynomial._trusted(new_vars, out, den)
+
+    def _image_keys(
+        self, width: int, aligned: list[list[tuple[int, int]]]
+    ) -> list[Exponents]:
+        """The image exponent vectors of the terms, in their order, built a
+        column at a time: new column k is the sum of the current columns j
+        times the image entries (j, k), and an entry of 1 passes its column
+        through uncopied."""
+        parts: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(width)]
+        for col, ivec in zip(zip(*self._terms), aligned):
+            for k, iv in ivec:
+                parts[k].append((col, iv))
+        columns: list[Sequence[int]] = []
+        for summands in parts:
+            column: Sequence[int] | None = None
+            for col, iv in summands:
+                if iv != 1:
+                    col = [e * iv for e in col]
+                column = col if column is None else list(map(add, column, col))
+            columns.append((0,) * len(self._terms) if column is None else column)
+        if not columns:
+            # no new variables: every term lands on ()
+            return [()] * len(self._terms)
+        return list(zip(*columns))
 
     # -- equality, hashing, printing ----------------------------------------
 

@@ -16,6 +16,7 @@ from nccanon.conecalc import (
     to_chart,
 )
 from nccanon.exactalg import (
+    _COLUMN_TERMS,
     LaurentPolynomial,
     NegativeExponentAtRestriction,
     parse_polynomial,
@@ -144,11 +145,47 @@ def test_restriction_pole_formula():
 
 
 def test_illegal_pole():
-    meromorphic = ConeElement(LaurentPolynomial.monomial(UV, {"v": -1}))
-    with pytest.raises(NegativeExponentAtRestriction):
-        restrict_cone(ConeSection(2, meromorphic))
-    with pytest.raises(NegativeExponentAtRestriction):
-        restrict_cone_log_frame(ConeSection(2, meromorphic))
+    v_inverse = LaurentPolynomial.monomial(UV, {"v": -1})
+    # a pole in the c0 part, and one in the c1 part only: v^-1*w
+    for meromorphic in (
+        ConeElement(v_inverse),
+        ConeElement(LaurentPolynomial.zero(UV), v_inverse),
+    ):
+        with pytest.raises(NegativeExponentAtRestriction):
+            restrict_cone(ConeSection(2, meromorphic))
+        with pytest.raises(NegativeExponentAtRestriction):
+            restrict_cone_log_frame(ConeSection(2, meromorphic))
+
+
+def _restriction_or_raise(route, section):
+    try:
+        return route(section)
+    except NegativeExponentAtRestriction:
+        return "raises"
+
+
+def test_two_routes_agree_on_many_term_products():
+    # parts above exactalg's column constant, so both routes substitute and
+    # shift on the column path; a v^-k term in one factor may leave a pole
+    rng = Random(71)
+    raised = 0
+    for _ in range(60):
+        def part(low):
+            terms = {}
+            for _ in range(rng.randint(6, 14)):
+                terms[(rng.randint(0, 5), rng.randint(low, 5))] = rng.choice([1, -2, 3])
+            return LaurentPolynomial(UV, terms)
+
+        low = rng.choice([0, 0, -2])
+        g = ConeElement(part(low), part(0))
+        h = ConeElement(part(0), part(low))
+        product = g * h
+        assert min(len(product.c0.support()), len(product.c1.support())) > _COLUMN_TERMS
+        section = ConeSection(2 * rng.randint(1, 6), product)
+        chart = _restriction_or_raise(restrict_cone, section)
+        assert chart == _restriction_or_raise(restrict_cone_log_frame, section)
+        raised += chart == "raises"
+    assert 10 < raised < 50, raised
 
 
 def test_weight_must_be_even():

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from nccanon import exactalg
 from nccanon.conecalc import ConeElement, _even_substitute
 from nccanon.exactalg import (
     LaurentPolynomial,
@@ -646,3 +647,136 @@ def test_even_substitute_matches_oracle():
         assert got == oracle_map(p, ("u",), lambda e: (e[0] // 2,))
     with pytest.raises(ValueError):
         _even_substitute(poly("s^3", ("s",)), "u")
+
+
+# -- column kernels of many-term substitution and shift --------------------------
+#
+# Above exactalg._COLUMN_TERMS terms, substitute_monomials and shift build the
+# exponent vectors a column at a time; below it they loop over the terms.  Each
+# draw runs through both paths, which must store the same numerators over the
+# same denominator, and both are compared with the oracle.
+
+UW_IMAGES = {"u": {"u": 1}, "v": {"u": -1, "w": 2}}
+
+
+def shared_denominator_coeff(rng: Random):
+    # denominators dividing 12: the numerators share one denominator > 1
+    return Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.choice([1, 2, 3, 4, 6]))
+
+
+def many_term_poly(rng: Random, variables, n_terms, coeff=shared_denominator_coeff):
+    """n_terms distinct terms with exponents in [-6, 6] (at most 13 for one
+    variable), so inputs lie well above the column constant."""
+    n_terms = min(n_terms, 13 ** len(variables))
+    terms = {}
+    while len(terms) < n_terms:
+        terms[tuple(rng.randint(-6, 6) for _ in variables)] = coeff(rng)
+    return LaurentPolynomial(variables, terms)
+
+
+def antisymmetric_poly(rng: Random, n_pairs) -> LaurentPolynomial:
+    """Terms c*x^a*y^b - c*x^b*y^a: under x, y -> s every image collides
+    with its mirror and the whole substitution cancels to 0."""
+    terms = {}
+    while len(terms) < 2 * n_pairs:
+        a, b = rng.sample(range(-6, 7), 2)
+        c = shared_denominator_coeff(rng)
+        terms[(a, b)], terms[(b, a)] = c, -c
+    return LaurentPolynomial(XY, terms)
+
+
+def on_both_paths(monkeypatch, compute):
+    """compute() through the column path and through the term loop, after
+    checking that the two store the same numerators over one denominator."""
+    monkeypatch.setattr(exactalg, "_COLUMN_TERMS", 0)
+    by_column = compute()
+    monkeypatch.setattr(exactalg, "_COLUMN_TERMS", 10**9)
+    by_loop = compute()
+    monkeypatch.undo()
+    assert by_column.variables == by_loop.variables
+    assert by_column._terms == by_loop._terms and by_column._den == by_loop._den
+    assert_normalised(by_column)
+    return by_column
+
+
+def test_column_substitution_matches_oracle(monkeypatch):
+    rng = Random(47)
+    collided = 0
+    for _ in range(150):
+        variables = VARS[: rng.randint(1, 3)]
+        p = many_term_poly(rng, variables, rng.randint(exactalg._COLUMN_TERMS + 1, 60))
+        assert len(p.support()) > exactalg._COLUMN_TERMS
+        assert p._den > 1
+        draws = [((), {v: {} for v in variables})]
+        draws += [(nv, random_images(rng, variables, nv)) for nv in (("s",), ("s", "t"))]
+        if len(variables) == 2:
+            draws.append((("u", "w"), dict(zip(variables, UW_IMAGES.values()))))
+        for new_vars, images in draws:
+            got = on_both_paths(
+                monkeypatch, lambda: p.substitute_monomials(new_vars, images)
+            )
+            # the default constant takes the column path here
+            assert p.substitute_monomials(new_vars, images)._terms == got._terms
+            assert got == oracle_substitute(p, new_vars, images), (p, images)
+            collided += len(got.support()) < len(p.support())
+    # every draw into () collides; the random images add about 200 more
+    assert collided > 300, collided
+
+
+def test_column_substitution_cancels_collisions(monkeypatch):
+    rng = Random(53)
+    collapse = {"x": {"s": 1}, "y": {"s": 1}}
+    for n_pairs in (5, 12, 30):
+        p = antisymmetric_poly(rng, n_pairs)
+        assert len(p.support()) == 2 * n_pairs > exactalg._COLUMN_TERMS
+        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials(("s",), collapse))
+        assert got.is_zero and got._den == 1
+        # one term more survives the cancellation, over its own denominator
+        extra = p + LaurentPolynomial(XY, {(7, 7): Fraction(5, 4)})
+        got = on_both_paths(monkeypatch, lambda: extra.substitute_monomials(("s",), collapse))
+        assert got == LaurentPolynomial(("s",), {(14,): Fraction(5, 4)})
+        assert_reduced(got)
+        # into no variables at all every term lands on () and the sum cancels
+        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials((), {"x": {}, "y": {}}))
+        assert got.is_zero and got.variables == ()
+        got = on_both_paths(
+            monkeypatch, lambda: extra.substitute_monomials((), {"x": {}, "y": {}})
+        )
+        assert got == LaurentPolynomial((), {(): Fraction(5, 4)})
+
+
+def test_column_substitution_examples():
+    terms = {(a, b): Fraction(a - b, 6) or 1 for a in range(-1, 3) for b in range(-1, 3)}
+    p = LaurentPolynomial(("u", "v"), terms)
+    assert len(p.support()) > exactalg._COLUMN_TERMS
+    # v -> u^-1*w^2 is injective, so the denominator passes through
+    got = p.substitute_monomials(("u", "w"), UW_IMAGES)
+    assert got._den == p._den == 6
+    assert got.terms() == {(a - b, 2 * b): c for (a, b), c in p.terms().items()}
+    # the argument checks come first on either path
+    with pytest.raises(UnknownVariable, match="no image"):
+        p.substitute_monomials(("s",), {"u": {"s": 1}})
+    with pytest.raises(UnknownVariable, match="'z'"):
+        p.substitute_monomials(("s",), {"u": {"z": 1}, "v": {}})
+    with pytest.raises(ValueError):
+        p.substitute_monomials(("s",), {"u": {"s": 0.5}, "v": {}})
+    with pytest.raises(ValueError):
+        p.substitute_monomials(("s", "s"), {"u": {"s": 1}, "v": {}})
+
+
+def test_column_shift_matches_validating_monomial_product(monkeypatch):
+    rng = Random(67)
+    for _ in range(150):
+        variables = VARS[: rng.randint(1, 3)]
+        p = many_term_poly(rng, variables, rng.randint(exactalg._COLUMN_TERMS + 1, 60))
+        # zero entries leave their columns as they are
+        exps = tuple(rng.choice([0, 0, -3, -1, 1, 2]) for _ in variables)
+        coeff = rng.choice([1, -1, 3, Fraction(-3, 2), Fraction(2, 7)])
+        mono = LaurentPolynomial.monomial(variables, dict(zip(variables, exps)), coeff)
+        got = on_both_paths(monkeypatch, lambda: p.shift(exps, coeff))
+        assert p.shift(exps, coeff)._terms == got._terms
+        assert got == p * mono == oracle_mul(p, mono), (p, exps, coeff)
+        if coeff == 1:
+            assert got._den == p._den
+        else:
+            assert_reduced(got)
