@@ -92,8 +92,14 @@ class ConeElement:
         return self + (-other)
 
     def __mul__(self, other: "ConeElement") -> "ConeElement":
-        c0 = self.c0 * other.c0 + (self.c1 * other.c1).shift((1, 1))
-        c1 = self.c0 * other.c1 + self.c1 * other.c0
+        """(g0 + g1*w)(h0 + h1*w) = g0*h0 + u*v*g1*h1 + (g0*h1 + g1*h0)*w.
+
+        Each part is one ``LaurentPolynomial.sum_of_products``, so neither
+        the four products nor their sums are built on the way.
+        """
+        g0, g1, h0, h1 = self.c0, self.c1, other.c0, other.c1
+        c0 = LaurentPolynomial.sum_of_products(((g0, h0), (g1.shift((1, 1)), h1)))
+        c1 = LaurentPolynomial.sum_of_products(((g0, h1), (g1, h0)))
         return ConeElement(c0, c1)
 
     def __str__(self) -> str:
@@ -189,20 +195,23 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     Rewriting the generator over the log frame ((du^dw)/w)^{2m} multiplies
     the coefficient by w^{2m} u^{-2m} v^{-m} = u^{-m}; the residue along
     (w=0) of that frame is (-du)^{2m}.  The c0 image and the w-shifted c1
-    image are restricted each on its own, and the two restrictions summed.
+    image are restricted each on its own by
+    ``LaurentPolynomial.restrict_substituted``, which builds only the terms
+    that w = 0 keeps, and the two restrictions summed.
     """
     m = section.half_weight
     images = {"u": {"u": 1}, "v": {"u": -1, "w": 2}}
     uw_vars = ("u", "w")
-    part0 = section.coeff.c0.substitute_monomials(uw_vars, images)
-    part1 = section.coeff.c1.substitute_monomials(uw_vars, images).shift((0, 1))
-    # w = 0 on each part before the sum: every w-exponent of part0 is even
-    # (v -> u^-1*w^2) and every one of part1 odd, so no term of one cancels
-    # a term of the other, the terms of the sum are those of the two parts,
-    # and restricting the parts raises exactly when restricting the sum does.
-    # The u^-m shift comes last: it leaves every w-exponent as it is and
-    # then touches only the surviving terms
-    along = (part0.restrict_var("w") + part1.restrict_var("w")).shift((-m,))
+    # w = 0 on each part before the sum: every w-exponent of the c0 image is
+    # even (v -> u^-1*w^2) and every one of the shifted c1 image odd, so no
+    # term of one cancels a term of the other, the terms of the sum are those
+    # of the two parts, and restricting the parts raises exactly when
+    # restricting the sum does.  The kernel raises exactly where the composed
+    # path does; the c1 part keeps no term, so it only checks for a pole.
+    part0 = section.coeff.c0.restrict_substituted(uw_vars, images, "w")
+    part1 = section.coeff.c1.restrict_substituted(uw_vars, images, "w", shift=(0, 1))
+    # the u^-m shift comes last: it touches only the surviving terms
+    along = (part0 + part1).shift((-m,))
     # the residue sign of (-du)^{2m} is +1: the weight is even
     return BranchRestriction("u", section.weight, along)
 

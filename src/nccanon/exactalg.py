@@ -32,6 +32,17 @@ thousand (1.2-1.7x slower below 4 terms); the two kernels cross at about
 6 terms for substitution and 9 for a shift, and at 27-55 terms the columns
 substitute about 2x and shift about 1.5x faster.
 
+Two kernels build only the terms their result keeps.  ``sum_of_products``
+returns the sum of a*b over a list of pairs in one pass: each pair's
+products are scaled to the lcm of the pairs' denominators and summed as ints
+into one map, and one gcd reduces it, so no product or partial sum is built
+(``__mul__`` runs its many-term case through the same pair loop).
+``restrict_substituted`` is a substitution, an optional shift and a
+restriction to ``var = 0`` in one step: it computes the ``var``-exponent of
+every image term first, raises where the composed path would meet a pole,
+and builds image exponent vectors only for the terms whose exponent is 0;
+it sums, drops zeros and reduces only when those collide.
+
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
 value between coordinate charts is always an explicit ``rename`` or
@@ -54,12 +65,12 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, le
-from typing import Iterable, KeysView, Mapping, Sequence
+from typing import Collection, Iterable, KeysView, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
-# Above this many terms, ``substitute_monomials`` and ``shift`` build the
-# result's exponent vectors a column at a time (see the module docstring).
+# Above this many terms, substitution (``_image_keys``) and ``shift`` build
+# the result's exponent vectors a column at a time (see the module docstring).
 _COLUMN_TERMS = 8
 
 
@@ -128,6 +139,29 @@ def _reduced(nums: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int]
     if g == 1:
         return nums, den
     return {e: n // g for e, n in nums.items()}, den // g
+
+
+def _position(vars_t: tuple[str, ...], var: str) -> int:
+    try:
+        return vars_t.index(var)
+    except ValueError:
+        raise UnknownVariable(f"{var!r} not among {vars_t}") from None
+
+
+def _check_shift(vars_t: tuple[str, ...], exps: Exponents) -> Exponents:
+    """``exps`` if it is an integer exponent vector over ``vars_t``."""
+    if len(exps) != len(vars_t):
+        raise VariableMismatch(f"shift {tuple(exps)} does not fit {vars_t}")
+    for e in exps:
+        if not isinstance(e, int):
+            raise ValueError(f"non-integer exponent in {tuple(exps)}")
+    return exps
+
+
+def _pole(var: str, e: int) -> NegativeExponentAtRestriction:
+    return NegativeExponentAtRestriction(
+        f"term with {var}^{e} cannot be restricted to {var}=0"
+    )
 
 
 def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
@@ -303,7 +337,7 @@ class LaurentPolynomial:
         return _value(self._terms.get(key, 0), self._den)
 
     def low_degree_in(self, var: str) -> int | None:
-        i = self._index(var)
+        i = _position(self._vars, var)
         if not self._terms:
             return None
         return min(e[i] for e in self._terms)
@@ -311,12 +345,6 @@ class LaurentPolynomial:
     def is_polynomial(self) -> bool:
         """True iff no term carries a negative exponent."""
         return min(chain.from_iterable(self._terms), default=0) >= 0
-
-    def _index(self, var: str) -> int:
-        try:
-            return self._vars.index(var)
-        except ValueError:
-            raise UnknownVariable(f"{var!r} not among {self._vars}") from None
 
     # -- ring operations ---------------------------------------------------
 
@@ -400,25 +428,41 @@ class LaurentPolynomial:
         if len(small._terms) == 1:
             ((exps, n),) = small._terms.items()
             return big._scaled(n, small._den, exps)
-        out: dict[Exponents, int] = {}
-        for e1, n1 in self._terms.items():
-            for e2, n2 in rhs._terms.items():
-                key = tuple(map(add, e1, e2))
-                if key in out:
-                    out[key] += n1 * n2
-                else:
-                    out[key] = n1 * n2
-        den = self._den * rhs._den
-        # a sum that cancelled to 0 leaves the gcd as it is
-        g = gcd(den, *out.values())
-        if g > 1:
-            out = {e: n // g for e, n in out.items() if n}
-            den //= g
-        elif 0 in out.values():
-            out = {e: n for e, n in out.items() if n}
-        return LaurentPolynomial._trusted(self._vars, out, den)
+        return _pair_sum(
+            self._vars, ((self._terms, rhs._terms, 1),), self._den * rhs._den
+        )
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(
+        pairs: Iterable[tuple["LaurentPolynomial", "LaurentPolynomial"]],
+    ) -> "LaurentPolynomial":
+        """The sum of a*b over the pairs (a, b), in one pass.
+
+        Every factor must live on the same variable list.  Each pair's
+        products are summed as ints over the lcm of the pairs' denominators,
+        so the partial products and partial sums are never built; one gcd
+        reduces the result.  Raises ``ValueError`` on no pairs, since the
+        variable list would be unknown.
+        """
+        pairs = tuple(pairs)
+        if not pairs:
+            raise ValueError("a sum of products needs at least one pair")
+        vars_t = pairs[0][0]._vars
+        for pair in pairs:
+            for f in pair:
+                if not isinstance(f, LaurentPolynomial):
+                    raise TypeError(f"factor {f!r} is not a LaurentPolynomial")
+                if f._vars != vars_t:
+                    raise VariableMismatch(
+                        f"variable lists differ: {vars_t} vs {f._vars}"
+                    )
+        # a pair with a zero factor adds nothing, its denominator included
+        nonzero = [(a, b, a._den * b._den) for a, b in pairs if a._terms and b._terms]
+        den = lcm(*(d for _, _, d in nonzero))
+        factors = [(a._terms, b._terms, den // d) for a, b, d in nonzero]
+        return _pair_sum(vars_t, factors, den)
 
     def shift(self, exps: Exponents, coeff: Coefficient = 1) -> "LaurentPolynomial":
         """The product with ``coeff`` times the monomial of exponents ``exps``.
@@ -426,11 +470,7 @@ class LaurentPolynomial:
         Adding a fixed exponent vector is injective, so nothing is summed or
         cancels and the result can skip the checks of ``__init__``.
         """
-        if len(exps) != len(self._vars):
-            raise VariableMismatch(f"shift {tuple(exps)} does not fit {self._vars}")
-        for e in exps:
-            if not isinstance(e, int):
-                raise ValueError(f"non-integer exponent in {tuple(exps)}")
+        _check_shift(self._vars, exps)
         k = _exact(coeff)
         if not k:
             return LaurentPolynomial._trusted(self._vars, {})
@@ -478,15 +518,13 @@ class LaurentPolynomial:
         i.e. if the coefficient function is not holomorphic across the locus
         being restricted to.
         """
-        i = self._index(var)
+        i = _position(self._vars, var)
         new_vars = self._vars[:i] + self._vars[i + 1 :]
         out: dict[Exponents, int] = {}
         for exps, c in self._terms.items():
             e = exps[i]
             if e < 0:
-                raise NegativeExponentAtRestriction(
-                    f"term with {var}^{e} cannot be restricted to {var}=0"
-                )
+                raise _pole(var, e)
             if e == 0:
                 out[exps[:i] + exps[i + 1 :]] = c
         # dropping a coordinate that is 0 in every kept key is injective; the
@@ -520,12 +558,76 @@ class LaurentPolynomial:
         exponents; an injective substitution passes its numerators and
         denominator through as they are.
         """
+        new_vars, aligned = self._aligned_images(variables, images)
+        terms = self._terms
+        keys = _image_keys(terms, len(new_vars), aligned)
+        return _collect(new_vars, keys, terms.values(), self._den)
+
+    def restrict_substituted(
+        self,
+        variables: Iterable[str],
+        images: Mapping[str, Mapping[str, int]],
+        var: str,
+        shift: Exponents | None = None,
+    ) -> "LaurentPolynomial":
+        """``self.substitute_monomials(variables, images)``, shifted by
+        ``shift`` if given, then ``.restrict_var(var)``, building only the
+        terms the restriction keeps.
+
+        The ``var``-exponent column of the image comes first.  An entry
+        below 0 raises ``NegativeExponentAtRestriction`` unless the image
+        terms of that exponent cancel, as they would in the substitution;
+        only the terms whose entry is 0 get image exponent vectors, and
+        only a collision among those sums, drops zeros and reduces.  The
+        arguments are checked, and errors raised, as on the composed path.
+        """
+        new_vars, aligned = self._aligned_images(variables, images)
+        width = len(new_vars)
+        offset = (0,) * width if shift is None else _check_shift(new_vars, shift)
+        i = _position(new_vars, var)
+        rest = new_vars[:i] + new_vars[i + 1 :]
+        exps = list(self._terms)
+        # the var-exponents of the substituted terms; the shift adds its
+        # entry to each, so the kept terms read -entry and the poles less
+        column: list[int] | None = None
+        for j, ivec in enumerate(aligned):
+            for k, iv in ivec:
+                if k == i:
+                    part = [e[j] * iv for e in exps]
+                    column = part if column is None else list(map(add, column, part))
+        if column is None:
+            column = [0] * len(exps)
+        floor = -offset[i]
+        if min(column, default=floor) < floor:
+            # poles that collide may cancel, as in the substitution; the
+            # first one left is the one restrict_var would meet first
+            poles = [t for t, c in enumerate(column) if c < floor]
+            pole_keys = _image_keys([exps[t] for t in poles], width, aligned, offset)
+            sums: dict[Exponents, int] = {}
+            for key, t in zip(pole_keys, poles):
+                sums[key] = sums.get(key, 0) + self._terms[exps[t]]
+            for key, n in sums.items():
+                if n:
+                    raise _pole(var, key[i])
+        kept = [e for e, c in zip(exps, column) if c == floor]
+        if not kept:
+            return LaurentPolynomial._trusted(rest, {})
+        rest_aligned = [
+            [(k - (k > i), iv) for k, iv in ivec if k != i] for ivec in aligned
+        ]
+        keys = _image_keys(kept, width - 1, rest_aligned, offset[:i] + offset[i + 1 :])
+        nums = [self._terms[e] for e in kept]
+        return _collect(rest, keys, nums, self._den)
+
+    def _aligned_images(
+        self, variables: Iterable[str], images: Mapping[str, Mapping[str, int]]
+    ) -> tuple[tuple[str, ...], list[list[tuple[int, int]]]]:
+        """The checked new variable list and, per current variable, the
+        nonzero entries (position, exponent) of its image monomial over it."""
         for name in images:
             if name not in self._vars:
                 raise UnknownVariable(f"{name!r} not among {self._vars}")
         new_vars = _distinct(variables)
-        # per current variable: the nonzero entries (position, exponent) of
-        # its image monomial over new_vars
         aligned: list[list[tuple[int, int]]] = []
         for v in self._vars:
             if v not in images:
@@ -539,60 +641,7 @@ class LaurentPolynomial:
             aligned.append(
                 [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
             )
-        terms = self._terms
-        if len(terms) > _COLUMN_TERMS:
-            keys = self._image_keys(len(new_vars), aligned)
-            out = dict(zip(keys, terms.values()))
-            # a result shorter than the input means that two terms collided
-            collided = len(out) < len(terms)
-            if collided:
-                out = {}
-                for key, c in zip(keys, terms.values()):
-                    out[key] = out.get(key, 0) + c
-        else:
-            out = {}
-            collided = False
-            for exps, c in terms.items():
-                vec = [0] * len(new_vars)
-                for e, ivec in zip(exps, aligned):
-                    if e == 0:
-                        continue
-                    for k, iv in ivec:
-                        vec[k] += e * iv
-                key = tuple(vec)
-                if key in out:
-                    out[key] += c
-                    collided = True
-                else:
-                    out[key] = c
-        den = self._den
-        if collided:
-            out, den = _reduced({e: n for e, n in out.items() if n}, den)
-        return LaurentPolynomial._trusted(new_vars, out, den)
-
-    def _image_keys(
-        self, width: int, aligned: list[list[tuple[int, int]]]
-    ) -> list[Exponents]:
-        """The image exponent vectors of the terms, in their order, built a
-        column at a time: new column k is the sum of the current columns j
-        times the image entries (j, k), and an entry of 1 passes its column
-        through uncopied."""
-        parts: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(width)]
-        for col, ivec in zip(zip(*self._terms), aligned):
-            for k, iv in ivec:
-                parts[k].append((col, iv))
-        columns: list[Sequence[int]] = []
-        for summands in parts:
-            column: Sequence[int] | None = None
-            for col, iv in summands:
-                if iv != 1:
-                    col = [e * iv for e in col]
-                column = col if column is None else list(map(add, column, col))
-            columns.append((0,) * len(self._terms) if column is None else column)
-        if not columns:
-            # no new variables: every term lands on ()
-            return [()] * len(self._terms)
-        return list(zip(*columns))
+        return new_vars, aligned
 
     # -- equality, hashing, printing ----------------------------------------
 
@@ -648,6 +697,101 @@ class LaurentPolynomial:
 _set_vars = LaurentPolynomial._vars.__set__
 _set_terms = LaurentPolynomial._terms.__set__
 _set_den = LaurentPolynomial._den.__set__
+
+
+def _pair_sum(
+    vars_t: tuple[str, ...],
+    factors: Iterable[tuple[dict[Exponents, int], dict[Exponents, int], int]],
+    den: int,
+) -> LaurentPolynomial:
+    """The sum over ``factors`` of scale*a*b, for numerator maps a and b on
+    ``vars_t`` and int scales, over ``den``: every pair product is summed as
+    an int, then one gcd of den and every summed numerator reduces the
+    result."""
+    out: dict[Exponents, int] = {}
+    for left, right, scale in factors:
+        right = right.items()
+        for e1, n1 in left.items():
+            n1 *= scale
+            for e2, n2 in right:
+                key = tuple(map(add, e1, e2))
+                if key in out:
+                    out[key] += n1 * n2
+                else:
+                    out[key] = n1 * n2
+    # a sum that cancelled to 0 leaves the gcd as it is
+    g = gcd(den, *out.values())
+    if g > 1:
+        out = {e: n // g for e, n in out.items() if n}
+        den //= g
+    elif 0 in out.values():
+        out = {e: n for e, n in out.items() if n}
+    return LaurentPolynomial._trusted(vars_t, out, den)
+
+
+def _image_keys(
+    exps: Collection[Exponents],
+    width: int,
+    aligned: list[list[tuple[int, int]]],
+    offset: Exponents | None = None,
+) -> list[Exponents]:
+    """The image exponent vectors of ``exps``, in their order: entry k is the
+    sum of the entries j times the image entries (j, k) of ``aligned``, plus
+    ``offset[k]``.
+
+    Up to ``_COLUMN_TERMS`` vectors each is built in turn.  Above it they are
+    built a column at a time: new column k sums the old columns j times the
+    image entries (j, k), an entry of 1 passes its column through uncopied,
+    and an offset of 0 leaves the column as it is.
+    """
+    if len(exps) <= _COLUMN_TERMS:
+        keys = []
+        for e in exps:
+            vec = [0] * width if offset is None else list(offset)
+            for x, ivec in zip(e, aligned):
+                if x:
+                    for k, iv in ivec:
+                        vec[k] += x * iv
+            keys.append(tuple(vec))
+        return keys
+    n = len(exps)
+    parts: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(width)]
+    for col, ivec in zip(zip(*exps), aligned):
+        for k, iv in ivec:
+            parts[k].append((col, iv))
+    columns: list[Sequence[int]] = []
+    for summands, off in zip(parts, offset or (0,) * width):
+        column: Sequence[int] | None = None
+        for col, iv in summands:
+            if iv != 1:
+                col = [e * iv for e in col]
+            column = col if column is None else list(map(add, column, col))
+        if column is None:
+            column = (off,) * n
+        elif off:
+            column = [e + off for e in column]
+        columns.append(column)
+    if not columns:
+        # no new variables: every vector lands on ()
+        return [()] * n
+    return list(zip(*columns))
+
+
+def _collect(
+    vars_t: tuple[str, ...], keys: list[Exponents], nums: Iterable[int], den: int
+) -> LaurentPolynomial:
+    """The polynomial with numerator ``nums[t]`` at ``keys[t]`` over ``den``.
+
+    Fewer distinct keys than keys means that two terms collided: only then
+    are the numerators summed, zeros dropped and the denominator reduced.
+    """
+    out = dict(zip(keys, nums))
+    if len(out) < len(keys):
+        out = {}
+        for key, n in zip(keys, nums):
+            out[key] = out.get(key, 0) + n
+        out, den = _reduced({e: n for e, n in out.items() if n}, den)
+    return LaurentPolynomial._trusted(vars_t, out, den)
 
 
 # The one token rule of the polynomial syntax and of the family DSL in

@@ -345,9 +345,12 @@ def partner_sections(section_nc: PluriSection) -> tuple[PluriSection, ...] | Non
         h = on_nc.h * (-leg.half.residue_sign) ** m
         if not h.is_polynomial():
             return None
-        coeff = h.substitute_monomials(
-            leg.half_plane.variables, {leg.nc.param_var: {leg.half.param_var: 1}}
-        )
+        if h.is_zero:
+            coeff = LaurentPolynomial.zero(leg.half_plane.variables)
+        else:
+            coeff = h.substitute_monomials(
+                leg.half_plane.variables, {leg.nc.param_var: {leg.half.param_var: 1}}
+            )
         partners.append(PluriSection(leg.half_plane, m, coeff))
     return tuple(partners)
 

@@ -1,5 +1,6 @@
 """Arithmetic-layer tests: exact ring operations, restriction, parsing."""
 
+import re
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -7,7 +8,7 @@ from random import Random
 import pytest
 
 from nccanon import exactalg
-from nccanon.conecalc import ConeElement, _even_substitute
+from nccanon.conecalc import ConeElement, _even_substitute, to_chart
 from nccanon.exactalg import (
     LaurentPolynomial,
     NegativeExponentAtRestriction,
@@ -780,3 +781,217 @@ def test_column_shift_matches_validating_monomial_product(monkeypatch):
             assert got._den == p._den
         else:
             assert_reduced(got)
+
+
+# -- restriction through a substitution -------------------------------------------
+#
+# restrict_substituted must equal substitute_monomials, then shift, then
+# restrict_var, and raise where that composed path raises, with the same
+# message; it builds image vectors only for the terms the restriction keeps.
+
+
+def composed_restriction(p, new_vars, images, var, shift=None):
+    image = p.substitute_monomials(new_vars, images)
+    if shift is not None:
+        image = image.shift(shift)
+    return image.restrict_var(var)
+
+
+def check_restrict_substituted(monkeypatch, p, new_vars, images, var, shift=None):
+    """The kernel on both sides of _COLUMN_TERMS against the composed path:
+    the restriction, or None after checking that both raise alike."""
+    try:
+        want = composed_restriction(p, new_vars, images, var, shift)
+    except NegativeExponentAtRestriction as exc:
+        for cut in (0, 10**9):
+            monkeypatch.setattr(exactalg, "_COLUMN_TERMS", cut)
+            with pytest.raises(NegativeExponentAtRestriction, match=re.escape(str(exc))):
+                p.restrict_substituted(new_vars, images, var, shift)
+        monkeypatch.undo()
+        return None
+    got = on_both_paths(
+        monkeypatch, lambda: p.restrict_substituted(new_vars, images, var, shift)
+    )
+    assert got == want and hash(got) == hash(want), (p, images, var, shift)
+    assert str(got) == str(want)
+    # the denominator passes through unless the kept terms collided, which
+    # reduces it; nothing kept is the zero over 1
+    if got.is_zero:
+        assert got._den == 1
+    elif got._den != p._den:
+        assert_reduced(got)
+    return got
+
+
+def test_restrict_substituted_matches_composed_path(monkeypatch):
+    rng = Random(71)
+    outcomes = {"raised": 0, "zero": 0, "kept-few": 0, "kept-many": 0}
+    for _ in range(300):
+        variables = VARS[: rng.randint(1, 3)]
+        p = many_term_poly(rng, variables, rng.randint(0, 60))
+        new_vars = rng.choice([("s", "w"), ("w",), ("s", "t", "w")])
+        images = random_images(rng, variables, new_vars)
+        if rng.random() < 0.5:
+            # no image reaches w: the shift alone decides what is kept
+            for image in images.values():
+                image.pop("w", None)
+        shift = None
+        if rng.random() < 0.5:
+            shift = tuple(rng.choice([0, 0, 0, 1, -1, 2]) for _ in new_vars)
+        got = check_restrict_substituted(monkeypatch, p, new_vars, images, "w", shift)
+        if got is None:
+            outcomes["raised"] += 1
+        elif got.is_zero:
+            outcomes["zero"] += 1
+        else:
+            many = len(got.support()) > exactalg._COLUMN_TERMS
+            outcomes["kept-many" if many else "kept-few"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def test_restrict_substituted_on_the_cone_parts(monkeypatch):
+    # the log-frame route: v -> u^-1*w^2, the c1 part shifted by w
+    rng = Random(73)
+    raised = {None: 0, (0, 1): 0}
+    for _ in range(150):
+        part = many_term_poly(rng, ("u", "v"), rng.randint(0, 40))
+        for shift in raised:
+            got = check_restrict_substituted(
+                monkeypatch, part, ("u", "w"), UW_IMAGES, "w", shift
+            )
+            if got is None:
+                raised[shift] += 1
+            elif shift is not None:
+                # every w-exponent of the shifted c1 image is odd
+                assert got.is_zero
+    assert min(raised.values()) > 50, raised
+    c0 = LaurentPolynomial(("u", "v"), {(2, 0): Fraction(1, 6), (0, -1): 3, (1, 1): 2})
+    with pytest.raises(NegativeExponentAtRestriction, match=r"w\^-2 "):
+        c0.restrict_substituted(("u", "w"), UW_IMAGES, "w")
+    with pytest.raises(NegativeExponentAtRestriction, match=r"w\^-1 "):
+        c0.restrict_substituted(("u", "w"), UW_IMAGES, "w", (0, 1))
+    c0 = LaurentPolynomial(("u", "v"), {(2, 0): Fraction(1, 6), (0, 1): 3})
+    assert c0.restrict_substituted(("u", "w"), UW_IMAGES, "w") == LaurentPolynomial(
+        ("u",), {(2,): Fraction(1, 6)}
+    )
+    assert c0.restrict_substituted(("u", "w"), UW_IMAGES, "w", (0, 1)).is_zero
+
+
+def test_restrict_substituted_collisions_and_cancelling_poles(monkeypatch):
+    rng = Random(79)
+    collapse = {"x": {"s": 1}, "y": {"s": 1}}
+    for n_pairs in (1, 3, 5, 12, 30):
+        p = antisymmetric_poly(rng, n_pairs)
+        # every image collides with its mirror: the kept terms cancel to 0
+        got = check_restrict_substituted(monkeypatch, p, ("s", "w"), collapse, "w")
+        assert got.is_zero
+        # and to one term when one more survives
+        extra = p + LaurentPolynomial(XY, {(7, 7): Fraction(5, 4)})
+        got = check_restrict_substituted(monkeypatch, extra, ("s", "w"), collapse, "w")
+        assert got == LaurentPolynomial(("s",), {(14,): Fraction(5, 4)})
+        assert_reduced(got)
+        # with x, y -> w the poles cancel in pairs: no pole is left to raise
+        onto_w = {"x": {"w": 1}, "y": {"w": 1}}
+        got = check_restrict_substituted(monkeypatch, p, ("s", "w"), onto_w, "w")
+        assert got == LaurentPolynomial.zero(("s",))
+        # a pole that no other term cancels still raises
+        pole = p + LaurentPolynomial(XY, {(-9, 0): Fraction(1, 3)})
+        assert check_restrict_substituted(monkeypatch, pole, ("s", "w"), onto_w, "w") is None
+        with pytest.raises(NegativeExponentAtRestriction, match=r"w\^-9 "):
+            pole.restrict_substituted(("s", "w"), onto_w, "w")
+
+
+def test_restrict_substituted_checks_its_arguments():
+    p = LaurentPolynomial(("u", "v"), {(1, 0): Fraction(1, 2), (0, 1): 3})
+    bad_calls = [
+        (("u", "w"), {"u": {"u": 1}, "v": {"w": 1}, "z": {}}, "w", None),
+        (("u", "w"), {"u": {"u": 1}}, "w", None),
+        (("u", "w"), {"u": {"u": 1}, "v": {"z": 1}}, "w", None),
+        (("u", "w"), {"u": {"u": 1}, "v": {"w": 0.5}}, "w", None),
+        (("u", "u"), {"u": {"u": 1}, "v": {"u": 1}}, "u", None),
+        (("u", "w"), UW_IMAGES, "v", None),
+        (("u", "w"), UW_IMAGES, "w", (0, 1, 0)),
+        (("u", "w"), UW_IMAGES, "w", (0, 1.0)),
+    ]
+    for new_vars, images, var, shift in bad_calls:
+        with pytest.raises(Exception) as want:
+            composed_restriction(p, new_vars, images, var, shift)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            p.restrict_substituted(new_vars, images, var, shift)
+        assert want.type in (UnknownVariable, ValueError, VariableMismatch)
+
+
+# -- sums of products and the cone product ----------------------------------------
+
+
+def oracle_sum_of_products(pairs):
+    total = oracle_mul(*pairs[0])
+    for a, b in pairs[1:]:
+        total = oracle_add(total, oracle_mul(a, b))
+    return total
+
+
+def test_sum_of_products_matches_oracle():
+    rng = Random(83)
+    cancelled = 0
+    for _ in range(300):
+        variables = VARS[: rng.randint(1, 3)]
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            # each factor over its own denominators, Laurent exponents in [-3, 3]
+            a, b = (dense_poly(rng, variables, coeff=wide_coeff) for _ in range(2))
+            if rng.random() < 0.15:
+                # a zero factor, sometimes over a denominator it does not need
+                a = unreduced(rng, LaurentPolynomial.zero(variables))
+            pairs.append((a, b))
+        if rng.random() < 0.3:
+            a, b = pairs[0]
+            pairs.append((-a, b))
+        if rng.random() < 0.3:
+            pairs.append(cancelling_pair(rng, variables, rng.choice([0, 0, 1, -3])))
+        got = LaurentPolynomial.sum_of_products(pairs)
+        assert_reduced(got)
+        plain = pairs[0][0] * pairs[0][1]
+        for a, b in pairs[1:]:
+            plain = plain + a * b
+        assert got == plain == oracle_sum_of_products(pairs), pairs
+        assert str(got) == str(plain) and hash(got) == hash(plain)
+        cancelled += got.is_zero
+    assert cancelled > 20, cancelled
+
+
+def test_sum_of_products_examples_and_checks():
+    a, b = poly("1/2*x + 1/3*y"), poly("x^-1 - 3/5*y")
+    c, d = poly("1/7*x^-1*y"), poly("x^2")
+    got = LaurentPolynomial.sum_of_products([(a, b), (c, d)])
+    assert got == a * b + c * d
+    assert_reduced(got)
+    # the two products cancel to 0, and the zero is over 1
+    got = LaurentPolynomial.sum_of_products([(a, b), (-b, a)])
+    assert got.is_zero and got._den == 1
+    # a generator of pairs is read once
+    assert LaurentPolynomial.sum_of_products((p, p) for p in (a, c)) == a * a + c * c
+    with pytest.raises(ValueError):
+        LaurentPolynomial.sum_of_products([])
+    with pytest.raises(VariableMismatch):
+        LaurentPolynomial.sum_of_products([(a, b), (c, poly("s", ("s", "t")))])
+    with pytest.raises(TypeError):
+        LaurentPolynomial.sum_of_products([(a, 2)])
+
+
+def test_many_term_cone_product_matches_parent_formula_and_chart():
+    rng = Random(89)
+    uv = ("u", "v")
+    for _ in range(60):
+        g0, g1, h0, h1 = (many_term_poly(rng, uv, rng.randint(8, 30)) for _ in range(4))
+        for g, h in (
+            (ConeElement(g0, g1), ConeElement(h0, h1)),
+            (ConeElement(g0), ConeElement(h0, h1)),
+            (ConeElement(LaurentPolynomial.zero(uv), g1), ConeElement(h0, h1)),
+        ):
+            got = g * h
+            assert_reduced(got.c0)
+            assert_reduced(got.c1)
+            assert got.c0 == g.c0 * h.c0 + (g.c1 * h.c1).shift((1, 1))
+            assert got.c1 == g.c0 * h.c1 + g.c1 * h.c0
+            assert to_chart(got).poly == to_chart(g).poly * to_chart(h).poly
