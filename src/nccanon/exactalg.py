@@ -62,14 +62,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, le
 from typing import Collection, Iterable, KeysView, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
-# Above this many terms, substitution (``_image_keys``) and ``shift`` build
+# Above this many terms, substitution (``_substituted``) and ``shift`` build
 # the result's exponent vectors a column at a time (see the module docstring).
 _COLUMN_TERMS = 8
 
@@ -560,8 +560,7 @@ class LaurentPolynomial:
         """
         new_vars, aligned = self._aligned_images(variables, images)
         terms = self._terms
-        keys = _image_keys(terms, len(new_vars), aligned)
-        return _collect(new_vars, keys, terms.values(), self._den)
+        return _substituted(new_vars, terms, terms.values(), self._den, aligned)
 
     def restrict_substituted(
         self,
@@ -586,38 +585,32 @@ class LaurentPolynomial:
         offset = (0,) * width if shift is None else _check_shift(new_vars, shift)
         i = _position(new_vars, var)
         rest = new_vars[:i] + new_vars[i + 1 :]
-        exps = list(self._terms)
+        terms = self._terms
         # the var-exponents of the substituted terms; the shift adds its
         # entry to each, so the kept terms read -entry and the poles less
         column: list[int] | None = None
         for j, ivec in enumerate(aligned):
             for k, iv in ivec:
                 if k == i:
-                    part = [e[j] * iv for e in exps]
+                    part = [e[j] * iv for e in terms]
                     column = part if column is None else list(map(add, column, part))
         if column is None:
-            column = [0] * len(exps)
+            column = [0] * len(terms)
         floor = -offset[i]
-        if min(column, default=floor) < floor:
+        if column and min(column) < floor:
             # poles that collide may cancel, as in the substitution; the
             # first one left is the one restrict_var would meet first
-            poles = [t for t, c in enumerate(column) if c < floor]
-            pole_keys = _image_keys([exps[t] for t in poles], width, aligned, offset)
-            sums: dict[Exponents, int] = {}
-            for key, t in zip(pole_keys, poles):
-                sums[key] = sums.get(key, 0) + self._terms[exps[t]]
-            for key, n in sums.items():
-                if n:
-                    raise _pole(var, key[i])
-        kept = [e for e, c in zip(exps, column) if c == floor]
+            poles = [e for e, c in zip(terms, column) if c < floor]
+            left = _substituted(
+                new_vars, poles, [terms[e] for e in poles], 1, aligned, offset
+            )
+            if left._terms:
+                raise _pole(var, next(iter(left._terms))[i])
+        kept = list(compress(terms, map(floor.__eq__, column)))
         if not kept:
             return LaurentPolynomial._trusted(rest, {})
-        rest_aligned = [
-            [(k - (k > i), iv) for k, iv in ivec if k != i] for ivec in aligned
-        ]
-        keys = _image_keys(kept, width - 1, rest_aligned, offset[:i] + offset[i + 1 :])
-        nums = [self._terms[e] for e in kept]
-        return _collect(rest, keys, nums, self._den)
+        nums = list(map(terms.__getitem__, kept))
+        return _substituted(rest, kept, nums, self._den, aligned, offset, i)
 
     def _aligned_images(
         self, variables: Iterable[str], images: Mapping[str, Mapping[str, int]]
@@ -729,22 +722,31 @@ def _pair_sum(
     return LaurentPolynomial._trusted(vars_t, out, den)
 
 
-def _image_keys(
+def _substituted(
+    vars_t: tuple[str, ...],
     exps: Collection[Exponents],
-    width: int,
+    nums: Collection[int],
+    den: int,
     aligned: list[list[tuple[int, int]]],
     offset: Exponents | None = None,
-) -> list[Exponents]:
-    """The image exponent vectors of ``exps``, in their order: entry k is the
-    sum of the entries j times the image entries (j, k) of ``aligned``, plus
-    ``offset[k]``.
+    drop: int | None = None,
+) -> LaurentPolynomial:
+    """The polynomial on ``vars_t`` with numerator ``nums[t]`` over ``den``
+    at the image of ``exps[t]``.
 
-    Up to ``_COLUMN_TERMS`` vectors each is built in turn.  Above it they are
-    built a column at a time: new column k sums the old columns j times the
-    image entries (j, k), an entry of 1 passes its column through uncopied,
-    and an offset of 0 leaves the column as it is.
+    Entry k of an image is the sum of the entries j times the image entries
+    (j, k) of ``aligned``, plus ``offset[k]``; entry ``drop``, if given, is
+    left out, and ``vars_t`` lacks it.  Up to ``_COLUMN_TERMS`` vectors each
+    image is built in turn.  Above it they are built a column at a time: new
+    column k sums the old columns j times the image entries (j, k), an entry
+    of 1 passes its column through uncopied, and an offset of 0 leaves the
+    column as it is.  Fewer distinct images than terms means that two terms
+    collided: only then are the numerators summed, zeros dropped and the
+    denominator reduced.
     """
-    if len(exps) <= _COLUMN_TERMS:
+    width = len(vars_t) + (drop is not None)
+    n = len(exps)
+    if n <= _COLUMN_TERMS:
         keys = []
         for e in exps:
             vec = [0] * width if offset is None else list(offset)
@@ -752,45 +754,36 @@ def _image_keys(
                 if x:
                     for k, iv in ivec:
                         vec[k] += x * iv
+            if drop is not None:
+                del vec[drop]
             keys.append(tuple(vec))
-        return keys
-    n = len(exps)
-    parts: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(width)]
-    for col, ivec in zip(zip(*exps), aligned):
-        for k, iv in ivec:
-            parts[k].append((col, iv))
-    columns: list[Sequence[int]] = []
-    for summands, off in zip(parts, offset or (0,) * width):
-        column: Sequence[int] | None = None
-        for col, iv in summands:
-            if iv != 1:
-                col = [e * iv for e in col]
-            column = col if column is None else list(map(add, column, col))
-        if column is None:
-            column = (off,) * n
-        elif off:
-            column = [e + off for e in column]
-        columns.append(column)
-    if not columns:
+    else:
+        parts: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(width)]
+        for col, ivec in zip(zip(*exps), aligned):
+            for k, iv in ivec:
+                parts[k].append((col, iv))
+        columns: list[Sequence[int]] = []
+        for k, (summands, off) in enumerate(zip(parts, offset or (0,) * width)):
+            if k == drop:
+                continue
+            column: Sequence[int] | None = None
+            for col, iv in summands:
+                if iv != 1:
+                    col = [e * iv for e in col]
+                column = col if column is None else list(map(add, column, col))
+            if column is None:
+                column = (off,) * n
+            elif off:
+                column = [e + off for e in column]
+            columns.append(column)
         # no new variables: every vector lands on ()
-        return [()] * n
-    return list(zip(*columns))
-
-
-def _collect(
-    vars_t: tuple[str, ...], keys: list[Exponents], nums: Iterable[int], den: int
-) -> LaurentPolynomial:
-    """The polynomial with numerator ``nums[t]`` at ``keys[t]`` over ``den``.
-
-    Fewer distinct keys than keys means that two terms collided: only then
-    are the numerators summed, zeros dropped and the denominator reduced.
-    """
+        keys = list(zip(*columns)) if columns else [()] * n
     out = dict(zip(keys, nums))
-    if len(out) < len(keys):
+    if len(out) < n:
         out = {}
-        for key, n in zip(keys, nums):
-            out[key] = out.get(key, 0) + n
-        out, den = _reduced({e: n for e, n in out.items() if n}, den)
+        for key, c in zip(keys, nums):
+            out[key] = out.get(key, 0) + c
+        out, den = _reduced({e: c for e, c in out.items() if c}, den)
     return LaurentPolynomial._trusted(vars_t, out, den)
 
 
