@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import LaurentPolynomial
+from .exactalg import LaurentPolynomial, MonomialSubstitution
 from .logres import SMOOTH_PAIR, BranchRestriction, MonomialMap
 
 # re-exported: the benchmark tracer's self-test (bench/test_bench.py) checks
@@ -40,6 +40,10 @@ from .logres import restrict  # noqa: F401
 
 _UV = ("u", "v")
 _ST = ("s", "t")
+
+# the chart maps of ``to_chart`` and of ``restrict_cone_log_frame``
+_TO_CHART = MonomialSubstitution(_UV, _ST, {"u": {"s": 2}, "v": {"t": 2}})
+_LOG_FRAME = MonomialSubstitution(_UV, ("u", "w"), {"u": {"u": 1}, "v": {"u": -1, "w": 2}})
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,8 @@ class ChartElement:
 
 def to_chart(element: ConeElement) -> ChartElement:
     """Substitute u = s^2, v = t^2, w = s*t."""
-    images = {"u": {"s": 2}, "v": {"t": 2}}
-    part0 = element.c0.substitute_monomials(_ST, images)
-    part1 = element.c1.substitute_monomials(_ST, images)
+    part0 = element.c0.substitute_monomials(_TO_CHART)
+    part1 = element.c1.substitute_monomials(_TO_CHART)
     return ChartElement(part0 + part1.shift((1, 1)))
 
 
@@ -195,21 +198,19 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     Rewriting the generator over the log frame ((du^dw)/w)^{2m} multiplies
     the coefficient by w^{2m} u^{-2m} v^{-m} = u^{-m}; the residue along
     (w=0) of that frame is (-du)^{2m}.  The c0 image and the w-shifted c1
-    image are restricted each on its own by
-    ``LaurentPolynomial.restrict_substituted``, which builds only the terms
-    that w = 0 keeps, and the two restrictions summed.
+    image under ``_LOG_FRAME`` (u -> u, v -> u^-1*w^2) are restricted each
+    on its own by ``LaurentPolynomial.restrict_substituted``, which builds
+    only the terms that w = 0 keeps, and the two restrictions summed.
     """
     m = section.half_weight
-    images = {"u": {"u": 1}, "v": {"u": -1, "w": 2}}
-    uw_vars = ("u", "w")
     # w = 0 on each part before the sum: every w-exponent of the c0 image is
     # even (v -> u^-1*w^2) and every one of the shifted c1 image odd, so no
     # term of one cancels a term of the other, the terms of the sum are those
     # of the two parts, and restricting the parts raises exactly when
     # restricting the sum does.  The kernel raises exactly where the composed
     # path does; the c1 part keeps no term, so it only checks for a pole.
-    part0 = section.coeff.c0.restrict_substituted(uw_vars, images, "w")
-    part1 = section.coeff.c1.restrict_substituted(uw_vars, images, "w", shift=(0, 1))
+    part0 = section.coeff.c0.restrict_substituted(_LOG_FRAME, "w")
+    part1 = section.coeff.c1.restrict_substituted(_LOG_FRAME, "w", shift=(0, 1))
     # the u^-m shift comes last: it touches only the surviving terms
     along = (part0 + part1).shift((-m,))
     # the residue sign of (-du)^{2m} is +1: the weight is even

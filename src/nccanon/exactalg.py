@@ -7,7 +7,7 @@ exact.  The map is stored as nonzero ``int`` numerators over one common
 denominator d >= 1, so integral polynomials (d = 1) never touch
 ``Fraction`` and rational ones pay for one gcd per result instead of one
 per term: products, sums and scalings divide out the gcd of d and the
-numerators, while restriction, renaming, shifting by an integral unit and
+numerators, while restriction, shifting by an integral unit and
 collision-free substitution keep d as it is, so d is *a* common
 denominator, not always the least.  The storage is invisible: ``terms()``,
 ``coefficient()`` and printing give each value as an ``int`` when it is
@@ -45,11 +45,11 @@ it sums, drops zeros and reduces only when those collide.
 
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
-value between coordinate charts is always an explicit ``rename`` or
-``substitute_monomials``.  This is
-deliberate: the gluing maps between charts permute and rescale coordinates,
-and silent reconciliation of variable lists would hide exactly the
-bookkeeping this library exists to get right.
+value between coordinate charts is always an explicit, once-checked
+``MonomialSubstitution``.  This is deliberate: the gluing maps between
+charts permute and rescale coordinates, and silent reconciliation of
+variable lists would hide exactly the bookkeeping this library exists to
+get right.
 
 Text syntax (``parse_polynomial`` / ``str``): terms joined by ``+``/``-``,
 factors joined by ``*``, exponents ``x^k`` with k a possibly negative
@@ -61,6 +61,7 @@ enough for golden-file tests.
 from __future__ import annotations
 
 import re
+from dataclasses import InitVar, dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
@@ -184,6 +185,53 @@ def _grlex_key(exps: Exponents) -> tuple:
     # graded lex, descending: higher total degree first, then lexicographically
     # larger exponent vectors first
     return (-sum(exps), tuple(-e for e in exps))
+
+
+@dataclass(frozen=True)
+class MonomialSubstitution:
+    """A monomial over ``target`` for each variable of ``source``, checked
+    once; ``LaurentPolynomial.substitute_monomials`` and
+    ``restrict_substituted`` apply it.
+
+    ``images`` maps each source variable to the exponents of its image over
+    ``target`` (a name left out has exponent 0), negative ones included, as
+    the chart changes need (u -> s^2, v -> u^-1*w^2).  This integer matrix
+    is stored by its nonzero entries twice: ``rows[j]`` holds the pairs
+    (k, e) of the image of source variable j, and ``columns[k]`` the pairs
+    (j, e) that reach target variable k.
+    """
+
+    source: tuple[str, ...]
+    target: tuple[str, ...]
+    images: InitVar[Mapping[str, Mapping[str, int]]]
+    rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
+    columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
+
+    def __post_init__(self, images: Mapping[str, Mapping[str, int]]) -> None:
+        source = _distinct(self.source)
+        for name in images:
+            if name not in source:
+                raise UnknownVariable(f"{name!r} not among {source}")
+        target = _distinct(self.target)
+        rows = []
+        for v in source:
+            if v not in images:
+                raise UnknownVariable(f"no image given for {v!r}")
+            exp_map = images[v]
+            for name, e in exp_map.items():
+                if name not in target:
+                    raise UnknownVariable(f"{name!r} not among {target}")
+                if not isinstance(e, int):
+                    raise ValueError(f"non-integer exponent {e!r} in image of {v!r}")
+            rows.append(
+                tuple((k, exp_map[w]) for k, w in enumerate(target) if exp_map.get(w))
+            )
+        columns = tuple(
+            tuple((j, e) for j, row in enumerate(rows) for i, e in row if i == k)
+            for k in range(len(target))
+        )
+        for f, value in zip(fields(self), (source, target, tuple(rows), columns)):
+            object.__setattr__(self, f.name, value)
 
 
 class LaurentPolynomial:
@@ -531,47 +579,26 @@ class LaurentPolynomial:
         # kept numerators stay over the same denominator, reduced or not
         return LaurentPolynomial._trusted(new_vars, out, self._den)
 
-    def rename(self, mapping: Mapping[str, str]) -> "LaurentPolynomial":
-        """Rename variables (the explicit chart-crossing operation)."""
-        for old in mapping:
-            if old not in self._vars:
-                raise UnknownVariable(f"{old!r} not among {self._vars}")
-        new_vars = _distinct(mapping.get(v, v) for v in self._vars)
-        # the terms dict is never mutated, so the renamed value can share it
-        return LaurentPolynomial._trusted(new_vars, self._terms, self._den)
-
-    def substitute_monomials(
-        self,
-        variables: Iterable[str],
-        images: Mapping[str, Mapping[str, int]],
-    ) -> "LaurentPolynomial":
-        """Substitute every variable by a monomial.
-
-        ``images`` maps each current variable to the exponents of its image
-        monomial over the new variable list.  Monomial images keep negative
-        exponents meaningful, which is what the chart-to-chart coordinate
-        changes need (e.g. u -> s^2 or v -> u^-1*w^2).  A key of ``images``
-        that is not a variable of the polynomial raises ``UnknownVariable``.
+    def substitute_monomials(self, sub: MonomialSubstitution) -> "LaurentPolynomial":
+        """The image under ``sub``, whose source must be this polynomial's
+        variable list (else ``VariableMismatch``).
 
         Numerators are summed, and the sums filtered for zeros and reduced
         against the denominator, only when two terms land on the same image
         exponents; an injective substitution passes its numerators and
         denominator through as they are.
         """
-        new_vars, aligned = self._aligned_images(variables, images)
+        if self._vars != sub.source:
+            raise VariableMismatch(f"substitution on {sub.source}, not {self._vars}")
         terms = self._terms
-        return _substituted(new_vars, terms, terms.values(), self._den, aligned)
+        return _substituted(sub.target, terms, terms.values(), self._den, sub)
 
     def restrict_substituted(
-        self,
-        variables: Iterable[str],
-        images: Mapping[str, Mapping[str, int]],
-        var: str,
-        shift: Exponents | None = None,
+        self, sub: MonomialSubstitution, var: str, shift: Exponents | None = None
     ) -> "LaurentPolynomial":
-        """``self.substitute_monomials(variables, images)``, shifted by
-        ``shift`` if given, then ``.restrict_var(var)``, building only the
-        terms the restriction keeps.
+        """``self.substitute_monomials(sub)``, shifted by ``shift`` if given,
+        then ``.restrict_var(var)``, building only the terms the restriction
+        keeps.
 
         The ``var``-exponent column of the image comes first.  An entry
         below 0 raises ``NegativeExponentAtRestriction`` unless the image
@@ -580,20 +607,19 @@ class LaurentPolynomial:
         only a collision among those sums, drops zeros and reduces.  The
         arguments are checked, and errors raised, as on the composed path.
         """
-        new_vars, aligned = self._aligned_images(variables, images)
-        width = len(new_vars)
-        offset = (0,) * width if shift is None else _check_shift(new_vars, shift)
+        if self._vars != sub.source:
+            raise VariableMismatch(f"substitution on {sub.source}, not {self._vars}")
+        new_vars = sub.target
+        offset = (0,) * len(new_vars) if shift is None else _check_shift(new_vars, shift)
         i = _position(new_vars, var)
         rest = new_vars[:i] + new_vars[i + 1 :]
         terms = self._terms
         # the var-exponents of the substituted terms; the shift adds its
         # entry to each, so the kept terms read -entry and the poles less
         column: list[int] | None = None
-        for j, ivec in enumerate(aligned):
-            for k, iv in ivec:
-                if k == i:
-                    part = [e[j] * iv for e in terms]
-                    column = part if column is None else list(map(add, column, part))
+        for j, iv in sub.columns[i]:
+            part = [e[j] * iv for e in terms]
+            column = part if column is None else list(map(add, column, part))
         if column is None:
             column = [0] * len(terms)
         floor = -offset[i]
@@ -602,7 +628,7 @@ class LaurentPolynomial:
             # first one left is the one restrict_var would meet first
             poles = [e for e, c in zip(terms, column) if c < floor]
             left = _substituted(
-                new_vars, poles, [terms[e] for e in poles], 1, aligned, offset
+                new_vars, poles, [terms[e] for e in poles], 1, sub, offset
             )
             if left._terms:
                 raise _pole(var, next(iter(left._terms))[i])
@@ -610,31 +636,7 @@ class LaurentPolynomial:
         if not kept:
             return LaurentPolynomial._trusted(rest, {})
         nums = list(map(terms.__getitem__, kept))
-        return _substituted(rest, kept, nums, self._den, aligned, offset, i)
-
-    def _aligned_images(
-        self, variables: Iterable[str], images: Mapping[str, Mapping[str, int]]
-    ) -> tuple[tuple[str, ...], list[list[tuple[int, int]]]]:
-        """The checked new variable list and, per current variable, the
-        nonzero entries (position, exponent) of its image monomial over it."""
-        for name in images:
-            if name not in self._vars:
-                raise UnknownVariable(f"{name!r} not among {self._vars}")
-        new_vars = _distinct(variables)
-        aligned: list[list[tuple[int, int]]] = []
-        for v in self._vars:
-            if v not in images:
-                raise UnknownVariable(f"no image given for {v!r}")
-            exp_map = images[v]
-            for name, e in exp_map.items():
-                if name not in new_vars:
-                    raise UnknownVariable(f"{name!r} not among {new_vars}")
-                if not isinstance(e, int):
-                    raise ValueError(f"non-integer exponent {e!r} in image of {v!r}")
-            aligned.append(
-                [(k, exp_map[w]) for k, w in enumerate(new_vars) if exp_map.get(w)]
-            )
-        return new_vars, aligned
+        return _substituted(rest, kept, nums, self._den, sub, offset, i)
 
     # -- equality, hashing, printing ----------------------------------------
 
@@ -727,49 +729,45 @@ def _substituted(
     exps: Collection[Exponents],
     nums: Collection[int],
     den: int,
-    aligned: list[list[tuple[int, int]]],
+    sub: MonomialSubstitution,
     offset: Exponents | None = None,
     drop: int | None = None,
 ) -> LaurentPolynomial:
     """The polynomial on ``vars_t`` with numerator ``nums[t]`` over ``den``
-    at the image of ``exps[t]``.
+    at the image of ``exps[t]`` under ``sub``.
 
-    Entry k of an image is the sum of the entries j times the image entries
-    (j, k) of ``aligned``, plus ``offset[k]``; entry ``drop``, if given, is
-    left out, and ``vars_t`` lacks it.  Up to ``_COLUMN_TERMS`` vectors each
-    image is built in turn.  Above it they are built a column at a time: new
-    column k sums the old columns j times the image entries (j, k), an entry
-    of 1 passes its column through uncopied, and an offset of 0 leaves the
-    column as it is.  Fewer distinct images than terms means that two terms
-    collided: only then are the numerators summed, zeros dropped and the
-    denominator reduced.
+    Entry k of an image is the sum of the entries j times the entries
+    (j, k) of ``sub``, plus ``offset[k]``; entry ``drop``, if given, is left
+    out, and ``vars_t`` lacks it.  Up to ``_COLUMN_TERMS`` vectors each
+    image is built in turn from the rows of ``sub``.  Above it they are
+    built a column at a time from its columns: new column k sums the old
+    columns j times the entries (j, k), an entry of 1 passes its column
+    through uncopied, and an offset of 0 leaves the column as it is.  Fewer
+    distinct images than terms means that two terms collided: only then are
+    the numerators summed, zeros dropped and the denominator reduced.
     """
-    width = len(vars_t) + (drop is not None)
+    width = len(sub.target)
     n = len(exps)
     if n <= _COLUMN_TERMS:
         keys = []
         for e in exps:
             vec = [0] * width if offset is None else list(offset)
-            for x, ivec in zip(e, aligned):
+            for x, row in zip(e, sub.rows):
                 if x:
-                    for k, iv in ivec:
+                    for k, iv in row:
                         vec[k] += x * iv
             if drop is not None:
                 del vec[drop]
             keys.append(tuple(vec))
     else:
-        parts: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(width)]
-        for col, ivec in zip(zip(*exps), aligned):
-            for k, iv in ivec:
-                parts[k].append((col, iv))
+        old = list(zip(*exps))
         columns: list[Sequence[int]] = []
-        for k, (summands, off) in enumerate(zip(parts, offset or (0,) * width)):
+        for k, (entries, off) in enumerate(zip(sub.columns, offset or (0,) * width)):
             if k == drop:
                 continue
             column: Sequence[int] | None = None
-            for col, iv in summands:
-                if iv != 1:
-                    col = [e * iv for e in col]
+            for j, iv in entries:
+                col = old[j] if iv == 1 else [e * iv for e in old[j]]
                 column = col if column is None else list(map(add, column, col))
             if column is None:
                 column = (off,) * n

@@ -17,8 +17,8 @@ nc pair the curve generator eta restricts to -dx/x on (y=0) and to dy/y on
 
 The half planes are glued to the two branches of the nc curve by the map
 sigma which identifies v1 = y and u2 = x, away from the origin.  Pulling a
-half-plane restriction back through sigma renames its parameter to the nc
-one; a triple of sections glues iff the nc restrictions equal (-1)^m
+half-plane restriction back through sigma substitutes the nc parameter for
+its own; a triple of sections glues iff the nc restrictions equal (-1)^m
 times the pulled-back half-plane restrictions on both branches.  The set of
 nc coefficients admitting holomorphic half-plane partners at weight m is a
 monomial ideal, read off the restriction maps of both sides (``MonomialMap``).
@@ -36,8 +36,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import (Exponents, LaurentPolynomial, NegativeExponentAtRestriction,
-                       VariableMismatch)
+from .exactalg import (Exponents, LaurentPolynomial, MonomialSubstitution,
+                       NegativeExponentAtRestriction, VariableMismatch)
 from .monideal import MonomialIdeal
 
 
@@ -278,6 +278,16 @@ SIGMA = (
 _LEG_MAPS = tuple((MonomialMap.of(NC_PAIR.variables, leg.nc),
                    MonomialMap.of(leg.half_plane.variables, leg.half)) for leg in SIGMA)
 
+# each leg's identification of parameters as substitutions: the nc parameter
+# onto the half plane, in the order of SIGMA (``partner_sections``), and the
+# half-plane parameter onto the nc one, by that parameter (``pullback_sigma``)
+_TO_HALF_PLANE = tuple(MonomialSubstitution(
+    (leg.nc.param_var,), leg.half_plane.variables, {leg.nc.param_var: {leg.half.param_var: 1}}
+) for leg in SIGMA)
+_TO_NC = {leg.half.param_var: MonomialSubstitution(
+    (leg.half.param_var,), (leg.nc.param_var,), {leg.half.param_var: {leg.nc.param_var: 1}}
+) for leg in SIGMA}
+
 
 def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
     """Rewrite a half-plane branch restriction over the matched nc branch.
@@ -287,19 +297,15 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
     curve generator eta on that branch: the pullback formulas
     (dv1)^m -> y^m*eta^m and (du2)^m -> (-x)^m*eta^m.  Both nc branches
     carry a log pole, so eta restricts to sign*ds/s, and the factors cancel:
-    h(t)*(dt)^m pulls back to h(s)*(ds)^m, a renaming of the parameter.
+    h(t)*(dt)^m pulls back to h(s)*(ds)^m, the substitution t -> s.
     """
-    match = next(
-        (leg for leg in SIGMA if leg.half.param_var == restriction.curve_var), None
-    )
-    if match is None:
+    to_nc = _TO_NC.get(restriction.curve_var)
+    if to_nc is None:
         raise UnknownBranch(
             f"no gluing is defined on branch parameter {restriction.curve_var!r}"
         )
-    s = match.nc.param_var
-    return BranchRestriction(
-        s, restriction.weight, restriction.h.rename({restriction.curve_var: s})
-    )
+    h = restriction.h.substitute_monomials(to_nc)
+    return BranchRestriction(h.variables[0], restriction.weight, h)
 
 
 def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
@@ -338,20 +344,14 @@ def partner_sections(section_nc: PluriSection) -> tuple[PluriSection, ...] | Non
     """
     m = section_nc.weight
     partners = []
-    for leg in SIGMA:
+    for leg, to_half in zip(SIGMA, _TO_HALF_PLANE):
         on_nc = restrict(section_nc, leg.nc.zero_var)
         # half-plane branches carry no log pole: a partner restricts to its
         # coefficient on the curve times residue_sign^m
         h = on_nc.h * (-leg.half.residue_sign) ** m
         if not h.is_polynomial():
             return None
-        if h.is_zero:
-            coeff = LaurentPolynomial.zero(leg.half_plane.variables)
-        else:
-            coeff = h.substitute_monomials(
-                leg.half_plane.variables, {leg.nc.param_var: {leg.half.param_var: 1}}
-            )
-        partners.append(PluriSection(leg.half_plane, m, coeff))
+        partners.append(PluriSection(leg.half_plane, m, h.substitute_monomials(to_half)))
     return tuple(partners)
 
 
@@ -370,11 +370,11 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
     found = set()
     for leg, (nc_map, _) in zip(SIGMA, _LEG_MAPS):
         on_nc = restrict(section_nc, leg.nc.zero_var)
-        sign = nc_map.sign**m
+        sign, low, i = nc_map.sign**m, nc_map.lowering * m, nc_map.along.index(1)
         for (k,), c in on_nc.h.terms().items():
             if k >= 0:
                 continue
-            exps = tuple(a * (k + nc_map.lowering * m) for a in nc_map.along)
+            exps = nc_map.along[:i] + (k + low,) + nc_map.along[i + 1 :]
             if c != sign * own.get(exps, 0):
                 raise AssertionError(
                     f"t^{k} on branch ({leg.nc.zero_var}=0) is not the term {exps}"

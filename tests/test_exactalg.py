@@ -11,6 +11,7 @@ from nccanon import exactalg
 from nccanon.conecalc import ConeElement, _even_substitute, to_chart
 from nccanon.exactalg import (
     LaurentPolynomial,
+    MonomialSubstitution,
     NegativeExponentAtRestriction,
     ParseError,
     UnknownVariable,
@@ -21,6 +22,7 @@ from nccanon.exactalg import (
 from nccanon.monideal import MonomialIdeal
 
 XY = ("x", "y")
+BOTH_TO_S = {"x": {"s": 1}, "y": {"s": 1}}
 
 
 def poly(src: str, variables=XY) -> LaurentPolynomial:
@@ -133,31 +135,58 @@ def test_parse_errors():
 # -- chart plumbing ----------------------------------------------------------
 
 
-def test_rename():
-    h = poly("v1^2 + 1", ("v1",))
-    assert h.rename({"v1": "y"}) == poly("y^2 + 1", ("y",))
-
-
 def test_substitute_monomials():
-    p = poly("u + v", ("u", "v"))
-    image = p.substitute_monomials(("s", "t"), {"u": {"s": 2}, "v": {"t": 2}})
+    uv = ("u", "v")
+    p = poly("u + v", uv)
+    to_chart = MonomialSubstitution(uv, ("s", "t"), {"u": {"s": 2}, "v": {"t": 2}})
+    image = p.substitute_monomials(to_chart)
     assert image == poly("s^2 + t^2", ("s", "t"))
-    q = poly("v", ("u", "v"))
-    laurent = q.substitute_monomials(("u", "w"), {"u": {"u": 1}, "v": {"u": -1, "w": 2}})
+    q = poly("v", uv)
+    laurent = q.substitute_monomials(MonomialSubstitution(uv, ("u", "w"), UW_IMAGES))
     assert laurent == LaurentPolynomial.monomial(("u", "w"), {"u": -1, "w": 2})
+    # a renaming is an injective substitution
+    h = poly("v1^2 + 1", ("v1",))
+    to_y = MonomialSubstitution(("v1",), ("y",), {"v1": {"y": 1}})
+    assert h.substitute_monomials(to_y) == poly("y^2 + 1", ("y",))
     with pytest.raises(ValueError):
-        q.substitute_monomials(("u", "w"), {"u": {"u": 0.5}, "v": {}})
-    # an image for a name that is no variable of q is a mistake, as in rename
+        MonomialSubstitution(uv, ("u", "w"), {"u": {"u": 0.5}, "v": {}})
+    # an image for a name that is not a source variable is a mistake
     with pytest.raises(UnknownVariable, match="'z'"):
-        q.substitute_monomials(("u", "w"), {"u": {"u": 1}, "v": {}, "z": {"w": 1}})
+        MonomialSubstitution(uv, ("u", "w"), {"u": {"u": 1}, "v": {}, "z": {"w": 1}})
+
+
+def test_monomial_substitution_checks_its_images_once():
+    # each error the per-call image check raised, with its message
+    uv, uw = ("u", "v"), ("u", "w")
+    bad = [
+        (uw, {"u": {"u": 1}, "v": {"w": 1}, "z": {}}, UnknownVariable,
+         "'z' not among ('u', 'v')"),
+        (uw, {"u": {"u": 1}}, UnknownVariable, "no image given for 'v'"),
+        (uw, {"u": {"u": 1}, "v": {"z": 1}}, UnknownVariable, "'z' not among ('u', 'w')"),
+        (uw, {"u": {"u": 1}, "v": {"w": 0.5}}, ValueError,
+         "non-integer exponent 0.5 in image of 'v'"),
+        (("u", "u"), {"u": {"u": 1}, "v": {"u": 1}}, ValueError,
+         "duplicate variable names in ('u', 'u')"),
+    ]
+    for target, images, error, message in bad:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            MonomialSubstitution(uv, target, images)
+    # the nonzero entries by source variable and by target variable
+    log_frame = MonomialSubstitution(uv, uw, UW_IMAGES)
+    assert log_frame.rows == (((0, 1),), ((0, -1), (1, 2)))
+    assert log_frame.columns == (((0, 1), (1, -1)), ((1, 2),))
+    assert log_frame == MonomialSubstitution(list(uv), iter(uw), UW_IMAGES)
+    with pytest.raises(AttributeError):
+        log_frame.rows = ()
 
 
 def test_substitute_monomials_is_ring_morphism():
     rng = Random(19)
     images = {"x": {"s": 2}, "y": {"s": -1, "t": 1}}
+    to_st = MonomialSubstitution(XY, ("s", "t"), images)
     for _ in range(100):
         p, q = random_poly(rng), random_poly(rng)
-        sub = lambda f: f.substitute_monomials(("s", "t"), images)
+        sub = lambda f: f.substitute_monomials(to_st)
         assert sub(p * q) == sub(p) * sub(q)
         assert sub(p + q) == sub(p) + sub(q)
 
@@ -196,11 +225,13 @@ def test_coefficient_checks_exponent_length():
 
 
 def test_duplicate_variable_guards():
-    p = poly("x + 2*y")
+    # renaming x to y over (x, y) repeats the target name y
     with pytest.raises(ValueError):
-        p.rename({"x": "y"})
+        MonomialSubstitution(XY, ("y", "y"), {"x": {"y": 1}, "y": {"y": 1}})
     with pytest.raises(ValueError):
-        p.substitute_monomials(("s", "s"), {"x": {"s": 1}, "y": {}})
+        MonomialSubstitution(XY, ("s", "s"), {"x": {"s": 1}, "y": {}})
+    with pytest.raises(ValueError):
+        MonomialSubstitution(("x", "x"), ("s",), {"x": {"s": 1}})
 
 
 def test_values_are_frozen_and_hash_by_value():
@@ -258,7 +289,7 @@ def test_integral_results_of_fractions_are_stored_as_int():
         ),
         "add": (half + poly("1/2*x + 1/2*y"), {(1, 0): 2, (0, 1): 1}),
         "substitute": (
-            half.substitute_monomials(("s",), {"x": {"s": 1}, "y": {"s": 1}}),
+            half.substitute_monomials(MonomialSubstitution(XY, ("s",), BOTH_TO_S)),
             {(1,): 2},
         ),
     }
@@ -301,16 +332,18 @@ def test_common_denominator_examples():
         assert_reduced(shifted)
         assert shifted.terms() == {(2, 0): Fraction(1, 2), (1, 1): 1}
     # substitution collisions: summed numerators, reduced against 6
-    both_to_s = {"x": {"s": 1}, "y": {"s": 1}}
-    collided = poly("1/6*x + 1/3*y + 1/2*y^2").substitute_monomials(("s",), both_to_s)
+    both_to_s = MonomialSubstitution(XY, ("s",), BOTH_TO_S)
+    collided = poly("1/6*x + 1/3*y + 1/2*y^2").substitute_monomials(both_to_s)
     assert_reduced(collided)
     assert collided.terms() == {(1,): Fraction(1, 2), (2,): Fraction(1, 2)}
-    cancelled = poly("1/6*x - 1/6*y + 2*x^2").substitute_monomials(("s",), both_to_s)
+    cancelled = poly("1/6*x - 1/6*y + 2*x^2").substitute_monomials(both_to_s)
     assert_reduced(cancelled)
     assert cancelled.terms() == {(2,): 2}
     # a collision-free substitution keeps the denominator, reduced or not
-    moved = kept.substitute_monomials(("s",), {"x": {"s": 2}})
+    moved = kept.substitute_monomials(MonomialSubstitution(("x",), ("s",), {"x": {"s": 2}}))
     assert moved._den == 6 and moved.terms() == {(2,): Fraction(1, 2)}
+    renamed = kept.substitute_monomials(MonomialSubstitution(("x",), ("s",), {"x": {"s": 1}}))
+    assert renamed._den == 6 and renamed.terms() == {(1,): Fraction(1, 2)}
 
 
 def test_equal_values_hash_alike_across_construction_routes():
@@ -333,9 +366,11 @@ def test_equal_values_hash_alike_across_construction_routes():
         ).restrict_var("z"),
         "shift": poly("1/2*x^3 - 3*x*y + 5/6*x").shift((-1, 0)),
         "substitution": poly("1/2*u - 3*v + 5/6", ("u", "v")).substitute_monomials(
-            XY, {"u": {"x": 2}, "v": {"y": 1}}
+            MonomialSubstitution(("u", "v"), XY, {"u": {"x": 2}, "v": {"y": 1}})
         ),
-        "rename": poly("1/2*a^2 - 3*y + 5/6", ("a", "y")).rename({"a": "x"}),
+        "renaming": poly("1/2*a^2 - 3*y + 5/6", ("a", "y")).substitute_monomials(
+            MonomialSubstitution(("a", "y"), XY, {"a": {"x": 1}, "y": {"y": 1}})
+        ),
     }
     for name, p in routes.items():
         assert_normalised(p)
@@ -504,9 +539,10 @@ def unreduced(rng: Random, p: LaurentPolynomial) -> LaurentPolynomial:
 
 
 # the draws whose result may keep a denominator that is not the least one:
-# restriction keeps the denominator it is given, and an int scalar meets it in
-# one gcd only; every other result of the oracle draws is reduced
-KEEPS_DENOMINATOR = {"restrict", "scalar-unreduced"}
+# restriction and renaming keep the denominator they are given, and an int
+# scalar meets it in one gcd only; every other result of the oracle draws is
+# reduced
+KEEPS_DENOMINATOR = {"restrict", "scalar-unreduced", "rename-unreduced"}
 
 
 def test_trusted_path_matches_oracle():
@@ -545,15 +581,11 @@ def test_trusted_path_matches_oracle():
             "cancel-sub": (p - p, zero),
             "times-0": (p * 0, zero),
             "times-1": (p * 1, p),
-            "rename": (
-                p.rename({variables[0]: "r"}),
-                oracle_map(p, ("r",) + variables[1:]),
-            ),
         }
         for new_vars in (("s",), ("s", "t")):
             images = random_images(rng, variables, new_vars)
             results[f"substitute-{len(new_vars)}"] = (
-                p.substitute_monomials(new_vars, images),
+                p.substitute_monomials(MonomialSubstitution(variables, new_vars, images)),
                 oracle_substitute(p, new_vars, images),
             )
         # the constructor reduces: each operand is over its least denominator
@@ -566,7 +598,16 @@ def test_trusted_path_matches_oracle():
             assert got == want and want == got and hash(got) == hash(want)
             assert str(got) == str(want) and got.terms() == want.terms()
             spare += gcd(got._den, *got._terms.values()) > 1
+        # a renaming is injective: it keeps the denominator, least or not
+        renamed = ("r",) + variables[1:]
+        rename = MonomialSubstitution(
+            variables, renamed, {v: {r: 1} for v, r in zip(variables, renamed)}
+        )
+        renamed_pu = pu.substitute_monomials(rename)
+        assert renamed_pu._den == pu._den
         results.update({
+            "rename": (p.substitute_monomials(rename), oracle_map(p, renamed)),
+            "rename-unreduced": (renamed_pu, oracle_map(pu, renamed)),
             "add-unreduced": (pu + qu, oracle_add(pu, qu)),
             "mul-unreduced": (pu * qu, oracle_mul(pu, qu)),
             "mul-unreduced-int": (pu * ints, oracle_mul(pu, ints)),
@@ -598,14 +639,15 @@ def test_trusted_path_cancellation():
     # cross terms cancel in the product
     assert xy * poly("x - y") == poly("x^2 - y^2")
     # two variables sent to one monomial: terms collide and cancel
-    collide = {"x": {"s": 1}, "y": {"s": 1}}
+    collide = MonomialSubstitution(XY, ("s",), BOTH_TO_S)
     x_minus_y = poly("x - y")
-    assert x_minus_y.substitute_monomials(("s",), collide) == LaurentPolynomial.zero(("s",))
+    assert x_minus_y.substitute_monomials(collide) == LaurentPolynomial.zero(("s",))
     # negative powers of the images
     images = {"x": {"s": -1}, "y": {"s": 2, "t": -1}}
-    sub = poly("x^-2*y + 1/2*x^3*y^-1").substitute_monomials(("s", "t"), images)
+    negative = MonomialSubstitution(XY, ("s", "t"), images)
+    sub = poly("x^-2*y + 1/2*x^3*y^-1").substitute_monomials(negative)
     assert sub == poly("s^4*t^-1 + 1/2*s^-5*t", ("s", "t"))
-    for p in (xy * poly("x - y"), x_minus_y.substitute_monomials(("s",), collide), sub):
+    for p in (xy * poly("x - y"), x_minus_y.substitute_monomials(collide), sub):
         assert_normalised(p)
     assert_normalised(xy * 0)
     assert xy * 1 is xy
@@ -641,8 +683,9 @@ def test_shift_checks_its_arguments():
 
 def test_even_substitute_matches_oracle():
     rng = Random(29)
+    squares = MonomialSubstitution(("s",), ("s",), {"s": {"s": 2}})
     for _ in range(100):
-        p = dense_poly(rng, ("s",)).substitute_monomials(("s",), {"s": {"s": 2}})
+        p = dense_poly(rng, ("s",)).substitute_monomials(squares)
         got = _even_substitute(p, "u")
         assert_normalised(got)
         assert got == oracle_map(p, ("u",), lambda e: (e[0] // 2,))
@@ -712,37 +755,38 @@ def test_column_substitution_matches_oracle(monkeypatch):
         draws += [(nv, random_images(rng, variables, nv)) for nv in (("s",), ("s", "t"))]
         if len(variables) == 2:
             draws.append((("u", "w"), dict(zip(variables, UW_IMAGES.values()))))
+        # no image reaches z: its stored column is empty
+        draws.append((("s", "z"), {v: {"s": 1} for v in variables}))
         for new_vars, images in draws:
-            got = on_both_paths(
-                monkeypatch, lambda: p.substitute_monomials(new_vars, images)
-            )
+            sub = MonomialSubstitution(variables, new_vars, images)
+            got = on_both_paths(monkeypatch, lambda: p.substitute_monomials(sub))
             # the default constant takes the column path here
-            assert p.substitute_monomials(new_vars, images)._terms == got._terms
+            assert p.substitute_monomials(sub)._terms == got._terms
             assert got == oracle_substitute(p, new_vars, images), (p, images)
             collided += len(got.support()) < len(p.support())
+        assert sub.columns[1] == () and got.low_degree_in("z") == 0
     # every draw into () collides; the random images add about 200 more
     assert collided > 300, collided
 
 
 def test_column_substitution_cancels_collisions(monkeypatch):
     rng = Random(53)
-    collapse = {"x": {"s": 1}, "y": {"s": 1}}
+    collapse = MonomialSubstitution(XY, ("s",), BOTH_TO_S)
+    to_nothing = MonomialSubstitution(XY, (), {"x": {}, "y": {}})
     for n_pairs in (5, 12, 30):
         p = antisymmetric_poly(rng, n_pairs)
         assert len(p.support()) == 2 * n_pairs > exactalg._COLUMN_TERMS
-        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials(("s",), collapse))
+        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials(collapse))
         assert got.is_zero and got._den == 1
         # one term more survives the cancellation, over its own denominator
         extra = p + LaurentPolynomial(XY, {(7, 7): Fraction(5, 4)})
-        got = on_both_paths(monkeypatch, lambda: extra.substitute_monomials(("s",), collapse))
+        got = on_both_paths(monkeypatch, lambda: extra.substitute_monomials(collapse))
         assert got == LaurentPolynomial(("s",), {(14,): Fraction(5, 4)})
         assert_reduced(got)
         # into no variables at all every term lands on () and the sum cancels
-        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials((), {"x": {}, "y": {}}))
+        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials(to_nothing))
         assert got.is_zero and got.variables == ()
-        got = on_both_paths(
-            monkeypatch, lambda: extra.substitute_monomials((), {"x": {}, "y": {}})
-        )
+        got = on_both_paths(monkeypatch, lambda: extra.substitute_monomials(to_nothing))
         assert got == LaurentPolynomial((), {(): Fraction(5, 4)})
 
 
@@ -751,18 +795,14 @@ def test_column_substitution_examples():
     p = LaurentPolynomial(("u", "v"), terms)
     assert len(p.support()) > exactalg._COLUMN_TERMS
     # v -> u^-1*w^2 is injective, so the denominator passes through
-    got = p.substitute_monomials(("u", "w"), UW_IMAGES)
+    got = p.substitute_monomials(MonomialSubstitution(("u", "v"), ("u", "w"), UW_IMAGES))
     assert got._den == p._den == 6
     assert got.terms() == {(a - b, 2 * b): c for (a, b), c in p.terms().items()}
-    # the argument checks come first on either path
-    with pytest.raises(UnknownVariable, match="no image"):
-        p.substitute_monomials(("s",), {"u": {"s": 1}})
-    with pytest.raises(UnknownVariable, match="'z'"):
-        p.substitute_monomials(("s",), {"u": {"z": 1}, "v": {}})
-    with pytest.raises(ValueError):
-        p.substitute_monomials(("s",), {"u": {"s": 0.5}, "v": {}})
-    with pytest.raises(ValueError):
-        p.substitute_monomials(("s", "s"), {"u": {"s": 1}, "v": {}})
+    # the image checks are the constructor's, before either path (see
+    # test_monomial_substitution_checks_its_images_once); the one check
+    # left per call is the variable list
+    with pytest.raises(VariableMismatch):
+        p.substitute_monomials(MonomialSubstitution(("v", "u"), ("s",), {"u": {}, "v": {}}))
 
 
 def test_column_shift_matches_validating_monomial_product(monkeypatch):
@@ -790,29 +830,29 @@ def test_column_shift_matches_validating_monomial_product(monkeypatch):
 # message; it builds image vectors only for the terms the restriction keeps.
 
 
-def composed_restriction(p, new_vars, images, var, shift=None):
-    image = p.substitute_monomials(new_vars, images)
+def composed_restriction(p, sub, var, shift=None):
+    image = p.substitute_monomials(sub)
     if shift is not None:
         image = image.shift(shift)
     return image.restrict_var(var)
 
 
-def check_restrict_substituted(monkeypatch, p, new_vars, images, var, shift=None):
+def check_restrict_substituted(monkeypatch, p, sub, var, shift=None):
     """The kernel on both sides of _COLUMN_TERMS against the composed path:
     the restriction, or None after checking that both raise alike."""
     try:
-        want = composed_restriction(p, new_vars, images, var, shift)
+        want = composed_restriction(p, sub, var, shift)
     except NegativeExponentAtRestriction as exc:
         for cut in (0, 10**9):
             monkeypatch.setattr(exactalg, "_COLUMN_TERMS", cut)
             with pytest.raises(NegativeExponentAtRestriction, match=re.escape(str(exc))):
-                p.restrict_substituted(new_vars, images, var, shift)
+                p.restrict_substituted(sub, var, shift)
         monkeypatch.undo()
         return None
     got = on_both_paths(
-        monkeypatch, lambda: p.restrict_substituted(new_vars, images, var, shift)
+        monkeypatch, lambda: p.restrict_substituted(sub, var, shift)
     )
-    assert got == want and hash(got) == hash(want), (p, images, var, shift)
+    assert got == want and hash(got) == hash(want), (p, sub, var, shift)
     assert str(got) == str(want)
     # the denominator passes through unless the kept terms collided, which
     # reduces it; nothing kept is the zero over 1
@@ -838,7 +878,8 @@ def test_restrict_substituted_matches_composed_path(monkeypatch):
         shift = None
         if rng.random() < 0.5:
             shift = tuple(rng.choice([0, 0, 0, 1, -1, 2]) for _ in new_vars)
-        got = check_restrict_substituted(monkeypatch, p, new_vars, images, "w", shift)
+        sub = MonomialSubstitution(variables, new_vars, images)
+        got = check_restrict_substituted(monkeypatch, p, sub, "w", shift)
         if got is None:
             outcomes["raised"] += 1
         elif got.is_zero:
@@ -853,12 +894,11 @@ def test_restrict_substituted_on_the_cone_parts(monkeypatch):
     # the log-frame route: v -> u^-1*w^2, the c1 part shifted by w
     rng = Random(73)
     raised = {None: 0, (0, 1): 0}
+    log_frame = MonomialSubstitution(("u", "v"), ("u", "w"), UW_IMAGES)
     for _ in range(150):
         part = many_term_poly(rng, ("u", "v"), rng.randint(0, 40))
         for shift in raised:
-            got = check_restrict_substituted(
-                monkeypatch, part, ("u", "w"), UW_IMAGES, "w", shift
-            )
+            got = check_restrict_substituted(monkeypatch, part, log_frame, "w", shift)
             if got is None:
                 raised[shift] += 1
             elif shift is not None:
@@ -867,57 +907,57 @@ def test_restrict_substituted_on_the_cone_parts(monkeypatch):
     assert min(raised.values()) > 50, raised
     c0 = LaurentPolynomial(("u", "v"), {(2, 0): Fraction(1, 6), (0, -1): 3, (1, 1): 2})
     with pytest.raises(NegativeExponentAtRestriction, match=r"w\^-2 "):
-        c0.restrict_substituted(("u", "w"), UW_IMAGES, "w")
+        c0.restrict_substituted(log_frame, "w")
     with pytest.raises(NegativeExponentAtRestriction, match=r"w\^-1 "):
-        c0.restrict_substituted(("u", "w"), UW_IMAGES, "w", (0, 1))
+        c0.restrict_substituted(log_frame, "w", (0, 1))
     c0 = LaurentPolynomial(("u", "v"), {(2, 0): Fraction(1, 6), (0, 1): 3})
-    assert c0.restrict_substituted(("u", "w"), UW_IMAGES, "w") == LaurentPolynomial(
+    assert c0.restrict_substituted(log_frame, "w") == LaurentPolynomial(
         ("u",), {(2,): Fraction(1, 6)}
     )
-    assert c0.restrict_substituted(("u", "w"), UW_IMAGES, "w", (0, 1)).is_zero
+    assert c0.restrict_substituted(log_frame, "w", (0, 1)).is_zero
 
 
 def test_restrict_substituted_collisions_and_cancelling_poles(monkeypatch):
     rng = Random(79)
-    collapse = {"x": {"s": 1}, "y": {"s": 1}}
+    collapse = MonomialSubstitution(XY, ("s", "w"), BOTH_TO_S)
+    onto_w = MonomialSubstitution(XY, ("s", "w"), {"x": {"w": 1}, "y": {"w": 1}})
     for n_pairs in (1, 3, 5, 12, 30):
         p = antisymmetric_poly(rng, n_pairs)
         # every image collides with its mirror: the kept terms cancel to 0
-        got = check_restrict_substituted(monkeypatch, p, ("s", "w"), collapse, "w")
+        got = check_restrict_substituted(monkeypatch, p, collapse, "w")
         assert got.is_zero
         # and to one term when one more survives
         extra = p + LaurentPolynomial(XY, {(7, 7): Fraction(5, 4)})
-        got = check_restrict_substituted(monkeypatch, extra, ("s", "w"), collapse, "w")
+        got = check_restrict_substituted(monkeypatch, extra, collapse, "w")
         assert got == LaurentPolynomial(("s",), {(14,): Fraction(5, 4)})
         assert_reduced(got)
         # with x, y -> w the poles cancel in pairs: no pole is left to raise
-        onto_w = {"x": {"w": 1}, "y": {"w": 1}}
-        got = check_restrict_substituted(monkeypatch, p, ("s", "w"), onto_w, "w")
+        got = check_restrict_substituted(monkeypatch, p, onto_w, "w")
         assert got == LaurentPolynomial.zero(("s",))
         # a pole that no other term cancels still raises
         pole = p + LaurentPolynomial(XY, {(-9, 0): Fraction(1, 3)})
-        assert check_restrict_substituted(monkeypatch, pole, ("s", "w"), onto_w, "w") is None
+        assert check_restrict_substituted(monkeypatch, pole, onto_w, "w") is None
         with pytest.raises(NegativeExponentAtRestriction, match=r"w\^-9 "):
-            pole.restrict_substituted(("s", "w"), onto_w, "w")
+            pole.restrict_substituted(onto_w, "w")
 
 
 def test_restrict_substituted_checks_its_arguments():
     p = LaurentPolynomial(("u", "v"), {(1, 0): Fraction(1, 2), (0, 1): 3})
+    # the image checks are the constructor's (see
+    # test_monomial_substitution_checks_its_images_once); what is left per
+    # call raises as on the composed path
+    log_frame = MonomialSubstitution(("u", "v"), ("u", "w"), UW_IMAGES)
     bad_calls = [
-        (("u", "w"), {"u": {"u": 1}, "v": {"w": 1}, "z": {}}, "w", None),
-        (("u", "w"), {"u": {"u": 1}}, "w", None),
-        (("u", "w"), {"u": {"u": 1}, "v": {"z": 1}}, "w", None),
-        (("u", "w"), {"u": {"u": 1}, "v": {"w": 0.5}}, "w", None),
-        (("u", "u"), {"u": {"u": 1}, "v": {"u": 1}}, "u", None),
-        (("u", "w"), UW_IMAGES, "v", None),
-        (("u", "w"), UW_IMAGES, "w", (0, 1, 0)),
-        (("u", "w"), UW_IMAGES, "w", (0, 1.0)),
+        (MonomialSubstitution(("v", "u"), ("u", "w"), UW_IMAGES), "w", None),
+        (log_frame, "v", None),
+        (log_frame, "w", (0, 1, 0)),
+        (log_frame, "w", (0, 1.0)),
     ]
-    for new_vars, images, var, shift in bad_calls:
+    for sub, var, shift in bad_calls:
         with pytest.raises(Exception) as want:
-            composed_restriction(p, new_vars, images, var, shift)
+            composed_restriction(p, sub, var, shift)
         with pytest.raises(want.type, match=re.escape(str(want.value))):
-            p.restrict_substituted(new_vars, images, var, shift)
+            p.restrict_substituted(sub, var, shift)
         assert want.type in (UnknownVariable, ValueError, VariableMismatch)
 
 

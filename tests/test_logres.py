@@ -117,7 +117,7 @@ def test_pullback_examples():
 
 
 def test_pullback_matches_log_frame_oracle():
-    # the computation in the nc log frame: rename t to s, write (dt)^m as
+    # the computation in the nc log frame: read h(t) as h(s), write (dt)^m as
     # (sign*s)^m * eta^m, then fold eta^m = (sign*ds/s)^m back into (ds)^m
     rng = Random(59)
     for leg, m, _ in product(SIGMA, range(9), range(12)):
@@ -125,7 +125,7 @@ def test_pullback_matches_log_frame_oracle():
         terms = {(rng.randrange(-4, 5),): Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
                  for _ in range(rng.randrange(6))}
         h = LaurentPolynomial((t,), terms)
-        in_log_frame = h.rename({t: s}).shift((m,), sign**m)
+        in_log_frame = LaurentPolynomial((s,), h.terms()).shift((m,), sign**m)
         expected = BranchRestriction(s, m, in_log_frame.shift((-m,), sign**m))
         assert pullback_sigma(BranchRestriction(t, m, h)) == expected
 
@@ -280,6 +280,7 @@ def test_gluing_ideal_is_never_principal():
 
 
 def test_members_glue_and_non_members_do_not():
+    zero_partners = 0
     for m in range(1, 11):
         ideal = gluing_ideal(m)
         for exps in ideal.generators:
@@ -291,6 +292,13 @@ def test_members_glue_and_non_members_do_not():
             partners = partner_sections(section)
             assert partners is not None
             assert glues(section, *partners)
+            if exps == (1, 1):
+                # x*y restricts to 0 on both branches: its partners are the zeros
+                # over the half planes' variables
+                assert [p.coeff for p in partners] == [
+                    LaurentPolynomial.zero(leg.half_plane.variables) for leg in SIGMA
+                ]
+                zero_partners += 1
         for a in range(m):
             for b in range(m - a):
                 if ideal.member((a, b)):
@@ -301,6 +309,7 @@ def test_members_glue_and_non_members_do_not():
                     LaurentPolynomial.monomial(NC_PAIR.variables, {"x": a, "y": b}),
                 )
                 assert partner_sections(section) is None
+    assert zero_partners == 9
 
 
 def random_nc_polynomial(rng: Random, m: int) -> LaurentPolynomial:
