@@ -310,10 +310,12 @@ def _associativity_sample(rng: Random, n_triples: int) -> bool:
     ]
     for curve, xs in curves:
         pool = [INFINITY] + points_with_x_in(curve, xs)
+        seen = set(pool)
         for p in list(pool):
             for q in list(pool):
                 s = ec_add(curve, p, q)
-                if s not in pool:
+                if s not in seen:
+                    seen.add(s)
                     pool.append(s)
         for _ in range(n_triples):
             p, q, r = (pool[rng.randrange(len(pool))] for _ in range(3))

@@ -198,7 +198,7 @@ class MonomialSubstitution:
     the chart changes need (u -> s^2, v -> u^-1*w^2).  This integer matrix
     is stored by its nonzero entries twice: ``rows[j]`` holds the pairs
     (k, e) of the image of source variable j, and ``columns[k]`` the pairs
-    (j, e) that reach target variable k.
+    (j, e) that reach target variable k; ``identity`` marks the identity matrix.
     """
 
     source: tuple[str, ...]
@@ -206,6 +206,7 @@ class MonomialSubstitution:
     images: InitVar[Mapping[str, Mapping[str, int]]]
     rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
     columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
+    identity: bool = field(init=False)
 
     def __post_init__(self, images: Mapping[str, Mapping[str, int]]) -> None:
         source = _distinct(self.source)
@@ -230,7 +231,8 @@ class MonomialSubstitution:
             tuple((j, e) for j, row in enumerate(rows) for i, e in row if i == k)
             for k in range(len(target))
         )
-        for f, value in zip(fields(self), (source, target, tuple(rows), columns)):
+        identity = rows == [((j, 1),) for j in range(len(target))]
+        for f, value in zip(fields(self), (source, target, tuple(rows), columns, identity)):
             object.__setattr__(self, f.name, value)
 
 
@@ -549,8 +551,6 @@ class LaurentPolynomial:
             if num != 1:
                 nums = [n * num for n in nums]
             out = dict(zip(zip(*columns), nums))
-        elif num == 1:
-            out = {tuple(map(add, e, exps)): n for e, n in terms}
         else:
             out = {tuple(map(add, e, exps)): n * num for e, n in terms}
         if q > 1:
@@ -559,25 +559,38 @@ class LaurentPolynomial:
 
     # -- chart operations --------------------------------------------------
 
-    def restrict_var(self, var: str) -> "LaurentPolynomial":
+    def restrict_var(self, var: str, shift: Exponents | None = None,
+                     coeff: Coefficient = 1) -> "LaurentPolynomial":
         """Substitute var = 0; the result lives in the remaining variables.
 
         Raises NegativeExponentAtRestriction if any term has a pole in var,
         i.e. if the coefficient function is not holomorphic across the locus
-        being restricted to.
+        being restricted to.  Given ``shift`` or ``coeff``, it is the
+        restriction's ``.shift(shift, coeff)`` (no shift if None), in the same
+        pass up to ``_COLUMN_TERMS`` terms; both are checked before any pole.
         """
         i = _position(self._vars, var)
         new_vars = self._vars[:i] + self._vars[i + 1 :]
+        if shift is not None:
+            _check_shift(new_vars, shift)
+        num, q = _exact(coeff).as_integer_ratio()
+        if shift is not None and len(self._terms) > _COLUMN_TERMS:
+            return self.restrict_var(var).shift(shift, coeff)  # a column at a time
+        g = gcd(self._den, num)
+        num //= g
         out: dict[Exponents, int] = {}
         for exps, c in self._terms.items():
             e = exps[i]
             if e < 0:
                 raise _pole(var, e)
-            if e == 0:
-                out[exps[:i] + exps[i + 1 :]] = c
-        # dropping a coordinate that is 0 in every kept key is injective; the
-        # kept numerators stay over the same denominator, reduced or not
-        return LaurentPolynomial._trusted(new_vars, out, self._den)
+            if e == 0 and num:
+                key = exps[:i] + exps[i + 1 :]
+                out[key if shift is None else tuple(map(add, key, shift))] = c * num
+        # the kept keys stay distinct: as in ``_scaled``, only q > 1 needs a gcd
+        den = self._den // g * q
+        if q > 1:
+            out, den = _reduced(out, den)
+        return LaurentPolynomial._trusted(new_vars, out, den)
 
     def substitute_monomials(self, sub: MonomialSubstitution) -> "LaurentPolynomial":
         """The image under ``sub``, whose source must be this polynomial's
@@ -586,11 +599,13 @@ class LaurentPolynomial:
         Numerators are summed, and the sums filtered for zeros and reduced
         against the denominator, only when two terms land on the same image
         exponents; an injective substitution passes its numerators and
-        denominator through as they are.
+        denominator through as they are, an ``identity`` one its map itself.
         """
         if self._vars != sub.source:
             raise VariableMismatch(f"substitution on {sub.source}, not {self._vars}")
         terms = self._terms
+        if sub.identity:
+            return LaurentPolynomial._trusted(sub.target, terms, self._den)
         return _substituted(sub.target, terms, terms.values(), self._den, sub)
 
     def restrict_substituted(

@@ -98,21 +98,35 @@ INFINITY = ECPoint(None, None)
 
 
 def ec_add(curve: ECCurve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """Chord-tangent group sum; infinity is the identity."""
+    """Chord-tangent group sum; infinity is the identity.
+
+    The sum is infinity when q = -p, doubling a point with y = 0 included.
+    Otherwise the slope is (y2 - y1)/(x2 - x1), or (3x^2 + a)/(2y) when
+    p = q, and the sum is (s^2 - x1 - x2, s*(x1 - x3) - y1) (Silverman, The
+    Arithmetic of Elliptic Curves, III.2).  Each rational is read once as
+    its integer ratio, every step is integer arithmetic on numerator and
+    denominator, and only the two coordinates of the sum become Fractions.
+    """
     if p.is_infinity:
         return q
     if q.is_infinity:
         return p
-    if p.x == q.x and p.y == -q.y:
-        return INFINITY
-    if p == q:
-        slope = (3 * p.x * p.x + curve.a) / (2 * p.y)
-    else:
-        if p.x == q.x:
+    (x1, d1), (y1, e1) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+    (x2, d2), (y2, e2) = q.x.as_integer_ratio(), q.y.as_integer_ratio()
+    if x1 * d2 == x2 * d1:
+        if y1 * e2 != y2 * e1 or not y1:
             return INFINITY
-        slope = (q.y - p.y) / (q.x - p.x)
-    x3 = slope * slope - p.x - q.x
-    y3 = slope * (p.x - x3) - p.y
+        a, c = curve.a.as_integer_ratio()
+        top, bottom = (3 * x1 * x1 * c + a * d1 * d1) * e1, 2 * y1 * d1 * d1 * c
+    else:
+        top, bottom = (y2 * e1 - y1 * e2) * d1 * d2, (x2 * d1 - x1 * d2) * e1 * e2
+    # the slope is top/bottom; y3 reads x3 in lowest terms
+    square = bottom * bottom
+    x3 = Fraction(top * top * d1 * d2 - square * (x1 * d2 + x2 * d1), square * d1 * d2)
+    n3, m3 = x3.as_integer_ratio()
+    y3 = Fraction(
+        top * (x1 * m3 - n3 * d1) * e1 - y1 * bottom * d1 * m3, bottom * d1 * m3 * e1
+    )
     return ECPoint(x3, y3)
 
 

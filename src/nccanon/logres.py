@@ -183,13 +183,15 @@ def restrict(section: PluriSection, branch: str) -> BranchRestriction:
 
     The coefficient must be holomorphic transverse to the branch;
     otherwise NegativeExponentAtRestriction propagates from the
-    substitution.
+    substitution.  One ``restrict_var`` call sets the branch's variable to
+    0 and normalizes the result from (generator restriction)^m to (dt)^m:
+    it shifts by t^-m on a log pole and scales by residue_sign^m.
     """
     rule = section.model.branch(branch)
     m = section.weight
-    restricted = section.coeff.restrict_var(rule.zero_var)
-    # restricted is relative to (generator restriction)^m; normalize to (dt)^m
-    h = restricted.shift((-m if rule.log_pole else 0,), rule.residue_sign**m)
+    h = section.coeff.restrict_var(
+        rule.zero_var, (-m,) if rule.log_pole else None, rule.residue_sign**m
+    )
     return BranchRestriction(rule.param_var, m, h)
 
 
@@ -371,10 +373,11 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
     for leg, (nc_map, _) in zip(SIGMA, _LEG_MAPS):
         on_nc = restrict(section_nc, leg.nc.zero_var)
         sign, low, i = nc_map.sign**m, nc_map.lowering * m, nc_map.along.index(1)
+        head, tail = nc_map.along[:i], nc_map.along[i + 1 :]
         for (k,), c in on_nc.h.terms().items():
             if k >= 0:
                 continue
-            exps = nc_map.along[:i] + (k + low,) + nc_map.along[i + 1 :]
+            exps = head + (k + low,) + tail
             if c != sign * own.get(exps, 0):
                 raise AssertionError(
                     f"t^{k} on branch ({leg.nc.zero_var}=0) is not the term {exps}"

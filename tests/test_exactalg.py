@@ -681,6 +681,97 @@ def test_shift_checks_its_arguments():
         p.shift((1.0, 0))
 
 
+# -- restriction fused with a shift ----------------------------------------------
+#
+# restrict_var(var, shift, coeff) must equal restrict_var(var).shift(shift,
+# coeff), stored alike, and raise what that composed path raises.
+
+
+def composed_shifted_restriction(p, var, shift, coeff):
+    restricted = p.restrict_var(var)
+    return restricted.shift((0,) * len(restricted.variables) if shift is None else shift, coeff)
+
+
+def test_fused_restriction_matches_composed_path(monkeypatch):
+    rng = Random(79)
+    outcomes = {"pole": 0, "zero": 0, "fraction": 0, "integral": 0}
+    for _ in range(500):
+        variables = VARS[: rng.randint(1, 3)]
+        p = dense_poly(rng, variables, coeff=rng.choice([small_coeff, wide_coeff]))
+        var = rng.choice(variables)
+        i = variables.index(var)
+        if rng.random() < 0.7:
+            # most draws have no pole in var, and many keep the terms free of it
+            p = oracle_map(p, variables, lambda e: e[:i] + (max(e[i], 0) // 2,) + e[i + 1 :])
+        shift = rng.choice([None, tuple(rng.randint(-3, 3) for _ in variables[1:])])
+        coeff = rng.choice([1, -1, 0, 3, Fraction(-3, 2), Fraction(2, 7), Fraction(6, 3)])
+        try:
+            want = composed_shifted_restriction(p, var, shift, coeff)
+        except NegativeExponentAtRestriction as exc:
+            for cut in (0, 10**9):
+                monkeypatch.setattr(exactalg, "_COLUMN_TERMS", cut)
+                with pytest.raises(NegativeExponentAtRestriction,
+                                   match=f"^{re.escape(str(exc))}$"):
+                    p.restrict_var(var, shift, coeff)
+            monkeypatch.undo()
+            outcomes["pole"] += 1
+            continue
+        fused = lambda: p.restrict_var(var, shift, coeff)
+        # both kernels, except over no variables, where one term at most is
+        # left and the column kernel never runs
+        got = on_both_paths(monkeypatch, fused) if len(variables) > 1 else fused()
+        assert got.variables == want.variables
+        assert got._terms == want._terms and got._den == want._den, (p, var, shift, coeff)
+        rest = want.variables
+        mono = LaurentPolynomial.monomial(rest, dict(zip(rest, shift or ())), coeff)
+        assert got == oracle_mul(oracle_restrict(p, var), mono)
+        if got.is_zero:
+            outcomes["zero"] += 1
+        else:
+            outcomes["fraction" if got._den > 1 else "integral"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_fused_restriction_checks_its_arguments():
+    p = LaurentPolynomial(XY, {(1, 0): Fraction(1, 2), (0, 2): 3})
+    pole = LaurentPolynomial(XY, {(-1, 1): 1, (0, 2): Fraction(2, 3)})
+    bad_calls = [
+        (pole, "x", (1,), 1),
+        (p, "z", (1,), 1),
+        (p, "x", (1, 0), 1),
+        (p, "x", (), 1),
+        (p, "x", (1.0,), 1),
+        (p, "x", ("1",), 1),
+        (p, "x", (1,), 0.5),
+        (p, "x", None, "2"),
+        (p, "x", (1,), None),
+    ]
+    raised = set()
+    for f, var, shift, coeff in bad_calls:
+        with pytest.raises(Exception) as want:
+            composed_shifted_restriction(f, var, shift, coeff)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            f.restrict_var(var, shift, coeff)
+        raised.add(want.type)
+    assert raised == {NegativeExponentAtRestriction, UnknownVariable, VariableMismatch,
+                      ValueError, TypeError}
+    # a coeff of 0 gives the zero over 1, but a pole still raises first
+    zero = p.restrict_var("x", (5,), 0)
+    assert zero == LaurentPolynomial.zero(("y",)) and zero._den == 1
+    with pytest.raises(NegativeExponentAtRestriction):
+        pole.restrict_var("x", (5,), 0)
+    # the checks of shift and coeff come before a pole
+    with pytest.raises(VariableMismatch):
+        pole.restrict_var("x", (1, 0))
+    with pytest.raises(TypeError):
+        pole.restrict_var("x", None, 0.5)
+    # the normalisation of a log restriction: t^-m times sign^m
+    assert poly("x*y + 2*y^3 + x").restrict_var("x", (-2,), 1) == poly("2*y", ("y",))
+    half = poly("1/2*x^2 + y", XY).restrict_var("y", (-1,), Fraction(2, 3))
+    assert half == poly("1/3*x", ("x",))
+    assert_reduced(half)
+
+
 def test_even_substitute_matches_oracle():
     rng = Random(29)
     squares = MonomialSubstitution(("s",), ("s",), {"s": {"s": 2}})
@@ -788,6 +879,27 @@ def test_column_substitution_cancels_collisions(monkeypatch):
         assert got.is_zero and got.variables == ()
         got = on_both_paths(monkeypatch, lambda: extra.substitute_monomials(to_nothing))
         assert got == LaurentPolynomial((), {(): Fraction(5, 4)})
+
+
+def test_identity_substitution_hands_its_map_through(monkeypatch):
+    rng = Random(83)
+    renaming = MonomialSubstitution(XY, ("s", "t"), {"x": {"s": 1}, "y": {"t": 1, "s": 0}})
+    swap_images = {"x": {"y": 1}, "y": {"x": 1}}
+    swap = MonomialSubstitution(XY, XY, swap_images)
+    # square with unit rows, but not the identity matrix: it must permute
+    assert renaming.identity and not swap.identity
+    assert not MonomialSubstitution(("x",), ("s", "t"), {"x": {"s": 1}}).identity
+    assert not MonomialSubstitution(XY, ("s",), BOTH_TO_S).identity
+    for p in (many_term_poly(rng, XY, 30), poly("x - 1/2*y^2"), LaurentPolynomial.zero(XY)):
+        got = on_both_paths(monkeypatch, lambda: p.substitute_monomials(renaming))
+        assert got.variables == ("s", "t") and got._terms is p._terms and got._den == p._den
+        assert got == oracle_substitute(p, ("s", "t"), {"x": {"s": 1}, "y": {"t": 1}})
+        swapped = on_both_paths(monkeypatch, lambda: p.substitute_monomials(swap))
+        assert swapped == oracle_substitute(p, XY, swap_images)
+        assert swapped._terms is not p._terms
+        assert swapped.substitute_monomials(swap) == p
+        if not p.is_zero:
+            assert swapped != p
 
 
 def test_column_substitution_examples():

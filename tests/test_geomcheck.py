@@ -90,6 +90,71 @@ def test_ec_add_tangent():
     assert ec_add(curve, p, p).x == Fraction(129, 100)
 
 
+def oracle_ec_add(curve, p, q):
+    """The textbook chord-tangent law, every step a Fraction operation."""
+    if p == INFINITY:
+        return q
+    if q == INFINITY:
+        return p
+    if p.x == q.x and p.y == -q.y:
+        return INFINITY
+    if p == q:
+        slope = (3 * p.x * p.x + curve.a) / (2 * p.y)
+    else:
+        slope = (q.y - p.y) / (q.x - p.x)
+    x3 = slope * slope - p.x - q.x
+    return ECPoint(x3, slope * (p.x - x3) - p.y)
+
+
+def ec_add_kind(p, q):
+    if INFINITY in (p, q):
+        return "identity"
+    if p.x == q.x:
+        if p.y == q.y:
+            return "2-torsion-double" if p.y == 0 else "tangent"
+        return "inverse"
+    return "chord"
+
+
+def test_ec_add_matches_fraction_oracle():
+    # the pools of cli._associativity_sample, closed under one round of sums
+    pools = []
+    for curve, xs in (
+        (ECCurve(-1, 0), [-1, 0, 1, 2, 3]),
+        (ECCurve(0, 1), [-1, 0, 1, 2]),
+        (ECCurve(0, -2), [3]),
+        (TORSION_CURVE, [-1, 0, 1]),
+    ):
+        pool = [INFINITY] + points_with_x_in(curve, xs)
+        for p in list(pool):
+            for q in list(pool):
+                s = oracle_ec_add(curve, p, q)
+                if s not in pool:
+                    pool.append(s)
+        pools.append((curve, pool))
+    # on y^2 = x^3 - 2, the multiples of (3, 5) up to 6*(3, 5) and their
+    # negatives, whose coordinates run to many digits
+    curve = ECCurve(0, -2)
+    multiples = [curve.point(3, 5)]
+    while len(multiples) < 6:
+        multiples.append(oracle_ec_add(curve, multiples[-1], multiples[0]))
+    assert len(str(multiples[-1].y.numerator)) > 30
+    pools.append((curve, [INFINITY, *multiples, *(ECPoint(p.x, -p.y) for p in multiples)]))
+    kinds = {}
+    for curve, pool in pools:
+        for p in pool:
+            for q in pool:
+                got, want = ec_add(curve, p, q), oracle_ec_add(curve, p, q)
+                assert got == want, (curve, p, q)
+                if got != INFINITY:
+                    assert type(got.x) is type(got.y) is Fraction
+                    assert curve.contains(got.x, got.y)
+                kind = ec_add_kind(p, q)
+                kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"identity", "inverse", "2-torsion-double", "tangent", "chord"}
+    assert min(kinds.values()) >= 3, kinds
+
+
 def test_linear_equiv_examples():
     p1, p2 = TORSION_CURVE.point(0, 0), TORSION_CURVE.point(1, 0)
     q1, q2 = TORSION_CURVE.point(-1, 0), INFINITY
