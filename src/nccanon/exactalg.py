@@ -550,7 +550,8 @@ class LaurentPolynomial:
             nums = self._terms.values()
             if num != 1:
                 nums = [n * num for n in nums]
-            out = dict(zip(zip(*columns), nums))
+            # no variables: the one term lands on ()
+            out = dict(zip(zip(*columns) if columns else [()] * len(nums), nums))
         else:
             out = {tuple(map(add, e, exps)): n * num for e, n in terms}
         if q > 1:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -58,19 +59,22 @@ def minimalize(generators: Iterable[Exponents]) -> frozenset[Exponents]:
 
     Every candidate is validated up front: a negative exponent raises
     ``ValueError`` and exponent vectors of different lengths raise
-    ``VariableMismatch``, whatever order the candidates come in.
+    ``VariableMismatch``, whatever order the candidates come in.  The
+    candidates are sorted by degree alone: a kept generator can never be
+    divisible by a later one, and two distinct vectors of equal degree
+    never divide each other, so ties may come in any order.
     """
     unique = set(tuple(g) for g in generators)
     if len({len(g) for g in unique}) > 1:
         raise VariableMismatch(
             f"exponent vectors of lengths {sorted({len(g) for g in unique})}"
         )
-    for g in unique:
-        if any(e < 0 for e in g):
-            raise ValueError(f"generator {g} has a negative exponent")
+    # one pass over every entry; the offending generator is sought only then
+    if min(chain.from_iterable(unique), default=0) < 0:
+        bad = next(g for g in unique if any(e < 0 for e in g))
+        raise ValueError(f"generator {bad} has a negative exponent")
     keep: list[Exponents] = []
-    # ascending degree: a kept generator can never be divisible by a later one
-    for g in sorted(unique, key=lambda e: (sum(e), e)):
+    for g in sorted(unique, key=sum):
         for h in keep:
             if all(map(le, h, g)):
                 break

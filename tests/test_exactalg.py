@@ -716,10 +716,8 @@ def test_fused_restriction_matches_composed_path(monkeypatch):
             monkeypatch.undo()
             outcomes["pole"] += 1
             continue
-        fused = lambda: p.restrict_var(var, shift, coeff)
-        # both kernels, except over no variables, where one term at most is
-        # left and the column kernel never runs
-        got = on_both_paths(monkeypatch, fused) if len(variables) > 1 else fused()
+        # both kernels, also when the restriction is left over no variables
+        got = on_both_paths(monkeypatch, lambda: p.restrict_var(var, shift, coeff))
         assert got.variables == want.variables
         assert got._terms == want._terms and got._den == want._den, (p, var, shift, coeff)
         rest = want.variables
@@ -933,6 +931,29 @@ def test_column_shift_matches_validating_monomial_product(monkeypatch):
             assert got._den == p._den
         else:
             assert_reduced(got)
+
+
+def test_zero_variable_shifts_and_one_term_products_on_both_kernels(monkeypatch):
+    # over no variables a nonzero polynomial is one term at (); the column
+    # kernel must keep it
+    values = (3, 1, -1, Fraction(2, 7), Fraction(-3, 2))
+    for a in values:
+        p = LaurentPolynomial((), {(): a})
+        for b in values:
+            want = LaurentPolynomial((), {(): a * b})
+            assert on_both_paths(monkeypatch, lambda: p.shift((), b)) == want
+            q = LaurentPolynomial((), {(): b})
+            assert on_both_paths(monkeypatch, lambda: p * q) == want
+    rng = Random(89)
+    for _ in range(200):
+        variables = VARS[: rng.randint(1, 3)]
+        p = dense_poly(rng, variables)
+        exps = tuple(rng.randint(-3, 3) for _ in variables)
+        coeff = rng.choice([1, -1, 3, Fraction(-3, 2), Fraction(2, 7)])
+        mono = LaurentPolynomial.monomial(variables, dict(zip(variables, exps)), coeff)
+        want = oracle_mul(p, mono)
+        assert on_both_paths(monkeypatch, lambda: p * mono) == want, (p, mono)
+        assert on_both_paths(monkeypatch, lambda: mono * p) == want, (p, mono)
 
 
 # -- restriction through a substitution -------------------------------------------

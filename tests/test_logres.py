@@ -1,5 +1,7 @@
 """Restriction, gluing, and embedding tests for the plane-chart models."""
 
+import inspect
+import re
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -11,6 +13,7 @@ from nccanon.exactalg import (
     NegativeExponentAtRestriction,
     parse_polynomial,
 )
+import nccanon.logres as logres
 from nccanon.logres import (
     ASSIGNMENT_0XY0,
     CHAIN_PLANES,
@@ -162,6 +165,36 @@ def test_restriction_of_product_is_product_of_restrictions():
             )
 
 
+def test_restrict_factor_matches_scaled_restriction():
+    # restrict(s, b, k) folds k into its one restriction; the oracle scales
+    # the plain restriction afterwards
+    rng = Random(83)
+    outcomes = {"pole": 0, "log-pole": 0, "holomorphic": 0}
+    for model in (NC_PAIR, SMOOTH_PAIR, HALF_PLANE_U, HALF_PLANE_V):
+        for rule in model.branches:
+            for _ in range(40):
+                m = rng.randrange(0, 5)
+                terms = {
+                    (rng.randrange(-1, 4), rng.randrange(-1, 4)):
+                        Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randrange(1, 4))
+                    for _ in range(rng.randrange(1, 7))
+                }
+                coeff = LaurentPolynomial(model.variables, terms)
+                section = PluriSection(model, m, coeff, meromorphic=True)
+                for factor in (1, -1, 2, Fraction(-3, 2)):
+                    try:
+                        want = restrict(section, rule.zero_var).scaled(factor)
+                    except NegativeExponentAtRestriction as exc:
+                        with pytest.raises(NegativeExponentAtRestriction,
+                                           match=f"^{re.escape(str(exc))}$"):
+                            restrict(section, rule.zero_var, factor)
+                        outcomes["pole"] += 1
+                        continue
+                    assert restrict(section, rule.zero_var, factor) == want
+                    outcomes["log-pole" if want.pole_order else "holomorphic"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
 # -- the gluing condition -------------------------------------------------------
 
 
@@ -269,6 +302,20 @@ def test_gluing_ideal_small_values():
         gluing_ideal(0)
 
 
+def test_gluing_ideal_cache_returns_the_intersection_of_the_leg_ideals():
+    for m in range(1, 201):
+        on_x, on_y = (nc.ideal(NC_PAIR.variables, m, half, m) for nc, half in logres._LEG_MAPS)
+        assert gluing_ideal(m) == on_x & on_y
+        assert gluing_ideal(m) is gluing_ideal(m)
+    # the argument check runs on every call, ahead of the warm cache
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            gluing_ideal(bad)
+    # the benchmark's tracer wraps and counts only plain functions, so the
+    # cache sits behind gluing_ideal rather than decorating it
+    assert inspect.isfunction(logres.gluing_ideal)
+
+
 def test_gluing_ideal_is_never_principal():
     # A glued function restricts onto every function of the nc chart, so a
     # local generator of the reflexive power omega^[m] at the glued point
@@ -358,8 +405,6 @@ def test_multi_term_sections_glue_iff_terms_in_gluing_ideal():
 
 
 def test_obstructions_fail_loudly_on_a_merged_term(monkeypatch):
-    import nccanon.logres as logres
-
     section = nc_section(2, "1 + x + y^3")
     assert obstructions(section) == {(0, 0), (1, 0)}
     # two equal terms merged on a leg would double the coefficient read back
