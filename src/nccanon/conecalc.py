@@ -134,10 +134,14 @@ class ChartElement:
 
 
 def to_chart(element: ConeElement) -> ChartElement:
-    """Substitute u = s^2, v = t^2, w = s*t."""
-    part0 = element.c0.substitute_monomials(_TO_CHART)
-    part1 = element.c1.substitute_monomials(_TO_CHART)
-    return ChartElement(part0 + part1.shift((1, 1)))
+    """Substitute u = s^2, v = t^2, w = s*t.
+
+    The image c0(s^2, t^2) + c1(s^2, t^2)*s*t is one
+    ``LaurentPolynomial.sum_substituted`` pass over both parts, the c1 part
+    shifted by s*t; no part's image is built on its own.
+    """
+    parts = ((element.c0, None), (element.c1, (1, 1)))
+    return ChartElement(LaurentPolynomial.sum_substituted(_TO_CHART, parts))
 
 
 def mult_along_c2(element: ConeElement) -> int:
@@ -166,14 +170,14 @@ class ConeSection:
         return self.weight // 2
 
 
-def _even_substitute(poly_s: LaurentPolynomial, target: str) -> LaurentPolynomial:
-    # rewrite s^(2k) -> target^k; all exponents must be even
+def _even_substitute(poly_s: LaurentPolynomial, target: str, shift: int) -> LaurentPolynomial:
+    # rewrite s^(2k) -> target^(k + shift); all exponents must be even
     out = {}
     for exps, c in poly_s.terms().items():
         (e,) = exps
         if e % 2 != 0:
             raise ValueError(f"odd exponent {e} cannot descend to the curve")
-        out[(e // 2,)] = c
+        out[(e // 2 + shift,)] = c
     return LaurentPolynomial((target,), out)
 
 
@@ -183,12 +187,14 @@ def restrict_cone(section: ConeSection) -> BranchRestriction:
     The generator contributes ((ds^dt)/t)^{2m} after pullback (the powers
     of 2 cancel against du = 2s ds), so the coefficient relative to the log
     frame is the chart image itself; it must be holomorphic across (t=0),
-    else ``NegativeExponentAtRestriction`` is raised.
+    else ``NegativeExponentAtRestriction`` is raised.  Its restriction
+    descends from s^2 to u, and the pole u^-m comes in as the shift of that
+    descent, not as a pass of its own.
     """
     m = section.half_weight
     along = to_chart(section.coeff).poly.restrict_var("t")
     # residue sign of ((ds^dt)/t)^{2m} is (-1)^{2m}: always +1 at even weight
-    h = _even_substitute(along, "u").shift((-m,))
+    h = _even_substitute(along, "u", -m)
     return BranchRestriction("u", section.weight, h)
 
 
@@ -197,10 +203,11 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
 
     Rewriting the generator over the log frame ((du^dw)/w)^{2m} multiplies
     the coefficient by w^{2m} u^{-2m} v^{-m} = u^{-m}; the residue along
-    (w=0) of that frame is (-du)^{2m}.  The c0 image and the w-shifted c1
-    image under ``_LOG_FRAME`` (u -> u, v -> u^-1*w^2) are restricted each
-    on its own by ``LaurentPolynomial.restrict_substituted``, which builds
-    only the terms that w = 0 keeps, and the two restrictions summed.
+    (w=0) of that frame is (-du)^{2m}.  The c0 image shifted by u^-m and
+    the c1 image shifted by u^-m*w under ``_LOG_FRAME`` (u -> u,
+    v -> u^-1*w^2) are restricted each on its own by
+    ``LaurentPolynomial.restrict_substituted``, which builds only the terms
+    that w = 0 keeps, each already shifted, and the two restrictions summed.
     """
     m = section.half_weight
     # w = 0 on each part before the sum: every w-exponent of the c0 image is
@@ -209,10 +216,9 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
     # of the two parts, and restricting the parts raises exactly when
     # restricting the sum does.  The kernel raises exactly where the composed
     # path does; the c1 part keeps no term, so it only checks for a pole.
-    part0 = section.coeff.c0.restrict_substituted(_LOG_FRAME, "w")
-    part1 = section.coeff.c1.restrict_substituted(_LOG_FRAME, "w", shift=(0, 1))
-    # the u^-m shift comes last: it touches only the surviving terms
-    along = (part0 + part1).shift((-m,))
+    part0 = section.coeff.c0.restrict_substituted(_LOG_FRAME, "w", (-m, 0))
+    part1 = section.coeff.c1.restrict_substituted(_LOG_FRAME, "w", (-m, 1))
+    along = part0 + part1
     # the residue sign of (-du)^{2m} is +1: the weight is even
     return BranchRestriction("u", section.weight, along)
 

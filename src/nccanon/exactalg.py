@@ -32,16 +32,18 @@ thousand (1.2-1.7x slower below 4 terms); the two kernels cross at about
 6 terms for substitution and 9 for a shift, and at 27-55 terms the columns
 substitute about 2x and shift about 1.5x faster.
 
-Two kernels build only the terms their result keeps.  ``sum_of_products``
+Three kernels build only the terms their result keeps.  ``sum_of_products``
 returns the sum of a*b over a list of pairs in one pass: each pair's
 products are scaled to the lcm of the pairs' denominators and summed as ints
 into one map, and one gcd reduces it, so no product or partial sum is built
 (``__mul__`` runs its many-term case through the same pair loop).
-``restrict_substituted`` is a substitution, an optional shift and a
-restriction to ``var = 0`` in one step: it computes the ``var``-exponent of
-every image term first, raises where the composed path would meet a pole,
-and builds image exponent vectors only for the terms whose exponent is 0;
-it sums, drops zeros and reduces only when those collide.
+``sum_substituted`` does the same for the images of several parts under one
+substitution, each shifted by its own exponent vector.  ``restrict_substituted``
+is a substitution, an optional shift and a restriction to ``var = 0`` in one
+step: it computes the ``var``-exponent of every image term first, raises
+where the composed path would meet a pole, and builds image exponent vectors
+only for the terms whose exponent is 0.  All substitutions share one kernel,
+which sums, drops zeros and reduces only when two images collide.
 
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
@@ -595,19 +597,38 @@ class LaurentPolynomial:
 
     def substitute_monomials(self, sub: MonomialSubstitution) -> "LaurentPolynomial":
         """The image under ``sub``, whose source must be this polynomial's
-        variable list (else ``VariableMismatch``).
-
-        Numerators are summed, and the sums filtered for zeros and reduced
-        against the denominator, only when two terms land on the same image
-        exponents; an injective substitution passes its numerators and
-        denominator through as they are, an ``identity`` one its map itself.
-        """
+        variable list (else ``VariableMismatch``).  Only a collision of two
+        images sums, drops zeros and reduces, so an injective ``sub`` keeps
+        the numerators and denominator, and an ``identity`` one the map."""
         if self._vars != sub.source:
             raise VariableMismatch(f"substitution on {sub.source}, not {self._vars}")
         terms = self._terms
         if sub.identity:
             return LaurentPolynomial._trusted(sub.target, terms, self._den)
-        return _substituted(sub.target, terms, terms.values(), self._den, sub)
+        return _substituted(sub.target, ((terms, None),), terms.values(), self._den, sub)
+
+    @staticmethod
+    def sum_substituted(
+        sub: MonomialSubstitution,
+        parts: Iterable[tuple["LaurentPolynomial", Exponents | None]],
+    ) -> "LaurentPolynomial":
+        """The sum over the parts (p, shift) of ``p.substitute_monomials(sub)``
+        shifted by ``shift`` (none if None), in one pass, over the lcm of the
+        nonzero parts' denominators.  The parts are checked in turn, and raise,
+        as on that composed path; no parts is a ``ValueError``."""
+        parts = tuple(parts)
+        if not parts:
+            raise ValueError("a sum of substitutions needs at least one part")
+        for p, shift in parts:
+            if p._vars != sub.source:
+                raise VariableMismatch(f"substitution on {sub.source}, not {p._vars}")
+            if shift is not None:
+                _check_shift(sub.target, shift)
+        den = lcm(*(p._den for p, _ in parts if p._terms))
+        nums = list(chain.from_iterable(
+            [n * (den // p._den) for n in p._terms.values()] if p._den < den
+            else p._terms.values() for p, _ in parts))
+        return _substituted(sub.target, [(p._terms, s) for p, s in parts], nums, den, sub)
 
     def restrict_substituted(
         self, sub: MonomialSubstitution, var: str, shift: Exponents | None = None
@@ -643,16 +664,15 @@ class LaurentPolynomial:
             # poles that collide may cancel, as in the substitution; the
             # first one left is the one restrict_var would meet first
             poles = [e for e, c in zip(terms, column) if c < floor]
-            left = _substituted(
-                new_vars, poles, [terms[e] for e in poles], 1, sub, offset
-            )
+            nums = [terms[e] for e in poles]
+            left = _substituted(new_vars, ((poles, offset),), nums, 1, sub)
             if left._terms:
                 raise _pole(var, next(iter(left._terms))[i])
         kept = list(compress(terms, map(floor.__eq__, column)))
         if not kept:
             return LaurentPolynomial._trusted(rest, {})
         nums = list(map(terms.__getitem__, kept))
-        return _substituted(rest, kept, nums, self._den, sub, offset, i)
+        return _substituted(rest, ((kept, offset),), nums, self._den, sub, i)
 
     # -- equality, hashing, printing ----------------------------------------
 
@@ -742,58 +762,53 @@ def _pair_sum(
 
 def _substituted(
     vars_t: tuple[str, ...],
-    exps: Collection[Exponents],
+    parts: Iterable[tuple[Collection[Exponents], Exponents | None]],
     nums: Collection[int],
     den: int,
     sub: MonomialSubstitution,
-    offset: Exponents | None = None,
     drop: int | None = None,
 ) -> LaurentPolynomial:
-    """The polynomial on ``vars_t`` with numerator ``nums[t]`` over ``den``
-    at the image of ``exps[t]`` under ``sub``.
-
-    Entry k of an image is the sum of the entries j times the entries
-    (j, k) of ``sub``, plus ``offset[k]``; entry ``drop``, if given, is left
-    out, and ``vars_t`` lacks it.  Up to ``_COLUMN_TERMS`` vectors each
-    image is built in turn from the rows of ``sub``.  Above it they are
-    built a column at a time from its columns: new column k sums the old
-    columns j times the entries (j, k), an entry of 1 passes its column
-    through uncopied, and an offset of 0 leaves the column as it is.  Fewer
-    distinct images than terms means that two terms collided: only then are
-    the numerators summed, zeros dropped and the denominator reduced.
-    """
+    """The polynomial on ``vars_t`` with numerator ``nums[t]`` over ``den`` at
+    the image of the t-th vector of the parts (exps, offset) in turn: entry k
+    sums the entries j times the entries (j, k) of ``sub``, plus ``offset[k]``
+    given an offset, and entry ``drop``, if given, is left out (``vars_t``
+    lacks it).  A part's images come from the term loop or, above
+    ``_COLUMN_TERMS`` terms, the columns (see the module docstring); only
+    when two images collide are numerators summed, zeros dropped and the
+    denominator reduced."""
     width = len(sub.target)
-    n = len(exps)
-    if n <= _COLUMN_TERMS:
-        keys = []
-        for e in exps:
-            vec = [0] * width if offset is None else list(offset)
-            for x, row in zip(e, sub.rows):
-                if x:
-                    for k, iv in row:
-                        vec[k] += x * iv
-            if drop is not None:
-                del vec[drop]
-            keys.append(tuple(vec))
-    else:
-        old = list(zip(*exps))
-        columns: list[Sequence[int]] = []
-        for k, (entries, off) in enumerate(zip(sub.columns, offset or (0,) * width)):
-            if k == drop:
-                continue
-            column: Sequence[int] | None = None
-            for j, iv in entries:
-                col = old[j] if iv == 1 else [e * iv for e in old[j]]
-                column = col if column is None else list(map(add, column, col))
-            if column is None:
-                column = (off,) * n
-            elif off:
-                column = [e + off for e in column]
-            columns.append(column)
-        # no new variables: every vector lands on ()
-        keys = list(zip(*columns)) if columns else [()] * n
+    keys: list[Exponents] = []
+    for exps, offset in parts:
+        n = len(exps)
+        if n <= _COLUMN_TERMS:
+            for e in exps:
+                vec = [0] * width if offset is None else list(offset)
+                for x, row in zip(e, sub.rows):
+                    if x:
+                        for k, iv in row:
+                            vec[k] += x * iv
+                if drop is not None:
+                    del vec[drop]
+                keys.append(tuple(vec))
+        else:
+            old = list(zip(*exps))
+            columns: list[Sequence[int]] = []
+            for k, (entries, off) in enumerate(zip(sub.columns, offset or (0,) * width)):
+                if k == drop:
+                    continue
+                column: Sequence[int] | None = None
+                for j, iv in entries:
+                    col = old[j] if iv == 1 else [e * iv for e in old[j]]
+                    column = col if column is None else list(map(add, column, col))
+                if column is None:
+                    column = (off,) * n
+                elif off:
+                    column = [e + off for e in column]
+                columns.append(column)
+            # no new variables: every vector lands on ()
+            keys += zip(*columns) if columns else [()] * n
     out = dict(zip(keys, nums))
-    if len(out) < n:
+    if len(out) < len(keys):
         out = {}
         for key, c in zip(keys, nums):
             out[key] = out.get(key, 0) + c

@@ -1,10 +1,12 @@
 """Cone chart tests: double-cover substitution, restriction, pole bounds."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from nccanon.conecalc import (
+    _LOG_FRAME,
     ChartElement,
     ConeElement,
     ConeSection,
@@ -186,6 +188,87 @@ def test_two_routes_agree_on_many_term_products():
         assert chart == _restriction_or_raise(restrict_cone_log_frame, section)
         raised += chart == "raises"
     assert 10 < raised < 50, raised
+
+
+# -- both routes against plain data -------------------------------------------------
+#
+# The expected restriction is worked out on {(a, b): Fraction} dicts with no
+# exactalg: c0 + c1*w restricts to the curve iff no term of c0 or c1 carries
+# v^-k (its chart image has t^(2b) or t^(2b+1), b < 0), and then to
+# c0(u, 0)*u^-m; u^a*v^b*w^r goes to s^(2a+r)*t^(2b+r) in the chart.
+
+
+def plain_mul(f, g, lift=0):
+    out = {}
+    for (a1, b1), x in f.items():
+        for (a2, b2), y in g.items():
+            key = (a1 + a2 + lift, b1 + b2 + lift)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def plain_add(f, g):
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def plain_cone_product(g, h):
+    """(c0, c1) of (g0 + g1*w)(h0 + h1*w) with w^2 = u*v."""
+    c0 = plain_add(plain_mul(g[0], h[0]), plain_mul(g[1], h[1], lift=1))
+    c1 = plain_add(plain_mul(g[0], h[1]), plain_mul(g[1], h[0]))
+    return c0, c1
+
+
+def plain_restriction(c0, c1, m):
+    """({u-exponent: coeff} of c0(u, 0)*u^-m, its pole order), or None if
+    some term has a pole along the curve."""
+    if any(b < 0 for part in (c0, c1) for _, b in part):
+        return None
+    h = {a - m: c for (a, b), c in c0.items() if b == 0}
+    return h, max(0, -min(h, default=0))
+
+
+def test_both_routes_match_plain_data_on_many_term_products():
+    rng = Random(101)
+    outcomes = {"raised": 0, "pole": 0, "no pole": 0}
+    for _ in range(100):
+        def part(low):
+            terms = {}
+            for _ in range(rng.randint(4, 12)):
+                exps = (rng.randint(0, 5), rng.randint(low, 5))
+                terms[exps] = Fraction(rng.choice([-5, -2, 1, 3]), rng.choice([1, 2, 3, 7]))
+            return terms
+
+        low = rng.choice([0, 0, -2])
+        g, h = (part(low), part(0)), (part(0), part(low))
+        c0, c1 = plain_cone_product(g, h)
+        cone = lambda pair: ConeElement(*(LaurentPolynomial(UV, p) for p in pair))
+        product = cone(g) * cone(h)
+        chart = {(2 * a, 2 * b): c for (a, b), c in c0.items()}
+        chart.update({(2 * a + 1, 2 * b + 1): c for (a, b), c in c1.items()})
+        assert to_chart(product).poly.terms() == chart
+        m = rng.randint(1, 12)
+        section = ConeSection(2 * m, product)
+        want = plain_restriction(c0, c1, m)
+        for route in (restrict_cone, restrict_cone_log_frame):
+            got = _restriction_or_raise(route, section)
+            if want is None:
+                assert got == "raises"
+                continue
+            assert (got.curve_var, got.weight) == ("u", 2 * m)
+            assert got.h.terms() == {(e,): c for e, c in want[0].items()}
+            assert got.pole_order == want[1]
+        # the c1 part of the log-frame route only checks for a pole
+        try:
+            kept = product.c1.restrict_substituted(_LOG_FRAME, "w", (-m, 1))
+        except NegativeExponentAtRestriction:
+            assert want is None
+        else:
+            assert kept.is_zero
+        outcomes["raised" if want is None else "pole" if want[1] else "no pole"] += 1
+    assert min(outcomes.values()) > 10, outcomes
 
 
 def test_weight_must_be_even():

@@ -775,11 +775,13 @@ def test_even_substitute_matches_oracle():
     squares = MonomialSubstitution(("s",), ("s",), {"s": {"s": 2}})
     for _ in range(100):
         p = dense_poly(rng, ("s",)).substitute_monomials(squares)
-        got = _even_substitute(p, "u")
+        got = _even_substitute(p, "u", 0)
         assert_normalised(got)
         assert got == oracle_map(p, ("u",), lambda e: (e[0] // 2,))
+        lowered = _even_substitute(p, "u", -3)
+        assert lowered == oracle_map(p, ("u",), lambda e: (e[0] // 2 - 3,))
     with pytest.raises(ValueError):
-        _even_substitute(poly("s^3", ("s",)), "u")
+        _even_substitute(poly("s^3", ("s",)), "u", 0)
 
 
 # -- column kernels of many-term substitution and shift --------------------------
@@ -1092,6 +1094,93 @@ def test_restrict_substituted_checks_its_arguments():
         with pytest.raises(want.type, match=re.escape(str(want.value))):
             p.restrict_substituted(sub, var, shift)
         assert want.type in (UnknownVariable, ValueError, VariableMismatch)
+
+
+# -- sums of shifted substitutions ------------------------------------------------
+#
+# sum_substituted must equal the sum of p.substitute_monomials(sub).shift(shift)
+# over its parts, on both kernels, and raise where that composed path raises.
+
+
+def composed_sum(sub, parts):
+    total = LaurentPolynomial.zero(sub.target)
+    for p, shift in parts:
+        image = p.substitute_monomials(sub)
+        total = total + (image if shift is None else image.shift(shift))
+    return total
+
+
+# each part's coefficients are multiples of one of these, so parts sit over
+# different denominators
+PART_UNITS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
+
+
+def test_sum_substituted_matches_composed_path(monkeypatch):
+    rng = Random(97)
+    collided = cancelled = 0
+    for _ in range(250):
+        variables = VARS[: rng.randint(1, 3)]
+        new_vars = rng.choice([(), ("s",), ("s", "t")])
+        if rng.random() < 0.4:
+            # every variable onto the same monomial: images collide
+            images = {v: {w: 1 for w in new_vars} for v in variables}
+        else:
+            images = random_images(rng, variables, new_vars)
+        sub = MonomialSubstitution(variables, new_vars, images)
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            unit = rng.choice(PART_UNITS)
+            coeff = lambda r: unit * r.choice([1, -1, 3, -5])
+            p = many_term_poly(rng, variables, rng.randint(0, 30), coeff)
+            if rng.random() < 0.2:
+                p = LaurentPolynomial.zero(variables)
+            if rng.random() < 0.3:
+                # over a denominator the part does not need
+                p = unreduced(rng, p)
+            shift = None
+            if rng.random() < 0.6:
+                shift = tuple(rng.randint(-2, 2) for _ in new_vars)
+            parts.append((p, shift))
+        if rng.random() < 0.4:
+            # parts that cancel the images of some or all of the others
+            parts += [(-p, shift) for p, shift in parts[: rng.randint(1, len(parts))]]
+            rng.shuffle(parts)
+        got = on_both_paths(monkeypatch, lambda: LaurentPolynomial.sum_substituted(sub, parts))
+        want = composed_sum(sub, parts)
+        assert got == want and str(got) == str(want) and hash(got) == hash(want), parts
+        assert got.variables == new_vars
+        terms_in = sum(len(p.support()) for p, _ in parts)
+        collided += len(got.support()) < terms_in
+        cancelled += got.is_zero and terms_in > 0
+    assert collided > 100 and cancelled > 30, (collided, cancelled)
+
+
+def test_sum_substituted_examples_and_checks():
+    sub = MonomialSubstitution(XY, ("s", "t"), {"x": {"s": 2}, "y": {"t": 2}})
+    c0, c1 = poly("1/2*x + y^2"), poly("1/3*x*y - 2/7")
+    # the cone chart: c0(s^2, t^2) + c1(s^2, t^2)*s*t, over the lcm 42
+    got = LaurentPolynomial.sum_substituted(sub, [(c0, None), (c1, (1, 1))])
+    assert got == poly("1/2*s^2 + t^4 + 1/3*s^3*t^3 - 2/7*s*t", ("s", "t"))
+    assert got._den == 42
+    assert_reduced(got)
+    # a generator of parts is read once
+    twice = LaurentPolynomial.sum_substituted(sub, ((p, None) for p in (c0, c0)))
+    assert twice == 2 * c0.substitute_monomials(sub)
+    with pytest.raises(ValueError, match="at least one part"):
+        LaurentPolynomial.sum_substituted(sub, [])
+    bad_parts = [
+        [(c0, None), (poly("s", ("s", "t")), None)],
+        [(c0, (0, 0)), (c1, (1,))],
+        [(c0, (0, 1, 0))],
+        [(c1, (0, 1.0))],
+        [(c1, (0, "1"))],
+    ]
+    for parts in bad_parts:
+        with pytest.raises(Exception) as want:
+            composed_sum(sub, parts)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            LaurentPolynomial.sum_substituted(sub, parts)
+        assert want.type in (ValueError, VariableMismatch)
 
 
 # -- sums of products and the cone product ----------------------------------------
