@@ -45,6 +45,9 @@ _ST = ("s", "t")
 _TO_CHART = MonomialSubstitution(_UV, _ST, {"u": {"s": 2}, "v": {"t": 2}})
 _LOG_FRAME = MonomialSubstitution(_UV, ("u", "w"), {"u": {"u": 1}, "v": {"u": -1, "w": 2}})
 
+# the factor u*v of g1*h1 in a product's w^0 part (w^2 = u*v)
+_UV_FACTOR = LaurentPolynomial.monomial(_UV, {"u": 1, "v": 1})
+
 
 @dataclass(frozen=True)
 class ConeElement:
@@ -102,7 +105,7 @@ class ConeElement:
         the four products nor their sums are built on the way.
         """
         g0, g1, h0, h1 = self.c0, self.c1, other.c0, other.c1
-        c0 = LaurentPolynomial.sum_of_products(((g0, h0), (g1.shift((1, 1)), h1)))
+        c0 = LaurentPolynomial.sum_of_products(((g0, h0), (_UV_FACTOR * g1, h1)))
         c1 = LaurentPolynomial.sum_of_products(((g0, h1), (g1, h0)))
         return ConeElement(c0, c1)
 

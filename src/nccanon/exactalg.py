@@ -17,26 +17,25 @@ equals).  Equality of two polynomials is a decidable, exact test, which is
 what the downstream gluing and restriction checks rely on.  Nothing is
 mutated after construction, so values can be shared freely between threads.
 
-Substitution and shifting have two kernels, picked by term count alone.
-Up to ``_COLUMN_TERMS`` terms they loop over the terms and build each image
-exponent vector in turn.  Above it they transpose the exponent vectors once
-into one column per variable and build the result a column at a time:
-substitution sums the old columns times their image entries (an entry of 1
-passes its column through uncopied), a shift adds each entry to its column
-(a 0 entry leaves it as it is), and the new vectors are zipped back onto the
-numerators.  A substitution result shorter than its input means that two
-terms collided; only then are numerators summed, zeros dropped and the
-denominator reduced.  The transposition costs more than it saves on the
-one- to three-term polynomials that restriction and gluing make by the
-thousand (1.2-1.7x slower below 4 terms); the two kernels cross at about
-6 terms for substitution and 9 for a shift, and at 27-55 terms the columns
-substitute about 2x and shift about 1.5x faster.
+Substitution has two kernels, picked by term count alone, and a shift is
+the identity substitution with the shift as its offset, so it runs on the
+same two.  Up to 8 terms they loop over the terms and build each image
+exponent vector in turn.  Above 8 they transpose the exponent vectors once
+into one column per variable and build each new column as the sum of the
+old columns times their image entries (an entry of 1 passes its column
+through uncopied) plus the offset, and zip the new vectors back onto the
+numerators.  A result shorter than its input means that two terms collided;
+only then are numerators summed, zeros dropped and the denominator reduced.
+The transposition costs more than it saves on the one- to three-term
+polynomials that restriction and gluing make by the thousand (1.2-1.7x
+slower below 4 terms); the two kernels cross at about 6 terms, and at 27-55
+terms the columns substitute about 2x faster.
 
 Three kernels build only the terms their result keeps.  ``sum_of_products``
 returns the sum of a*b over a list of pairs in one pass: each pair's
 products are scaled to the lcm of the pairs' denominators and summed as ints
 into one map, and one gcd reduces it, so no product or partial sum is built
-(``__mul__`` runs its many-term case through the same pair loop).
+(``__mul__`` runs every product of two polynomials through the same loop).
 ``sum_substituted`` does the same for the images of several parts under one
 substitution, each shifted by its own exponent vector.  ``restrict_substituted``
 is a substitution, an optional shift and a restriction to ``var = 0`` in one
@@ -65,6 +64,7 @@ from __future__ import annotations
 import re
 from dataclasses import InitVar, dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, le
@@ -72,8 +72,8 @@ from typing import Collection, Iterable, KeysView, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
-# Above this many terms, substitution (``_substituted``) and ``shift`` build
-# the result's exponent vectors a column at a time (see the module docstring).
+# Above this many terms ``_substituted`` builds exponent vectors a column at a
+# time (see the module docstring), and a shifted ``restrict_var`` composes.
 _COLUMN_TERMS = 8
 
 
@@ -151,13 +151,25 @@ def _position(vars_t: tuple[str, ...], var: str) -> int:
         raise UnknownVariable(f"{var!r} not among {vars_t}") from None
 
 
+def _plain(key: tuple) -> Exponents:
+    """``key`` with plain int entries: bool and other int subclasses become
+    ints, and any other entry raises ``ValueError``."""
+    for e in key:
+        if type(e) is not int:
+            if not all(isinstance(e, int) for e in key):
+                raise ValueError(f"non-integer exponent in {key}")
+            return tuple(map(int, key))
+    return key
+
+
 def _check_shift(vars_t: tuple[str, ...], exps: Exponents) -> Exponents:
-    """``exps`` if it is an integer exponent vector over ``vars_t``."""
+    """``exps``, with ``_plain`` entries, if it is an integer exponent
+    vector over ``vars_t``."""
     if len(exps) != len(vars_t):
         raise VariableMismatch(f"shift {tuple(exps)} does not fit {vars_t}")
     for e in exps:
-        if not isinstance(e, int):
-            raise ValueError(f"non-integer exponent in {tuple(exps)}")
+        if type(e) is not int:
+            return _plain(tuple(exps))
     return exps
 
 
@@ -238,6 +250,12 @@ class MonomialSubstitution:
             object.__setattr__(self, f.name, value)
 
 
+@cache
+def _identity(vars_t: tuple[str, ...]) -> MonomialSubstitution:
+    """The identity substitution of ``vars_t``, built once per variable list."""
+    return MonomialSubstitution(vars_t, vars_t, {v: {v: 1} for v in vars_t})
+
+
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial over named variables.
 
@@ -267,10 +285,7 @@ class LaurentPolynomial:
                 )
             for e in key:
                 if type(e) is not int:
-                    if not all(isinstance(e, int) for e in key):
-                        raise ValueError(f"non-integer exponent in {key}")
-                    # bool and other subclasses become plain ints
-                    key = tuple(map(int, key))
+                    key = _plain(key)
                     break
             if type(coeff) is int:
                 n = coeff * den
@@ -386,7 +401,7 @@ class LaurentPolynomial:
             raise VariableMismatch(
                 f"exponent vector {key} does not fit variables {self._vars}"
             )
-        return _value(self._terms.get(key, 0), self._den)
+        return _value(self._terms.get(_plain(key), 0), self._den)
 
     def low_degree_in(self, var: str) -> int | None:
         i = _position(self._vars, var)
@@ -458,11 +473,11 @@ class LaurentPolynomial:
     def __mul__(self, other) -> "LaurentPolynomial":
         """The product with a polynomial or an exact scalar.
 
-        A scalar scales every coefficient, and a one-term factor is a
-        ``shift``.  Otherwise the pair products of the two numerator maps
-        are summed as ints over the product d1*d2 of the two denominators,
-        and one gcd of that denominator and every summed numerator reduces
-        the result; no coefficient passes through a ``Fraction``.
+        A scalar scales every coefficient.  For a polynomial, one term or
+        many, the pair products of the two numerator maps are summed as ints
+        over the product d1*d2 of the two denominators, and one gcd of that
+        denominator and every summed numerator reduces the result; no
+        coefficient passes through a ``Fraction``.
         """
         if isinstance(other, (int, Fraction)):
             if other == 1:
@@ -470,16 +485,11 @@ class LaurentPolynomial:
             if other == 0:
                 return LaurentPolynomial._trusted(self._vars, {})
             k = _exact(other)
-            return self._scaled(k.numerator, k.denominator)
+            out, den = self._scaled(k.numerator, k.denominator)
+            return LaurentPolynomial._trusted(self._vars, out, den)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        big, small = self, rhs
-        if len(big._terms) < len(small._terms):
-            big, small = small, big
-        if len(small._terms) == 1:
-            ((exps, n),) = small._terms.items()
-            return big._scaled(n, small._den, exps)
         return _pair_sum(
             self._vars, ((self._terms, rhs._terms, 1),), self._den * rhs._den
         )
@@ -519,20 +529,20 @@ class LaurentPolynomial:
     def shift(self, exps: Exponents, coeff: Coefficient = 1) -> "LaurentPolynomial":
         """The product with ``coeff`` times the monomial of exponents ``exps``.
 
-        Adding a fixed exponent vector is injective, so nothing is summed or
-        cancels and the result can skip the checks of ``__init__``.
+        The identity substitution with offset ``exps``, handed the numerators
+        that ``_scaled`` gives for ``coeff``; nothing sums or cancels.
         """
-        _check_shift(self._vars, exps)
+        offset = _check_shift(self._vars, exps)
         k = _exact(coeff)
         if not k:
             return LaurentPolynomial._trusted(self._vars, {})
-        return self._scaled(k.numerator, k.denominator, exps)
+        terms, den = self._scaled(k.numerator, k.denominator)
+        sub = _identity(self._vars)
+        return _substituted(self._vars, ((terms, offset),), terms.values(), den, sub)
 
-    def _scaled(
-        self, num: int, q: int = 1, exps: Exponents | None = None
-    ) -> "LaurentPolynomial":
-        """The product with the scalar num/q (num != 0, q >= 1), shifted by
-        ``exps`` if given.
+    def _scaled(self, num: int, q: int = 1) -> tuple[dict[Exponents, int], int]:
+        """The numerator map and the denominator of the product with the
+        scalar num/q (num != 0, q >= 1), on the same exponent vectors.
 
         An integral scalar meets the denominator in one gcd, which keeps a
         reduced pair reduced; a denominator q > 1 joins the result's, which
@@ -541,24 +551,10 @@ class LaurentPolynomial:
         g = gcd(self._den, num)
         num //= g
         den = self._den // g * q
-        terms = self._terms.items()
-        if exps is None:
-            out = {e: n * num for e, n in terms}
-        elif len(terms) > _COLUMN_TERMS:
-            columns = [
-                col if s == 0 else [e + s for e in col]
-                for col, s in zip(zip(*self._terms), exps)
-            ]
-            nums = self._terms.values()
-            if num != 1:
-                nums = [n * num for n in nums]
-            # no variables: the one term lands on ()
-            out = dict(zip(zip(*columns) if columns else [()] * len(nums), nums))
-        else:
-            out = {tuple(map(add, e, exps)): n * num for e, n in terms}
+        out = self._terms if num == 1 else {e: n * num for e, n in self._terms.items()}
         if q > 1:
             out, den = _reduced(out, den)
-        return LaurentPolynomial._trusted(self._vars, out, den)
+        return out, den
 
     # -- chart operations --------------------------------------------------
 
@@ -575,7 +571,7 @@ class LaurentPolynomial:
         i = _position(self._vars, var)
         new_vars = self._vars[:i] + self._vars[i + 1 :]
         if shift is not None:
-            _check_shift(new_vars, shift)
+            shift = _check_shift(new_vars, shift)
         num, q = _exact(coeff).as_integer_ratio()
         if shift is not None and len(self._terms) > _COLUMN_TERMS:
             return self.restrict_var(var).shift(shift, coeff)  # a column at a time
@@ -619,16 +615,18 @@ class LaurentPolynomial:
         parts = tuple(parts)
         if not parts:
             raise ValueError("a sum of substitutions needs at least one part")
+        keyed = []
         for p, shift in parts:
             if p._vars != sub.source:
                 raise VariableMismatch(f"substitution on {sub.source}, not {p._vars}")
             if shift is not None:
-                _check_shift(sub.target, shift)
+                shift = _check_shift(sub.target, shift)
+            keyed.append((p._terms, shift))
         den = lcm(*(p._den for p, _ in parts if p._terms))
         nums = list(chain.from_iterable(
             [n * (den // p._den) for n in p._terms.values()] if p._den < den
             else p._terms.values() for p, _ in parts))
-        return _substituted(sub.target, [(p._terms, s) for p, s in parts], nums, den, sub)
+        return _substituted(sub.target, keyed, nums, den, sub)
 
     def restrict_substituted(
         self, sub: MonomialSubstitution, var: str, shift: Exponents | None = None

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from random import Random
 
@@ -222,6 +223,11 @@ def test_coefficient_checks_exponent_length():
         p.coefficient((1,))
     with pytest.raises(VariableMismatch):
         p.coefficient((1, 0, 0))
+    # exponents are checked as the constructor checks them
+    assert p.coefficient((True, True)) == 3
+    for bad in ((1.0, 1), (0.5, 0), (1, "1")):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            p.coefficient(bad)
 
 
 def test_duplicate_variable_guards():
@@ -621,12 +627,8 @@ def test_trusted_path_matches_oracle():
         else:
             results["restrict"] = (p.restrict_var(var), expected)
             restricted += 1
-        # a one-term factor is a shift, which scales like a scalar
-        keeps = KEEPS_DENOMINATOR | (
-            {"mul-unreduced-int"} if len(ints.support()) == 1 else set()
-        )
         for name, (got, want) in results.items():
-            check = assert_normalised if name in keeps else assert_reduced
+            check = assert_normalised if name in KEEPS_DENOMINATOR else assert_reduced
             check(got)
             assert got == want and hash(got) == hash(want), (name, p, q)
             assert str(got) == str(want), (name, p, q)
@@ -786,8 +788,9 @@ def test_even_substitute_matches_oracle():
 
 # -- column kernels of many-term substitution and shift --------------------------
 #
-# Above exactalg._COLUMN_TERMS terms, substitute_monomials and shift build the
-# exponent vectors a column at a time; below it they loop over the terms.  Each
+# Above exactalg._COLUMN_TERMS terms the substitution kernel builds the exponent
+# vectors a column at a time; below it, it loops over the terms.  A shift is the
+# identity substitution with the shift as its offset, on the same kernel.  Each
 # draw runs through both paths, which must store the same numerators over the
 # same denominator, and both are compared with the oracle.
 
@@ -956,6 +959,34 @@ def test_zero_variable_shifts_and_one_term_products_on_both_kernels(monkeypatch)
         want = oracle_mul(p, mono)
         assert on_both_paths(monkeypatch, lambda: p * mono) == want, (p, mono)
         assert on_both_paths(monkeypatch, lambda: mono * p) == want, (p, mono)
+
+
+def test_bool_exponents_are_stored_as_plain_ints(monkeypatch):
+    # a bool entry of a shift counts as an int, as in the constructor, and
+    # is stored as one, also where no image term touches that entry
+    sub = MonomialSubstitution(XY, ("s", "t"), {"x": {"s": 2}, "y": {"t": 2}})
+    one = LaurentPolynomial(XY, {(0, 0): 3})
+    many = LaurentPolynomial(XY, {(a, b): a - b or 1 for a in range(4) for b in range(3)})
+    for p in (one, many):
+        # the t-entry is 0, so restrict_substituted keeps the terms with y^0
+        for shift in ((True, False), (False, 0), (True, 0)):
+            plain = tuple(map(int, shift))
+            calls = (
+                lambda s: p.shift(s, Fraction(1, 2)),
+                lambda s: p.restrict_var("y", s[:1], -1),
+                lambda s: LaurentPolynomial.sum_substituted(sub, ((p, s), (p, None))),
+                lambda s: p.restrict_substituted(sub, "t", s),
+            )
+            for compute in calls:
+                for cut in (0, 10**9):
+                    monkeypatch.setattr(exactalg, "_COLUMN_TERMS", cut)
+                    got = compute(shift)
+                    assert not got.is_zero and got == compute(plain)
+                    assert all(type(e) is int for e in chain.from_iterable(got.support()))
+                    assert_normalised(got)
+    monkeypatch.undo()
+    assert LaurentPolynomial.sum_substituted(sub, ((one, (True, 0)),)).terms() == {(1, 0): 3}
+    assert one.restrict_substituted(sub, "t", (True, 0)).terms() == {(1,): 3}
 
 
 # -- restriction through a substitution -------------------------------------------
