@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from random import Random
 from typing import Callable
 
@@ -31,7 +30,8 @@ from .conecalc import (
     restrict_cone_log_frame,
     glued_pole_bound,
 )
-from .exactalg import Exponents, LaurentPolynomial, monomial_str, parse_polynomial
+from .exactalg import (Exponents, LaurentPolynomial, _Frozen, _store, monomial_str,
+                       parse_polynomial)
 from .geomcheck import (
     ECCurve,
     INFINITY,
@@ -87,12 +87,16 @@ _ASSOC_SEED = 118932
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    expected: str
-    computed: str
-    verdict: str
+class CheckRecord(_Frozen):
+    """One row of a report: ``verdict`` is ``pass``, ``fail`` or ``recorded``."""
+
+    __slots__ = ("name", "expected", "computed", "verdict")
+
+    def __init__(self, name: str, expected: str, computed: str, verdict: str) -> None:
+        _store(self, "name", name)
+        _store(self, "expected", expected)
+        _store(self, "computed", computed)
+        _store(self, "verdict", verdict)
 
 
 def _check(name: str, expected, computed) -> CheckRecord:
@@ -104,9 +108,23 @@ def _recorded(name: str, computed) -> CheckRecord:
     return CheckRecord(name, "-", str(computed), "recorded")
 
 
-@dataclass
 class Report:
-    records: list[CheckRecord] = field(default_factory=list)
+    """The check records of a run, in report order; ``records`` may grow."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[CheckRecord] | None = None) -> None:
+        self.records = [] if records is None else records
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Report:
+            return NotImplemented
+        return self.records == other.records
+
+    __hash__ = None  # mutable, so not hashable
+
+    def __repr__(self) -> str:
+        return f"Report(records={self.records!r})"
 
     @property
     def failures(self) -> int:
@@ -158,22 +176,24 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Scenario:
-    task: str
-    max_degree: int = 10
-    family: str | None = None
+class Scenario(_Frozen):
+    """The suites of one run and their arguments, checked as the CLI checks them."""
 
-    def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.max_degree < 1:
+    __slots__ = ("task", "max_degree", "family")
+
+    def __init__(self, task: str, max_degree: int = 10, family: str | None = None) -> None:
+        if task not in TASKS:
+            raise ValueError(f"unknown task {task!r}")
+        if max_degree < 1:
             raise ValueError("--max-degree must be >= 1")
-        if self.task == "rees-report" and self.family is None:
+        if task == "rees-report" and family is None:
             raise ValueError("--family is required for --task rees-report")
-        if self.family is not None and "rees-report" not in self.tasks:
-            raise ValueError(f"--task {self.task} runs no suite that reads --family")
-        if "rees-report" in self.tasks and self.max_degree < 3:
+        _store(self, "task", task)
+        _store(self, "max_degree", max_degree)
+        _store(self, "family", family)
+        if family is not None and "rees-report" not in self.tasks:
+            raise ValueError(f"--task {task} runs no suite that reads --family")
+        if "rees-report" in self.tasks and max_degree < 3:
             raise ValueError("--max-degree must be >= 3 for the new-generator table")
 
     @property

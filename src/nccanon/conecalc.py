@@ -29,9 +29,11 @@ power u^m restricts without a pole, for every m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from itertools import starmap
+from operator import add, or_
 
-from .exactalg import LaurentPolynomial, MonomialSubstitution
+from .exactalg import LaurentPolynomial, MonomialSubstitution, _Frozen, _store
 from .logres import SMOOTH_PAIR, BranchRestriction, MonomialMap
 
 # re-exported: the benchmark tracer's self-test (bench/test_bench.py) checks
@@ -49,16 +51,17 @@ _LOG_FRAME = MonomialSubstitution(_UV, ("u", "w"), {"u": {"u": 1}, "v": {"u": -1
 _UV_FACTOR = LaurentPolynomial.monomial(_UV, {"u": 1, "v": 1})
 
 
-@dataclass(frozen=True)
-class ConeElement:
+class ConeElement(_Frozen):
     """c0 + c1*w in the coordinate ring of the cone, w^2 reduced to u*v."""
 
-    c0: LaurentPolynomial
-    c1: LaurentPolynomial = LaurentPolynomial.zero(_UV)
+    __slots__ = ("c0", "c1")
 
-    def __post_init__(self) -> None:
-        if self.c0.variables != _UV or self.c1.variables != _UV:
+    def __init__(self, c0: LaurentPolynomial,
+                 c1: LaurentPolynomial = LaurentPolynomial.zero(_UV)) -> None:
+        if c0.variables != _UV or c1.variables != _UV:
             raise ValueError("cone elements live over the variables (u, v)")
+        _store(self, "c0", c0)
+        _store(self, "c1", c1)
 
     # -- constructors ------------------------------------------------------
 
@@ -120,20 +123,20 @@ class ConeElement:
         return f"ConeElement({self!s})"
 
 
-@dataclass(frozen=True)
-class ChartElement:
+class ChartElement(_Frozen):
     """Image of a cone element in the double-cover chart (s,t)."""
 
-    poly: LaurentPolynomial
+    __slots__ = ("poly",)
 
-    def __post_init__(self) -> None:
-        if self.poly.variables != _ST:
+    def __init__(self, poly: LaurentPolynomial) -> None:
+        if poly.variables != _ST:
             raise ValueError("chart elements live over the variables (s, t)")
-        for exps in self.poly.support():
-            if sum(exps) % 2 != 0:
-                raise ValueError(
-                    f"term with exponents {exps} is not (-1,-1)-invariant"
-                )
+        # every term's degree s + t is even iff their bitwise or is
+        support = poly.support()
+        if reduce(or_, starmap(add, support), 0) & 1:
+            odd = next(exps for exps in support if sum(exps) % 2)
+            raise ValueError(f"term with exponents {odd} is not (-1,-1)-invariant")
+        _store(self, "poly", poly)
 
 
 def to_chart(element: ConeElement) -> ChartElement:
@@ -157,16 +160,16 @@ def mult_along_c2(element: ConeElement) -> int:
     return low
 
 
-@dataclass(frozen=True)
-class ConeSection:
+class ConeSection(_Frozen):
     """coeff * ((du^dw)/u)^weight * v^(-weight/2); the weight is even."""
 
-    weight: int
-    coeff: ConeElement
+    __slots__ = ("weight", "coeff")
 
-    def __post_init__(self) -> None:
-        if self.weight < 0 or self.weight % 2 != 0:
+    def __init__(self, weight: int, coeff: ConeElement) -> None:
+        if weight < 0 or weight % 2 != 0:
             raise ValueError("cone sections carry even nonnegative weight")
+        _store(self, "weight", weight)
+        _store(self, "coeff", coeff)
 
     @property
     def half_weight(self) -> int:

@@ -62,12 +62,11 @@ enough for golden-file tests.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, le
+from operator import add, attrgetter, le
 from typing import Collection, Iterable, KeysView, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -201,8 +200,63 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (-sum(exps), tuple(-e for e in exps))
 
 
-@dataclass(frozen=True)
-class MonomialSubstitution:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` checks its arguments and stores each field with
+    ``_store(self, name, value)`` past the guard against assignment.  ``==``
+    holds only between two instances of one class whose fields are equal,
+    equal values hash alike, and ``repr`` reads ``Name(field=value, ...)``.
+    These methods are written once, here, so that importing the package
+    generates no code (see the README).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the fields' values, as a tuple for two fields or more
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would restore the slots by assignment, which the
+        # guard refuses
+        return _rebuilt, (type(self), tuple(getattr(self, n) for n in self.__slots__))
+
+
+# stores a field of a ``_Frozen`` value; for constructors only
+_store = object.__setattr__
+
+
+def _rebuilt(cls: type, values: tuple) -> _Frozen:
+    """The ``cls`` instance with these field values, as ``__reduce__`` gave them."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _store(self, name, value)
+    return self
+
+
+class MonomialSubstitution(_Frozen):
     """A monomial over ``target`` for each variable of ``source``, checked
     once; ``LaurentPolynomial.substitute_monomials`` and
     ``restrict_substituted`` apply it.
@@ -215,19 +269,15 @@ class MonomialSubstitution:
     (j, e) that reach target variable k; ``identity`` marks the identity matrix.
     """
 
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    images: InitVar[Mapping[str, Mapping[str, int]]]
-    rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
-    columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
-    identity: bool = field(init=False)
+    __slots__ = ("source", "target", "rows", "columns", "identity")
 
-    def __post_init__(self, images: Mapping[str, Mapping[str, int]]) -> None:
-        source = _distinct(self.source)
+    def __init__(self, source: Iterable[str], target: Iterable[str],
+                 images: Mapping[str, Mapping[str, int]]) -> None:
+        source = _distinct(source)
         for name in images:
             if name not in source:
                 raise UnknownVariable(f"{name!r} not among {source}")
-        target = _distinct(self.target)
+        target = _distinct(target)
         rows = []
         for v in source:
             if v not in images:
@@ -245,9 +295,11 @@ class MonomialSubstitution:
             tuple((j, e) for j, row in enumerate(rows) for i, e in row if i == k)
             for k in range(len(target))
         )
-        identity = rows == [((j, 1),) for j in range(len(target))]
-        for f, value in zip(fields(self), (source, target, tuple(rows), columns, identity)):
-            object.__setattr__(self, f.name, value)
+        _store(self, "source", source)
+        _store(self, "target", target)
+        _store(self, "rows", tuple(rows))
+        _store(self, "columns", columns)
+        _store(self, "identity", rows == [((j, 1),) for j in range(len(target))])
 
 
 @cache
@@ -256,7 +308,7 @@ def _identity(vars_t: tuple[str, ...]) -> MonomialSubstitution:
     return MonomialSubstitution(vars_t, vars_t, {v: {v: 1} for v in vars_t})
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(_Frozen):
     """Immutable sparse Laurent polynomial over named variables.
 
     ``_terms`` maps exponent vectors to nonzero int numerators over the
@@ -337,9 +389,6 @@ class LaurentPolynomial:
         _set_terms(self, terms)
         _set_den(self, den)
         return self
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -721,8 +770,8 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self._vars!r}, {self!s})"
 
 
-# The slots' own setters store past the immutability guard of ``__setattr__``,
-# at about half the cost of ``object.__setattr__``.
+# The slots' own setters store past the immutability guard of ``_Frozen``, at
+# about half the cost of ``_store``.
 _set_vars = LaurentPolynomial._vars.__set__
 _set_terms = LaurentPolynomial._terms.__set__
 _set_den = LaurentPolynomial._den.__set__

@@ -25,12 +25,11 @@ every node off itself"; and base-point-freeness of a pair of forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import LaurentPolynomial
+from .exactalg import LaurentPolynomial, _Frozen, _store
 
 
 class NotSquarefree(Exception):
@@ -53,18 +52,17 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class ECCurve:
+class ECCurve(_Frozen):
     """Nonsingular Weierstrass curve y^2 = x^3 + a*x + b over the rationals."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if 4 * self.a**3 + 27 * self.b**2 == 0:
+    def __init__(self, a: Fraction | int, b: Fraction | int) -> None:
+        a, b = Fraction(a), Fraction(b)
+        if 4 * a**3 + 27 * b**2 == 0:
             raise ValueError("curve is singular: 4a^3 + 27b^2 = 0")
+        _store(self, "a", a)
+        _store(self, "b", b)
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return y * y == x**3 + self.a * x + self.b
@@ -79,12 +77,24 @@ class ECCurve:
         return f"y^2 = x^3 + ({self.a})*x + ({self.b})"
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(_Frozen):
     """An affine point or the point at infinity (x = y = None)."""
 
-    x: Fraction | None
-    y: Fraction | None
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Fraction | None, y: Fraction | None) -> None:
+        _store(self, "x", x)
+        _store(self, "y", y)
+
+    # written out, as the generic ones take half as long again: the group
+    # law's sample looks each sum up in a set
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     @property
     def is_infinity(self) -> bool:
@@ -311,22 +321,22 @@ def poly_gcd(
     return tuple(c / lead for c in a)
 
 
-@dataclass(frozen=True)
-class WeightedHyperellipticCurve:
+class WeightedHyperellipticCurve(_Frozen):
     """Double cover z^2 = f(x,y) of the projective line, f of even degree.
 
     ``coeffs[i]`` is the coefficient of x^(d-i) * y^i.  The genus is
     (deg f - 2)/2 once f is squarefree.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if len(self.coeffs) < 3 or (len(self.coeffs) - 1) % 2 != 0:
+    def __init__(self, coeffs: Sequence[Fraction | int]) -> None:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) < 3 or (len(coeffs) - 1) % 2 != 0:
             raise ValueError("branch form must have even degree >= 2")
-        if all(c == 0 for c in self.coeffs):
+        if all(c == 0 for c in coeffs):
             raise ValueError("branch form must be nonzero")
+        _store(self, "coeffs", coeffs)
 
     @classmethod
     def from_branch_poly(cls, poly: LaurentPolynomial) -> "WeightedHyperellipticCurve":

@@ -31,14 +31,14 @@ consistent with the gluing, and ``embed_search`` scans all placements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import (Exponents, LaurentPolynomial, MonomialSubstitution,
-                       NegativeExponentAtRestriction, VariableMismatch)
+                       NegativeExponentAtRestriction, VariableMismatch, _Frozen,
+                       _store)
 from .monideal import MonomialIdeal
 
 
@@ -50,8 +50,7 @@ class EmbeddingNotFound(Exception):
     """No signed coordinate placement satisfies the consistency checks."""
 
 
-@dataclass(frozen=True)
-class BranchRule:
+class BranchRule(_Frozen):
     """Restriction data for one branch of a chart's marked curve.
 
     The chart generator restricts on (zero_var = 0) to
@@ -59,17 +58,26 @@ class BranchRule:
     residue_sign * d(param_var).
     """
 
-    zero_var: str
-    param_var: str
-    residue_sign: int
-    log_pole: bool
+    __slots__ = ("zero_var", "param_var", "residue_sign", "log_pole")
+
+    def __init__(self, zero_var: str, param_var: str, residue_sign: int,
+                 log_pole: bool) -> None:
+        _store(self, "zero_var", zero_var)
+        _store(self, "param_var", param_var)
+        _store(self, "residue_sign", residue_sign)
+        _store(self, "log_pole", log_pole)
 
 
-@dataclass(frozen=True)
-class ChartModel:
-    name: str
-    variables: tuple[str, str]
-    branches: tuple[BranchRule, ...]
+class ChartModel(_Frozen):
+    """A chart's variables and the branches of its marked curve."""
+
+    __slots__ = ("name", "variables", "branches")
+
+    def __init__(self, name: str, variables: tuple[str, str],
+                 branches: tuple[BranchRule, ...]) -> None:
+        _store(self, "name", name)
+        _store(self, "variables", variables)
+        _store(self, "branches", branches)
 
     @property
     def curve(self) -> str:
@@ -113,27 +121,28 @@ HALF_PLANE_V = ChartModel(
 )
 
 
-@dataclass(frozen=True)
-class PluriSection:
+class PluriSection(_Frozen):
     """coeff * (chart generator)^weight on a chart model."""
 
-    model: ChartModel
-    weight: int
-    coeff: LaurentPolynomial
-    meromorphic: bool = False
+    __slots__ = ("model", "weight", "coeff", "meromorphic")
 
-    def __post_init__(self) -> None:
-        if self.weight < 0:
+    def __init__(self, model: ChartModel, weight: int, coeff: LaurentPolynomial,
+                 meromorphic: bool = False) -> None:
+        if weight < 0:
             raise ValueError("weight must be nonnegative")
-        if self.coeff.variables != self.model.variables:
+        if coeff.variables != model.variables:
             raise ValueError(
-                f"coefficient variables {self.coeff.variables} do not match "
-                f"chart {self.model.name} {self.model.variables}"
+                f"coefficient variables {coeff.variables} do not match "
+                f"chart {model.name} {model.variables}"
             )
-        if not self.meromorphic and not self.coeff.is_polynomial():
+        if not meromorphic and not coeff.is_polynomial():
             raise ValueError(
                 "coefficient has negative exponents; pass meromorphic=True"
             )
+        _store(self, "model", model)
+        _store(self, "weight", weight)
+        _store(self, "coeff", coeff)
+        _store(self, "meromorphic", meromorphic)
 
     def __mul__(self, other: "PluriSection") -> "PluriSection":
         if self.model is not other.model:
@@ -146,19 +155,30 @@ class PluriSection:
         )
 
 
-@dataclass(frozen=True)
-class BranchRestriction:
+class BranchRestriction(_Frozen):
     """A restricted section in normalized presentation h(t)*(dt)^weight."""
 
-    curve_var: str
-    weight: int
-    h: LaurentPolynomial
+    __slots__ = ("curve_var", "weight", "h")
 
-    def __post_init__(self) -> None:
-        if self.h.variables != (self.curve_var,):
+    def __init__(self, curve_var: str, weight: int, h: LaurentPolynomial) -> None:
+        if h.variables != (curve_var,):
             raise ValueError(
-                f"h must be univariate in {self.curve_var!r}, got {self.h.variables}"
+                f"h must be univariate in {curve_var!r}, got {h.variables}"
             )
+        _store(self, "curve_var", curve_var)
+        _store(self, "weight", weight)
+        _store(self, "h", h)
+
+    # written out, as the generic ones take half as long again: ``glues``
+    # compares two restrictions per leg
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curve_var, self.weight, self.h) == (
+            other.curve_var, other.weight, other.h)
+
+    def __hash__(self) -> int:
+        return hash((self.curve_var, self.weight, self.h))
 
     @property
     def pole_order(self) -> int:
@@ -200,8 +220,7 @@ def restrict(section: PluriSection, branch: str,
     return BranchRestriction(rule.param_var, m, h)
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(_Frozen):
     """Restriction of monomial coefficients to a curve, on integers.
 
     With t the curve parameter, the monomial of exponents e restricts to 0
@@ -213,18 +232,20 @@ class MonomialMap:
     t^k with k >= -lowering*weight; ``rise`` and ``ideal`` read that off.
     """
 
-    normal: tuple[int, ...]
-    along: tuple[int, ...]
-    lowering: int
-    sign: int
+    __slots__ = ("normal", "along", "lowering", "sign")
 
-    def __post_init__(self) -> None:
-        zeros = tuple(int(n == 0) for n in self.normal)
-        if min(self.normal, default=0) < 0 or zeros != self.along or sum(zeros) != 1:
+    def __init__(self, normal: tuple[int, ...], along: tuple[int, ...],
+                 lowering: int, sign: int) -> None:
+        zeros = tuple(int(n == 0) for n in normal)
+        if min(normal, default=0) < 0 or zeros != along or sum(zeros) != 1:
             raise ValueError(
-                f"normal {self.normal} must be nonnegative and vanish exactly "
-                f"at the unit vector along {self.along}"
+                f"normal {normal} must be nonnegative and vanish exactly "
+                f"at the unit vector along {along}"
             )
+        _store(self, "normal", normal)
+        _store(self, "along", along)
+        _store(self, "lowering", lowering)
+        _store(self, "sign", sign)
 
     @classmethod
     def of(cls, variables: Sequence[str], rule: BranchRule) -> "MonomialMap":
@@ -259,8 +280,7 @@ class MonomialMap:
         return MonomialIdeal(variables, gens)
 
 
-@dataclass(frozen=True)
-class BranchMatch:
+class BranchMatch(_Frozen):
     """One leg of the gluing: an nc branch identified with a half-plane curve.
 
     ``nc`` is a branch of ``NC_PAIR`` and ``half`` the branch of
@@ -269,9 +289,12 @@ class BranchMatch:
     ``nc.param_var``.
     """
 
-    nc: BranchRule
-    half_plane: ChartModel
-    half: BranchRule
+    __slots__ = ("nc", "half_plane", "half")
+
+    def __init__(self, nc: BranchRule, half_plane: ChartModel, half: BranchRule) -> None:
+        _store(self, "nc", nc)
+        _store(self, "half_plane", half_plane)
+        _store(self, "half", half)
 
 
 # the gluing, defined away from the origin: branch (x=0) of the nc curve is
@@ -420,18 +443,18 @@ def _gluing_ideal(m: int) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneEmbedding:
+class PlaneEmbedding(_Frozen):
     """A signed placement of a chart's two variables onto axes of C^4."""
 
-    axes: tuple[int, int]
-    signs: tuple[int, int]
+    __slots__ = ("axes", "signs")
 
-    def __post_init__(self) -> None:
-        if not all(0 <= a <= 3 for a in self.axes):
+    def __init__(self, axes: tuple[int, int], signs: tuple[int, int]) -> None:
+        if not all(0 <= a <= 3 for a in axes):
             raise ValueError("axes must lie in 0..3")
-        if not all(s in (1, -1) for s in self.signs):
+        if not all(s in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
+        _store(self, "axes", axes)
+        _store(self, "signs", signs)
 
     def spanned(self) -> frozenset[int]:
         return frozenset(self.axes)
@@ -453,15 +476,15 @@ class PlaneEmbedding:
 EMBEDDED_CHARTS = (NC_PAIR, *(leg.half_plane for leg in SIGMA))
 
 
-@dataclass(frozen=True)
-class EmbeddingAssignment:
+class EmbeddingAssignment(_Frozen):
     """Placements of ``EMBEDDED_CHARTS``, one per chart in its order."""
 
-    planes: tuple[PlaneEmbedding, ...]
+    __slots__ = ("planes",)
 
-    def __post_init__(self) -> None:
-        if len(self.planes) != len(EMBEDDED_CHARTS):
-            raise ValueError(f"expected one placement per chart, got {len(self.planes)}")
+    def __init__(self, planes: tuple[PlaneEmbedding, ...]) -> None:
+        if len(planes) != len(EMBEDDED_CHARTS):
+            raise ValueError(f"expected one placement per chart, got {len(planes)}")
+        _store(self, "planes", planes)
 
     def __str__(self) -> str:
         return "; ".join(

@@ -40,14 +40,13 @@ independent of one another, and the oracle's memo only saves recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import (Exponents, ParseError, Tokens, VariableMismatch, divides,
-                       monomial_str)
+from .exactalg import (Exponents, ParseError, Tokens, VariableMismatch, _Frozen,
+                       _store, divides, monomial_str)
 
 
 class MultiplicativityViolation(Exception):
@@ -94,12 +93,10 @@ def generators_str(variables: Sequence[str], gens: Iterable[Exponents]) -> str:
     return ", ".join(monomial_str(variables, g) for g in ordered)
 
 
-@dataclass(frozen=True, init=False)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal presented by its minimal generators."""
 
-    variables: tuple[str, ...]
-    generators: frozenset[Exponents]
+    __slots__ = ("variables", "generators")
 
     def __init__(self, variables: Iterable[str], generators: Iterable[Exponents]) -> None:
         vars_t = tuple(variables)
@@ -107,8 +104,8 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != len(vars_t):
                 raise ValueError(f"generator {g} does not fit variables {vars_t}")
-        object.__setattr__(self, "variables", vars_t)
-        object.__setattr__(self, "generators", gens)
+        _store(self, "variables", vars_t)
+        _store(self, "generators", gens)
 
     @property
     def is_zero(self) -> bool:
@@ -166,16 +163,26 @@ class MonomialIdeal:
         return f"MonomialIdeal{self!s}"
 
 
-@dataclass(frozen=True)
-class AffineExponent:
+class AffineExponent(_Frozen):
     """An exponent of the shape slope*m + offset in a grading weight m."""
 
-    slope: int
-    offset: int
+    __slots__ = ("slope", "offset")
 
-    def __post_init__(self) -> None:
-        if self.slope < 0:
-            raise ValueError(f"slope must be nonnegative, got {self.slope}")
+    def __init__(self, slope: int, offset: int) -> None:
+        if slope < 0:
+            raise ValueError(f"slope must be nonnegative, got {slope}")
+        _store(self, "slope", slope)
+        _store(self, "offset", offset)
+
+    # written out, as the generic ones take half as long again: the oracle's
+    # cache hashes every exponent of a family once per weight
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.slope, self.offset) == (other.slope, other.offset)
+
+    def __hash__(self) -> int:
+        return hash((self.slope, self.offset))
 
     def at(self, m: int) -> int:
         return self.slope * m + self.offset
@@ -189,8 +196,7 @@ class AffineExponent:
         return f"{head}{self.offset:+d}"
 
 
-@dataclass(frozen=True)
-class GradedMonomialFamily:
+class GradedMonomialFamily(_Frozen):
     """Monomial generator templates with exponents affine in the weight m.
 
     ``templates`` holds one exponent row per generator, aligned with
@@ -198,19 +204,22 @@ class GradedMonomialFamily:
     nonnegative exponents; this is checked at construction.
     """
 
-    variables: tuple[str, ...]
-    templates: tuple[tuple[AffineExponent, ...], ...]
+    __slots__ = ("variables", "templates")
 
-    def __post_init__(self) -> None:
-        for row in self.templates:
-            if len(row) != len(self.variables):
-                raise ValueError(
-                    f"template {row} does not fit variables {self.variables}"
-                )
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        templates: tuple[tuple[AffineExponent, ...], ...],
+    ) -> None:
+        for row in templates:
+            if len(row) != len(variables):
+                raise ValueError(f"template {row} does not fit variables {variables}")
             for ae in row:
                 # slope >= 0, so the minimum over m >= 1 is attained at m = 1
                 if ae.at(1) < 0:
                     raise ValueError(f"exponent {ae} is negative at m=1")
+        _store(self, "variables", variables)
+        _store(self, "templates", templates)
 
     def instantiate(self, m: int) -> MonomialIdeal:
         """The ideal I_m, minimalized."""
@@ -425,8 +434,7 @@ def _new(i_m: MonomialIdeal, candidates: set[Exponents]) -> frozenset[Exponents]
     )
 
 
-@dataclass(frozen=True)
-class ReesGenerationReport:
+class ReesGenerationReport(_Frozen):
     """Per-degree table of fresh generators for a graded monomial family.
 
     ``witness_flag`` is True exactly when every degree from 3 to the last
@@ -434,8 +442,13 @@ class ReesGenerationReport:
     generators in that window is the finite-generation failure witness.
     """
 
-    rows: tuple[tuple[int, frozenset[Exponents]], ...]
-    witness_flag: bool
+    __slots__ = ("rows", "witness_flag")
+
+    def __init__(
+        self, rows: tuple[tuple[int, frozenset[Exponents]], ...], witness_flag: bool
+    ) -> None:
+        _store(self, "rows", rows)
+        _store(self, "witness_flag", witness_flag)
 
     def row(self, m: int) -> frozenset[Exponents]:
         """The new generators of weight m; ``rows`` holds m = 1, 2, ... in order."""

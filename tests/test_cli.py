@@ -124,6 +124,18 @@ def test_python_m_nccanon(capsys):
     assert "--max-degree must be >= 1" in refused.stderr
 
 
+def test_import_loads_no_code_generating_modules():
+    # the value classes are written out, so importing the CLI in a bare
+    # interpreter (no site) loads neither dataclasses nor what it pulls in
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = ("import sys, nccanon.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_exit_code_one_on_failing_check(monkeypatch, capsys):
     import nccanon.cli as cli
 

@@ -87,6 +87,10 @@ def test_chart_element_invariance():
     with pytest.raises(ValueError):
         ChartElement(stpoly("s"))
     ChartElement(stpoly("s*t + s^2"))
+    # the error names the first odd term, negative exponents included
+    with pytest.raises(ValueError, match=r"exponents \(-1, 2\) is not"):
+        ChartElement(stpoly("s^2 + s^-1*t^2 + t^-3"))
+    ChartElement(stpoly("s^-1*t^-1 + s^-4 + 1"))
 
 
 # -- multiplicity along the curve ------------------------------------------

@@ -1,5 +1,7 @@
 """Arithmetic-layer tests: exact ring operations, restriction, parsing."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from itertools import chain
@@ -9,7 +11,9 @@ from random import Random
 import pytest
 
 from nccanon import exactalg
-from nccanon.conecalc import ConeElement, _even_substitute, to_chart
+from nccanon.cli import CheckRecord, Report, Scenario
+from nccanon.conecalc import (ChartElement, ConeElement, ConeSection, _even_substitute,
+                              to_chart)
 from nccanon.exactalg import (
     LaurentPolynomial,
     MonomialSubstitution,
@@ -20,7 +24,27 @@ from nccanon.exactalg import (
     divides,
     parse_polynomial,
 )
-from nccanon.monideal import MonomialIdeal
+from nccanon.geomcheck import ECCurve, ECPoint, WeightedHyperellipticCurve
+from nccanon.logres import (
+    HALF_PLANE_U,
+    NC_PAIR,
+    BranchMatch,
+    BranchRestriction,
+    BranchRule,
+    ChartModel,
+    EmbeddingAssignment,
+    MonomialMap,
+    PlaneEmbedding,
+    PluriSection,
+)
+from nccanon.monideal import (
+    AffineExponent,
+    GradedMonomialFamily,
+    MonomialIdeal,
+    ReesGenerationReport,
+    parse_family,
+    rees_report,
+)
 
 XY = ("x", "y")
 BOTH_TO_S = {"x": {"s": 1}, "y": {"s": 1}}
@@ -240,22 +264,106 @@ def test_duplicate_variable_guards():
         MonomialSubstitution(("x", "x"), ("s",), {"x": {"s": 1}})
 
 
+def _value_builders() -> dict:
+    """A builder of a fresh instance for each value class of the package."""
+    uv, st = ("u", "v"), ("s", "t")
+    return {
+        LaurentPolynomial: lambda: poly("x - 1/2*y^-1"),
+        MonomialSubstitution: lambda: MonomialSubstitution(XY, ("s",), BOTH_TO_S),
+        MonomialIdeal: lambda: MonomialIdeal(XY, [(1, 1), (2, 0), (1, 2)]),
+        AffineExponent: lambda: AffineExponent(2, -1),
+        GradedMonomialFamily: lambda: parse_family("x*y, x^m, y^(2*m-1)"),
+        ReesGenerationReport: lambda: rees_report(parse_family("x*y, x^m, y^m"), 4),
+        BranchRule: lambda: BranchRule("x", "y", 1, True),
+        ChartModel: lambda: ChartModel("c", XY, (BranchRule("y", "x", -1, False),)),
+        PluriSection: lambda: PluriSection(NC_PAIR, 2, poly("x*y")),
+        BranchRestriction: lambda: BranchRestriction("y", 2, poly("y^-2", ("y",))),
+        MonomialMap: lambda: MonomialMap((0, 1), (1, 0), 1, -1),
+        BranchMatch: lambda: BranchMatch(
+            NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_U.branch("u1")
+        ),
+        PlaneEmbedding: lambda: PlaneEmbedding((1, 2), (1, -1)),
+        EmbeddingAssignment: lambda: EmbeddingAssignment(
+            tuple(PlaneEmbedding((i, 3), (1, 1)) for i in range(3))
+        ),
+        ConeElement: lambda: ConeElement(poly("u*v", uv), poly("2", uv)),
+        ChartElement: lambda: ChartElement(poly("s*t - t^-2", st)),
+        ConeSection: lambda: ConeSection(4, ConeElement.one()),
+        ECCurve: lambda: ECCurve(-1, 0),
+        ECPoint: lambda: ECPoint(Fraction(1), Fraction(0)),
+        WeightedHyperellipticCurve: lambda: WeightedHyperellipticCurve((1, 0, 2)),
+        CheckRecord: lambda: CheckRecord("a", "1", "1", "pass"),
+        Scenario: lambda: Scenario("all", 4),
+    }
+
+
 def test_values_are_frozen_and_hash_by_value():
-    uv = ("u", "v")
-    make = (
-        (lambda: poly("x - 1/2*y^-1"), "variables"),
-        (lambda: MonomialIdeal(XY, [(1, 1), (2, 0), (1, 2)]), "generators"),
-        (lambda: ConeElement(poly("u*v", uv), poly("2", uv)), "c1"),
-    )
-    for build, attr in make:
-        value, twin = build(), build()
-        # a field, and a name that is no field (frozen slotted dataclasses
-        # raise TypeError for the latter)
-        for name in (attr, "foo"):
+    builders = _value_builders()
+    # every class on the shared frozen base is covered
+    assert set(builders) == set(exactalg._Frozen.__subclasses__())
+    values = {cls: build() for cls, build in builders.items()}
+    for cls, build in builders.items():
+        value, twin = values[cls], build()
+        assert type(value) is cls
+        # a field, and a name that is no field
+        for name in (*cls.__slots__, "foo"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
         assert value == twin and value is not twin
+        assert not value != twin
         assert hash(value) == hash(twin)
+        # rebuilt past the guard, not refused by it
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is cls and copied == value
+        # == holds within one class only
+        for other in values.values():
+            assert (value == other) is (other is value)
+    # the same field values in two classes, and one field apart in one
+    assert AffineExponent(1, 0) != ECPoint(1, 0)
+    assert AffineExponent(1, 0) != AffineExponent(1, 1)
+    assert BranchRestriction("y", 2, poly("y", ("y",))) != BranchRestriction(
+        "y", 3, poly("y", ("y",))
+    )
+    assert repr(BranchRule("x", "y", 1, True)) == (
+        "BranchRule(zero_var='x', param_var='y', residue_sign=1, log_pole=True)"
+    )
+    assert repr(PlaneEmbedding((1, 2), (1, -1))) == "PlaneEmbedding(axes=(1, 2), signs=(1, -1))"
+
+
+def test_value_constructors_take_keywords_and_defaults():
+    uv = ("u", "v")
+    pole = poly("x^-1*y")
+    section = PluriSection(model=NC_PAIR, weight=1, coeff=pole, meromorphic=True)
+    assert section.meromorphic is True and section.coeff == pole
+    with pytest.raises(ValueError, match="pass meromorphic=True"):
+        PluriSection(NC_PAIR, 1, pole)
+    c0 = poly("u + v", uv)
+    assert ConeElement(c0) == ConeElement(c0=c0, c1=LaurentPolynomial.zero(uv))
+    assert ConeElement(c0).c1 == LaurentPolynomial.zero(uv)
+    assert Scenario("all") == Scenario(task="all", max_degree=10, family=None)
+    assert MonomialSubstitution(source=XY, target=("s",), images=BOTH_TO_S) == (
+        MonomialSubstitution(XY, ("s",), BOTH_TO_S)
+    )
+    # a report starts empty, with a list of its own
+    assert Report() == Report([]) and Report().records is not Report().records
+    missing_or_extra = (
+        lambda: BranchRestriction("y", 2),
+        lambda: AffineExponent(1, 2, 3),
+        lambda: AffineExponent(1, 2, scale=3),
+        lambda: ConeElement(),
+        lambda: PluriSection(NC_PAIR, 1, pole, True, 0),
+        lambda: Scenario(),
+        lambda: Scenario("all", task="all"),
+        lambda: MonomialSubstitution(XY, ("s",)),
+        lambda: ECPoint(1),
+        lambda: CheckRecord("a", "1", "1"),
+    )
+    for call in missing_or_extra:
+        with pytest.raises(TypeError):
+            call()
 
 
 # -- canonical coefficient form -----------------------------------------------
