@@ -86,16 +86,6 @@ class ECPoint(_Frozen):
         _store(self, "x", x)
         _store(self, "y", y)
 
-    # written out, as the generic ones take half as long again: the group
-    # law's sample looks each sum up in a set
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
