@@ -41,6 +41,7 @@ from .logres import (
     ChartModel,
     EmbeddingAssignment,
     EmbeddingNotFound,
+    Gluing,
     HALF_PLANE_U,
     HALF_PLANE_V,
     MonomialMap,
@@ -60,6 +61,7 @@ from .logres import (
     restrict,
 )
 from .conecalc import (
+    CONE_GLUING,
     CONE_MAP,
     ChartElement,
     ConeElement,

@@ -34,7 +34,7 @@ from itertools import starmap
 from operator import add, or_
 
 from .exactalg import LaurentPolynomial, MonomialSubstitution, _Frozen, _store
-from .logres import SMOOTH_PAIR, BranchRestriction, MonomialMap
+from .logres import SMOOTH_PAIR, BranchRestriction, Gluing, MonomialMap
 
 # re-exported: the benchmark tracer's self-test (bench/test_bench.py) checks
 # that a wrapped ``logres.restrict`` is rebound at this import site as well
@@ -234,8 +234,9 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
 # t-exponent 0 terms only u^a = s^(2a) is left, lowered by the half weight m
 CONE_MAP = MonomialMap((0, 2, 1), (1, 0, 0), 1, 1)
 
-# the smooth chart's branch (y=0), glued to the cone curve by u = x
-_SMOOTH_MAP = MonomialMap.of(SMOOTH_PAIR.variables, SMOOTH_PAIR.branch("y"))
+# the cone curve at half weight m, glued by u = x to the smooth branch (y=0) at 2m
+CONE_GLUING = Gluing(
+    CONE_MAP, MonomialMap.of(SMOOTH_PAIR.variables, SMOOTH_PAIR.branch("y")), 2)
 
 
 def pole_bound_s2(m: int) -> int:
@@ -247,13 +248,9 @@ def pole_bound_s2(m: int) -> int:
 
 
 def glued_pole_bound(m: int) -> int:
-    """Largest pole of a restriction achievable on BOTH sides of the gluing.
-
-    The smooth chart (curve y=0) is glued to the cone curve by u = x.  A
-    cone coefficient survives iff the smooth side at weight 2m reaches its
-    restriction: the largest surviving pole is that of u^``CONE_MAP.rise``.
-    """
+    """Largest pole of a restriction achievable on both sides of ``CONE_GLUING``:
+    that of u^``rise``, the least power whose image the smooth side reaches."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    rise = CONE_MAP.rise(m, _SMOOTH_MAP, 2 * m)
-    return max(0, -CONE_MAP.image(tuple(rise * a for a in CONE_MAP.along), m)[1])
+    rise, cone = CONE_GLUING.rise(m), CONE_GLUING.near
+    return max(0, -cone.image(tuple(rise * a for a in cone.along), m)[1])

@@ -21,7 +21,7 @@ half-plane restriction back through sigma substitutes the nc parameter for
 its own; a triple of sections glues iff the nc restrictions equal (-1)^m
 times the pulled-back half-plane restrictions on both branches.  The set of
 nc coefficients admitting holomorphic half-plane partners at weight m is a
-monomial ideal, read off the restriction maps of both sides (``MonomialMap``).
+monomial ideal, read off each leg's pair of restriction maps (``Gluing``).
 
 A separate concern of the same local model: the glued surface has a triple
 point of embedding dimension 4.  ``embed_check`` decides whether a signed
@@ -230,7 +230,7 @@ class MonomialMap(_Frozen):
     (dt)^weight otherwise.  ``normal`` must be nonnegative and vanish only
     at the unit vector ``along``, so that among the monomials with
     nonnegative exponents exactly the powers of t survive, reaching every
-    t^k with k >= -lowering*weight; ``rise`` and ``ideal`` read that off.
+    t^k with k >= -lowering*weight; ``Gluing`` reads that off.
     """
 
     __slots__ = ("normal", "along", "lowering", "sign")
@@ -266,18 +266,29 @@ class MonomialMap(_Frozen):
             return None
         return self.sign**weight, sum(map(mul, self.along, exps)) - self.lowering * weight
 
-    def rise(self, weight: int, far: "MonomialMap", far_weight: int) -> int:
-        """The least power of t whose image ``far`` at ``far_weight`` also
-        reaches: both maps reach every power from their lowest one upward."""
-        return max(0, self.lowering * weight - far.lowering * far_weight)
 
-    def ideal(self, variables: Sequence[str], weight: int,
-              far: "MonomialMap", far_weight: int) -> MonomialIdeal:
-        """The monomials whose image ``far`` at ``far_weight`` also reaches:
-        the variables of positive normal weight, and t^rise."""
-        size = len(self.normal)
-        gens = [tuple(int(j == i) for j in range(size)) for i in range(size) if self.normal[i]]
-        gens.append(tuple(self.rise(weight, far, far_weight) * a for a in self.along))
+class Gluing(_Frozen):
+    """One curve seen from two charts: ``near`` restricts to it at weight m,
+    ``far`` at weight ``far_per_near * m``, and each reaches every power of
+    t from its lowest one upward."""
+
+    __slots__ = ("near", "far", "far_per_near")
+
+    def __init__(self, near: MonomialMap, far: MonomialMap, far_per_near: int) -> None:
+        _store(self, "near", near)
+        _store(self, "far", far)
+        _store(self, "far_per_near", far_per_near)
+
+    def rise(self, m: int) -> int:
+        """The least power of t whose weight-m near image ``far`` also reaches."""
+        return max(0, (self.near.lowering - self.far.lowering * self.far_per_near) * m)
+
+    def ideal(self, variables: Sequence[str], m: int) -> MonomialIdeal:
+        """The near monomials whose weight-m image ``far`` also reaches: the
+        variables of positive normal weight, and t^rise."""
+        normal, size = self.near.normal, len(self.near.normal)
+        gens = [tuple(int(j == i) for j in range(size)) for i in range(size) if normal[i]]
+        gens.append(tuple(self.rise(m) * a for a in self.near.along))
         return MonomialIdeal(variables, gens)
 
 
@@ -285,17 +296,23 @@ class BranchMatch(_Frozen):
     """One leg of the gluing: an nc branch identified with a half-plane curve.
 
     ``nc`` is a branch of ``NC_PAIR`` and ``half`` the branch of
-    ``half_plane`` glued to it; away from the origin the half-plane
-    parameter ``half.param_var`` is identified with the nc parameter
-    ``nc.param_var``.
+    ``half_plane`` glued to it, its parameter ``half.param_var`` identified
+    with ``nc.param_var`` away from the origin.  Derived in the constructor:
+    ``gluing`` (the nc map near, the half-plane map far, at equal weights),
+    and that identification as the substitutions ``to_half`` and ``to_nc``.
     """
 
-    __slots__ = ("nc", "half_plane", "half")
+    __slots__ = ("nc", "half_plane", "half", "gluing", "to_half", "to_nc")
 
     def __init__(self, nc: BranchRule, half_plane: ChartModel, half: BranchRule) -> None:
+        s, t = nc.param_var, half.param_var
         _store(self, "nc", nc)
         _store(self, "half_plane", half_plane)
         _store(self, "half", half)
+        _store(self, "gluing", Gluing(MonomialMap.of(NC_PAIR.variables, nc),
+                                      MonomialMap.of(half_plane.variables, half), 1))
+        _store(self, "to_half", MonomialSubstitution((s,), half_plane.variables, {s: {t: 1}}))
+        _store(self, "to_nc", MonomialSubstitution((t,), (s,), {t: {s: 1}}))
 
 
 # the gluing, defined away from the origin: branch (x=0) of the nc curve is
@@ -304,20 +321,6 @@ SIGMA = (
     BranchMatch(NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_U.branch("u1")),
     BranchMatch(NC_PAIR.branch("y"), HALF_PLANE_V, HALF_PLANE_V.branch("v2")),
 )
-
-# the (nc, half-plane) restriction maps of the legs of SIGMA, in its order
-_LEG_MAPS = tuple((MonomialMap.of(NC_PAIR.variables, leg.nc),
-                   MonomialMap.of(leg.half_plane.variables, leg.half)) for leg in SIGMA)
-
-# each leg's identification of parameters as substitutions: the nc parameter
-# onto the half plane, in the order of SIGMA (``partner_sections``), and the
-# half-plane parameter onto the nc one, by that parameter (``pullback_sigma``)
-_TO_HALF_PLANE = tuple(MonomialSubstitution(
-    (leg.nc.param_var,), leg.half_plane.variables, {leg.nc.param_var: {leg.half.param_var: 1}}
-) for leg in SIGMA)
-_TO_NC = {leg.half.param_var: MonomialSubstitution(
-    (leg.half.param_var,), (leg.nc.param_var,), {leg.half.param_var: {leg.nc.param_var: 1}}
-) for leg in SIGMA}
 
 
 def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
@@ -330,13 +333,11 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
     carry a log pole, so eta restricts to sign*ds/s, and the factors cancel:
     h(t)*(dt)^m pulls back to h(s)*(ds)^m, the substitution t -> s.
     """
-    to_nc = _TO_NC.get(restriction.curve_var)
-    if to_nc is None:
-        raise UnknownBranch(
-            f"no gluing is defined on branch parameter {restriction.curve_var!r}"
-        )
-    h = restriction.h.substitute_monomials(to_nc)
-    return BranchRestriction(h.variables[0], restriction.weight, h)
+    for leg in SIGMA:
+        if leg.half.param_var == restriction.curve_var:
+            h = restriction.h.substitute_monomials(leg.to_nc)
+            return BranchRestriction(h.variables[0], restriction.weight, h)
+    raise UnknownBranch(f"no gluing is defined on branch parameter {restriction.curve_var!r}")
 
 
 def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
@@ -376,14 +377,14 @@ def partner_sections(section_nc: PluriSection) -> tuple[PluriSection, ...] | Non
     """
     m = section_nc.weight
     partners = []
-    for leg, to_half in zip(SIGMA, _TO_HALF_PLANE):
+    for leg in SIGMA:
         on_nc = restrict(section_nc, leg.nc.zero_var)
         # half-plane branches carry no log pole: a partner restricts to its
         # coefficient on the curve times residue_sign^m
         h = on_nc.h * (-leg.half.residue_sign) ** m
         if not h.is_polynomial():
             return None
-        partners.append(PluriSection(leg.half_plane, m, h.substitute_monomials(to_half)))
+        partners.append(PluriSection(leg.half_plane, m, h.substitute_monomials(leg.to_half)))
     return tuple(partners)
 
 
@@ -394,14 +395,14 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
     restricts the section once: restriction is linear and sends the terms
     it keeps to distinct powers t^k of the branch parameter, all with the
     sign ``sign^m``, so no two terms merge or cancel, and a pole t^k is
-    the term ``along*(k + lowering*m)`` of that leg's ``MonomialMap``.
+    the term ``along*(k + lowering*m)`` of the leg's near map.
     Raises AssertionError if a read-back coefficient is not the section's
     own, so a merged term fails instead of passing.
     """
     m, own = section_nc.weight, section_nc.coeff.terms()
     found = set()
-    for leg, (nc_map, _) in zip(SIGMA, _LEG_MAPS):
-        on_nc = restrict(section_nc, leg.nc.zero_var)
+    for leg in SIGMA:
+        on_nc, nc_map = restrict(section_nc, leg.nc.zero_var), leg.gluing.near
         sign, low, i = nc_map.sign**m, nc_map.lowering * m, nc_map.along.index(1)
         head, tail = nc_map.along[:i], nc_map.along[i + 1 :]
         for (k,), c in on_nc.h.terms().items():
@@ -419,11 +420,10 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
 def gluing_ideal(m: int) -> MonomialIdeal:
     """Coefficients on the nc pair admitting half-plane partners at weight m.
 
-    A monomial coefficient has partners iff on every leg of ``SIGMA`` the
-    half-plane map at weight m reaches its nc restriction, i.e. iff it lies
-    in each leg's ``MonomialMap.ideal``: the ideal is (x, y^m) & (y, x^m).
-    Each weight's ideal is built once per process and shared, which is
-    safe because a ``MonomialIdeal`` is immutable.  This function checks m
+    A monomial coefficient has partners iff it lies in the ``Gluing.ideal``
+    of every leg of ``SIGMA``: the ideal is (x, y^m) & (y, x^m).  Each
+    weight's ideal is built once per process and shared, which is safe
+    because a ``MonomialIdeal`` is immutable.  This function checks m
     and stays a plain function around the cached ``_gluing_ideal``, so that
     a caller that wraps plain functions (the benchmark's tracer) still sees
     every call, answered from the cache or not.
@@ -435,7 +435,7 @@ def gluing_ideal(m: int) -> MonomialIdeal:
 
 @lru_cache(maxsize=None, typed=True)
 def _gluing_ideal(m: int) -> MonomialIdeal:
-    on_x, on_y = (nc.ideal(NC_PAIR.variables, m, half, m) for nc, half in _LEG_MAPS)
+    on_x, on_y = (leg.gluing.ideal(NC_PAIR.variables, m) for leg in SIGMA)
     return on_x & on_y
 
 

@@ -33,6 +33,7 @@ from nccanon.logres import (
     BranchRule,
     ChartModel,
     EmbeddingAssignment,
+    Gluing,
     MonomialMap,
     PlaneEmbedding,
     PluriSection,
@@ -279,6 +280,9 @@ def _value_builders() -> dict:
         PluriSection: lambda: PluriSection(NC_PAIR, 2, poly("x*y")),
         BranchRestriction: lambda: BranchRestriction("y", 2, poly("y^-2", ("y",))),
         MonomialMap: lambda: MonomialMap((0, 1), (1, 0), 1, -1),
+        Gluing: lambda: Gluing(
+            MonomialMap((0, 1), (1, 0), 1, -1), MonomialMap((1, 0), (0, 1), 0, 1), 2
+        ),
         BranchMatch: lambda: BranchMatch(
             NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_U.branch("u1")
         ),

@@ -25,6 +25,7 @@ from nccanon.logres import (
     BranchRestriction,
     EmbeddingAssignment,
     EmbeddingNotFound,
+    MonomialMap,
     PlaneEmbedding,
     PluriSection,
     UnknownBranch,
@@ -259,10 +260,25 @@ def test_glues_rejects_partners_off_sigma():
 def test_sigma_legs_are_chart_branches():
     # every leg names a branch of the nc pair and of its own half plane, so
     # parameter names and residue signs are read from the chart data
+    rng = Random(67)
     for leg in SIGMA:
         assert leg.nc in NC_PAIR.branches
         assert leg.half in leg.half_plane.branches
         assert not leg.half.log_pole
+        # the fields the constructor derives from the two rules
+        assert leg.gluing.near == MonomialMap.of(NC_PAIR.variables, leg.nc)
+        assert leg.gluing.far == MonomialMap.of(leg.half_plane.variables, leg.half)
+        assert leg.gluing.far_per_near == 1
+        # to_half, then to_nc, is the identity on the nc parameter
+        s = leg.nc.param_var
+        for _ in range(12):
+            terms = {(rng.randrange(-4, 5),): Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                     for _ in range(rng.randrange(6))}
+            p = LaurentPolynomial((s,), terms)
+            on_half = p.substitute_monomials(leg.to_half)
+            assert on_half.variables == leg.half_plane.variables
+            back = on_half.restrict_var(leg.half.zero_var).substitute_monomials(leg.to_nc)
+            assert back == p
     assert len({leg.nc for leg in SIGMA}) == len(NC_PAIR.branches)
 
 
@@ -304,7 +320,7 @@ def test_gluing_ideal_small_values():
 
 def test_gluing_ideal_cache_returns_the_intersection_of_the_leg_ideals():
     for m in range(1, 201):
-        on_x, on_y = (nc.ideal(NC_PAIR.variables, m, half, m) for nc, half in logres._LEG_MAPS)
+        on_x, on_y = (leg.gluing.ideal(NC_PAIR.variables, m) for leg in SIGMA)
         assert gluing_ideal(m) == on_x & on_y
         assert gluing_ideal(m) is gluing_ideal(m)
     # the argument check runs on every call, ahead of the warm cache

@@ -1,14 +1,16 @@
 """The integer restriction maps against the polynomial route they replace.
 
-``gluing_ideal`` intersects the ``MonomialMap.ideal`` of each leg's nc map
-against its half-plane map, ``glued_pole_bound`` reads the image of the
-power ``MonomialMap.rise`` of ``CONE_MAP`` against the smooth branch, and
-``pole_bound_s2`` the image of the coefficient 1, on integers.  The oracles
+``gluing_ideal`` intersects the ``Gluing.ideal`` of each leg of ``SIGMA``
+(its nc map near, its half-plane map far), ``glued_pole_bound`` reads the
+``CONE_MAP`` image of the power ``CONE_GLUING.rise`` (the smooth branch
+far, at twice the weight), and ``pole_bound_s2`` the image of the
+coefficient 1, on integers.  The oracles
 below scan the full boxes the way those functions once did, on the
 polynomial route: they build a ``LaurentPolynomial`` section for every
 monomial and run the full restriction on it.  The tests compare the maps
-with them result by result and monomial by monomial, and compare ``rise``
-and ``ideal`` with a scan of ``MonomialMap.image`` on both sides.
+with them result by result and monomial by monomial, and compare
+``Gluing.rise`` and ``Gluing.ideal`` with a scan of ``MonomialMap.image`` on
+both sides.
 ``obstructions``, which decides a whole staircase of non-members in one
 section, is compared with ``partner_sections`` on each of its monomials.
 """
@@ -20,6 +22,7 @@ import pytest
 
 from nccanon.cli import _suite_glue_check
 from nccanon.conecalc import (
+    CONE_GLUING,
     CONE_MAP,
     ConeElement,
     ConeSection,
@@ -40,6 +43,7 @@ from nccanon.logres import (
     SIGMA,
     SMOOTH_PAIR,
     BranchRestriction,
+    Gluing,
     MonomialMap,
     PluriSection,
     UnknownBranch,
@@ -283,7 +287,7 @@ def test_cone_map_meromorphic_coefficients():
     assert raised
 
 
-# -- what the maps read off their images ---------------------------------------------
+# -- what the gluings read off the images of their maps ------------------------------
 
 
 def every_map():
@@ -296,60 +300,79 @@ def every_map():
     return planes + [(("u", "v", "w"), CONE_MAP)]
 
 
-# every pair of weights up to 4, and the cone's half weight m against the
-# smooth branch's 2m up to m = 5
-WEIGHT_PAIRS = sorted(set(product(range(5), repeat=2)) | {(m, 2 * m) for m in range(6)})
+# the near weights m, and the far weight's multiples of m, of the scans
+NEAR_WEIGHTS = range(6)
+FAR_PER_NEAR = range(1, 4)
+
+# the reach scan reads the monomials in [0, BOX)^size
+BOX = 22
+
+# every map of ``every_map`` lowers by 0 or 1, and between those no multiple
+# far_per_near >= 1 changes a rise; a near map lowering by 3 tells all three
+# multiples apart, with rises up to 3*5
+STEEP_MAP = (XY, MonomialMap((0, 1), (1, 0), 3, 1))
 
 
-def map_pairs():
-    """((variables, near), (variables, far), (weight, far_weight)) for every
-    near/far pair of ``every_map`` and every pair of ``WEIGHT_PAIRS``."""
-    return product(every_map(), every_map(), WEIGHT_PAIRS)
+def gluing_weights():
+    """((variables, gluing), m) for the ``Gluing`` of every near map of
+    ``every_map`` and ``STEEP_MAP`` against every far map of ``every_map``
+    at every ``far_per_near`` in ``FAR_PER_NEAR``, and every m in
+    ``NEAR_WEIGHTS``; the variables are the near map's."""
+    nears, fars = every_map() + [STEEP_MAP], every_map()
+    gluings = [
+        (variables, Gluing(near, far, k))
+        for (variables, near), (_, far), k in product(nears, fars, FAR_PER_NEAR)
+    ]
+    return product(gluings, NEAR_WEIGHTS)
 
 
 @lru_cache(maxsize=None)
 def reach(kernel: MonomialMap, weight: int) -> frozenset[int]:
-    """The t-exponents of the nonzero images of the monomials in [0, 16]^size.
+    """The t-exponents of the nonzero images of the monomials in [0, BOX)^size.
 
-    At weight up to 10 they include every exponent up to 6 that the map
+    At weight up to 15 they include every exponent up to 6 that the map
     reaches, and no monomial in [0, 6]^size has an image above t^6.
     """
-    box = product(range(17), repeat=len(kernel.normal))
+    box = product(range(BOX), repeat=len(kernel.normal))
     images = (kernel.image(exps, weight) for exps in box)
     return frozenset(i[1] for i in images if i is not None)
 
 
 def test_rise_and_reach_match_a_scan_of_image():
     for _, kernel in every_map():
-        for weight in range(11):
+        for weight in range(16):
             # each map reaches exactly the powers from its lowest one upward
             low = -kernel.lowering * weight
-            assert reach(kernel, weight) == set(range(low, low + 17)), (kernel, weight)
-    for (_, near), (_, far), (weight, far_weight) in map_pairs():
+            assert reach(kernel, weight) == set(range(low, low + BOX)), (kernel, weight)
+    rises = {}
+    for (_, gluing), m in gluing_weights():
+        rises.setdefault((gluing.near, gluing.far, m), set()).add(gluing.rise(m))
         # the least power of t whose image the far side also reaches
+        near, far_reach = gluing.near, reach(gluing.far, gluing.far_per_near * m)
         powers = [
-            k for k in range(17)
-            if near.image(tuple(k * a for a in near.along), weight)[1]
-            in reach(far, far_weight)
+            k for k in range(BOX)
+            if near.image(tuple(k * a for a in near.along), m)[1] in far_reach
         ]
-        assert near.rise(weight, far, far_weight) == powers[0], (near, far, weight)
-    smooth = MonomialMap.of(XY, SMOOTH_PAIR.branch("y"))
-    for m in range(0, 6):
-        assert CONE_MAP.rise(m, smooth, 2 * m) == m
-        cone_ideal = CONE_MAP.ideal(("u", "v", "w"), m, smooth, 2 * m)
+        assert gluing.rise(m) == powers[0], (gluing, m)
+    # some pair of maps at some weight reads a different rise at each multiple
+    assert max(map(len, rises.values())) == len(FAR_PER_NEAR)
+    for m in range(201):
+        assert CONE_GLUING.rise(m) == m
+        cone_ideal = CONE_GLUING.ideal(("u", "v", "w"), m)
         assert cone_ideal == MonomialIdeal(("u", "v", "w"), [(0, 1, 0), (0, 0, 1), (m, 0, 0)])
 
 
 def test_monomial_map_ideal_matches_its_image():
-    # near monomials in [0, 6]^size decide membership: rise is at most 5
-    for (variables, near), (_, far), (weight, far_weight) in map_pairs():
-        ideal = near.ideal(variables, weight, far, far_weight)
+    # near monomials through t^(rise + 1), and at least [0, 6]^size, decide
+    # membership: a wrong rise errs at the lesser of the true and the read power
+    for (variables, gluing), m in gluing_weights():
+        ideal = gluing.ideal(variables, m)
         assert ideal.variables == variables
-        reached = reach(far, far_weight)
-        for exps in product(range(7), repeat=len(variables)):
-            image = near.image(exps, weight)
+        reached = reach(gluing.far, gluing.far_per_near * m)
+        for exps in product(range(max(7, gluing.rise(m) + 2)), repeat=len(variables)):
+            image = gluing.near.image(exps, m)
             reaches = image is None or image[1] in reached
-            assert ideal.member(exps) == reaches, (near, far, weight, far_weight, exps)
+            assert ideal.member(exps) == reaches, (gluing, m, exps)
 
 
 def test_monomial_map_refuses_what_rise_and_ideal_cannot_read():
