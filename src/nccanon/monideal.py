@@ -19,12 +19,15 @@ refuses to report on non-multiplicative families.
 The pass never builds J_m as an ideal.  It works on a set of candidates
 that generates J_m, taken from the template-pair products s(a)*t(m-a),
 0 < a < m, which lie on one line per pair: the generating endpoint of a
-sign-definite line, and the points of a mixed-sign line that no endpoint
-product divides (``_weights`` and ``_candidates`` prove that these
-suffice).  The family is multiplicative at m iff every candidate lies in
-I_m, and a generator of I_m is new iff no candidate divides it.  The
-brute-force oracle shares none of this: it judges the raw instances of
-weight m against each other and every pair product.
+sign-definite line that no other endpoint divides at every weight, and the
+points of a mixed-sign line that no kept endpoint product divides
+(``_weights``, ``_lines`` and ``_candidates`` prove that these suffice).
+``_lines`` compiles the lines and their cover bounds once per family, so
+each weight does only integer evaluation.  The family is multiplicative
+at m iff every candidate lies in I_m, and a generator of I_m is new iff no
+candidate divides it.  The brute-force oracle shares none of this: it
+judges the raw instances of weight m against each other and every pair
+product.
 
 A family is written as a comma-separated list of monomial templates
 (``parse_family``, and ``str`` of a ``GradedMonomialFamily``); each factor
@@ -35,7 +38,8 @@ names are ASCII.  A variable whose exponents sum to 0 is refused: it would
 print as nothing.
 
 Everything here is immutable and pure; per-degree computations are
-independent of one another, and the oracle's memo only saves recomputation.
+independent of one another, and the oracle's memo (one per family and
+degree bound) only saves recomputation.
 """
 
 from __future__ import annotations
@@ -317,63 +321,102 @@ def parse_family(src: str) -> GradedMonomialFamily:
 def _lines(
     templates: Sequence[tuple[AffineExponent, ...]],
 ) -> tuple[list[tuple], list[tuple]]:
-    """The template pairs {s, t} (s = t included) as integer vectors, split
-    by the signs of D = slope(s) - slope(t); O = offset(s) + offset(t).
+    """The template pairs {s, t} (s = t included) compiled into integer
+    vectors, split by the signs of D = slope(s) - slope(t), with
+    O = offset(s) + offset(t).
 
     ``ends`` holds ``(K, C)`` for a pair whose D is sign-definite: its
-    generating endpoint is K*m + C, the product at a = 1 (K = slope(t),
-    C = O + D) when D >= 0, else the one at a = m-1 (K = slope(s),
-    C = O - D).  ``mixed`` holds ``(slope(t), O, D)`` for a pair whose D has
-    mixed signs: its products lie on the line slope(t)*m + O + a*D.
+    generating endpoint is E(m) = K*m + C, the product at a = 1
+    (K = slope(t), C = O + D) when D >= 0, else the one at a = m-1
+    (K = slope(s), C = O - D).  Equal lines are kept once, and a line E2
+    is dropped when another line E1 divides it at every weight m >= 2,
+    which holds iff K1 <= K2 and E1(2) <= E2(2) coordinatewise: E2 - E1
+    is affine in m, and an affine function that is nonnegative at m = 2
+    with a nonnegative slope is nonnegative for every m >= 2 (conversely a
+    negative slope makes it negative for large m).  Between distinct lines
+    this order is antisymmetric, so the kept lines are its minimal
+    elements and every dropped line is divided by a kept one.
+
+    ``mixed`` holds ``(Q, O, D, covers)`` for a pair whose D has mixed
+    signs: its products lie on the line P(m) + a*D with P = Q*m + O and
+    Q = slope(t).  ``covers`` holds, for each kept endpoint line, the
+    triples ``(alpha, beta, D_i)`` per coordinate, alpha = K - Q and
+    beta = C - O: E(m) divides the point at a iff
+    alpha_i*m + beta_i <= a*D_i in every coordinate (``_candidates``).  A
+    coordinate with D_i = 0, alpha_i >= 0 and 2*alpha_i + beta_i > 0
+    fails at every m >= 2 by the same affine argument, so such an
+    endpoint line covers no point of the mixed line and gets no entry.
     """
     rows = [
         (tuple(ae.slope for ae in row), tuple(ae.offset for ae in row))
         for row in templates
     ]
-    ends, mixed = [], []
+    ends, mixed = {}, {}  # dicts as sets in insertion order
     for i, (s_slope, s_offset) in enumerate(rows):
         for t_slope, t_offset in rows[i:]:
             d = tuple(map(sub, s_slope, t_slope))
             o = tuple(map(add, s_offset, t_offset))
             if min(d) >= 0:
-                ends.append((t_slope, tuple(map(add, o, d))))
+                ends[t_slope, tuple(map(add, o, d))] = None
             elif max(d) <= 0:
-                ends.append((s_slope, tuple(map(sub, o, d))))
+                ends[s_slope, tuple(map(sub, o, d))] = None
             else:
-                mixed.append((t_slope, o, d))
-    return ends, mixed
+                mixed[t_slope, o, d] = None
+    # K followed by E(2): one entrywise comparison decides K1 <= K2 and
+    # E1(2) <= E2(2) together
+    key = {(k, c): k + tuple(2 * ki + ci for ki, ci in zip(k, c)) for k, c in ends}
+    kept = [
+        e for e in ends if not any(f != e and all(map(le, key[f], key[e])) for f in ends)
+    ]
+    compiled = []
+    for q, o, d in mixed:
+        covers = []
+        for k, c in kept:
+            bounds = tuple(zip(map(sub, k, q), map(sub, c, o), d))
+            if not any(di == 0 and alpha >= 0 and 2 * alpha + beta > 0
+                       for alpha, beta, di in bounds):
+                covers.append(bounds)
+        compiled.append((q, o, d, tuple(covers)))
+    return kept, compiled
 
 
-def _candidates(ends: list[tuple], mixed: list[tuple], m: int) -> set[Exponents]:
-    """Products s(a) + t(m-a) that generate J_m, by the interval cut.
+def _candidates(lines: tuple[list[tuple], list[tuple]], m: int) -> set[Exponents]:
+    """Products s(a) + t(m-a) that generate J_m, by the interval cut, from
+    the compiled ``lines = _lines(templates)``.
 
-    Every endpoint product, and every mixed-line point that no endpoint
-    product divides.  For an endpoint product c and a mixed line P + a*D,
-    c divides the point at a iff c_i <= P_i + a*D_i in each coordinate: a
-    lower bound on a where D_i > 0, an upper bound where D_i < 0, and no a
-    at all where D_i = 0 and c_i > P_i.  The a in [1, m-1] that c covers
-    thus form one integer interval; only the gaps the intervals leave are
-    instantiated.
+    Every kept endpoint product, and every mixed-line point that no kept
+    endpoint product divides.  Per coordinate, E(m) divides the point
+    P(m) + a*D iff alpha*m + beta <= a*D_i: a >= ceil((alpha*m + beta)/D_i)
+    where D_i > 0, a <= floor((alpha*m + beta)/D_i) where D_i < 0, and
+    alpha*m + beta <= 0 where D_i = 0.  The a in [1, m-1] that one endpoint
+    product covers thus form one integer interval; only the gaps the
+    intervals leave are instantiated.
+
+    The result is a subset of the set built from every endpoint line, and
+    it generates the same ideal J_m: a dropped endpoint product is a
+    multiple of a kept one (``_lines``), and every point it covers, it
+    covers as a multiple of that kept product, which covers the point too.
     """
     if m < 2:
         return set()
-    products = {tuple(k * m + c for k, c in zip(ks, cs)) for ks, cs in ends}
-    points: set[Exponents] = set()
-    for q, o, d in mixed:
-        base = tuple(qi * m + oi for qi, oi in zip(q, o))
+    ends, mixed = lines
+    points = {tuple(k * m + c for k, c in zip(ks, cs)) for ks, cs in ends}
+    for q, o, d, covers in mixed:
         spans = []
-        for c in products:
+        for bounds in covers:
             lo, hi = 1, m - 1
-            for ci, pi, di in zip(c, base, d):
+            for alpha, beta, di in bounds:
+                v = alpha * m + beta
                 if di > 0:
-                    lo = max(lo, -((pi - ci) // di))
+                    lo = max(lo, -(-v // di))
                 elif di < 0:
-                    hi = min(hi, (ci - pi) // di)
-                elif ci > pi:
+                    hi = min(hi, v // di)
+                elif v > 0:
                     break
             else:
                 if lo <= hi:
                     spans.append((lo, hi))
+        base = tuple(qi * m + oi for qi, oi in zip(q, o))
         start = 1
         # the sentinel (m, m) closes the last gap at a = m-1
         for lo, hi in sorted(spans) + [(m, m)]:
@@ -381,7 +424,7 @@ def _candidates(ends: list[tuple], mixed: list[tuple], m: int) -> set[Exponents]
                 tuple(pi + a * di for pi, di in zip(base, d)) for a in range(start, lo)
             )
             start = max(start, hi + 1)
-    return products | points
+    return points
 
 
 def _weights(
@@ -395,11 +438,16 @@ def _weights(
     P = slope(t)*m + offset(s) + offset(t) and D = slope(s) - slope(t).  If
     D >= 0 in every coordinate each point divides the later ones, so the
     point at a = 1 generates the whole line; if D <= 0 the point at a = m-1
-    does (D = 0 is one point).  These endpoint products are kept.  On a line
-    whose D has mixed signs, the points that one endpoint product divides
-    form an integer interval of a (``_candidates``); only the points in the
-    gaps between those intervals are kept.  Every dropped point is a
-    multiple of a kept one, so S_m generates J_m; no J_m ideal is built.
+    does (D = 0 is one point).  These endpoint products are kept, except
+    one that another endpoint product divides at every m >= 2 (``_lines``
+    drops its line once per family: an affine difference that is
+    nonnegative at m = 2 with a nonnegative slope is nonnegative for every
+    m >= 2).  On a line whose D has mixed signs, the points that one kept
+    endpoint product divides form an integer interval of a
+    (``_candidates``); only the points in the gaps between those intervals
+    are kept.  A point that a dropped product covers is covered by the kept
+    product dividing it.  Every dropped point is a multiple of a kept one,
+    so S_m generates J_m; no J_m ideal is built.
 
     The family is multiplicative up to m iff every element of S_m lies in
     I_m: I_m is closed under multiples and every product I_a*I_b with
@@ -407,15 +455,17 @@ def _weights(
     this fails raises ``MultiplicativityViolation`` naming ``upto``, that
     weight and the least element of S_m outside I_m in printing order.
     That element is a minimal generator of J_m: a minimal generator of J_m
-    dividing it lies in S_m (every generating set holds the minimal
-    generators), lies outside I_m too, and a strict divisor has a smaller
-    degree, so it would come first.  A generator of I_m is new iff no
+    dividing it lies in S_m (every generating subset of J_m holds the
+    minimal generators, however many multiples the pruning leaves out),
+    lies outside I_m too, and a strict divisor has a smaller degree, so it
+    would come first.  So the message names the same monomial for every
+    generating set S_m.  A generator of I_m is new iff no
     element of S_m divides it, which is membership in J_m.
     """
-    ends, mixed = _lines(family.templates)
+    lines = _lines(family.templates)
     for m in range(1, upto + 1):
         i_m = family.instantiate(m)
-        candidates = _candidates(ends, mixed, m)
+        candidates = _candidates(lines, m)
         outside = [c for c in candidates if not i_m.member(c)]
         if outside:
             first = monomial_str(family.variables, min(outside, key=_print_order))
@@ -490,62 +540,111 @@ def brute_force_new_generators(
     k >= (bound - tau) // sigma + 1; slopes are nonnegative, so a template
     of total slope 0 is the same monomial at every k.  From ``stable``, the
     largest of these thresholds and at least 1, the kept instances no
-    longer change, so weight k stands in for min(k, stable) and each
-    distinct pair of such weights is multiplied once.  For m >= 2*stable
-    those pairs are (a, stable), (stable, b) with a, b < stable and
-    (stable, stable), and I_m stands in for I_stable, so the answer is that
-    of weight min(m, 2*stable); it is computed once per family, clamped
-    weight and degree bound.
+    longer change, so weight k stands in for min(k, stable).  For
+    m >= 2*stable the pairs are (a, stable), (stable, b) with a, b < stable
+    and (stable, stable), and I_m stands in for I_stable, so the answer is
+    that of weight min(m, 2*stable).
+
+    No cap: to judge every generator of weight m, pass as the bound the
+    largest total degree among the weight-m instances.  Every instance is
+    then kept; every pair product that could divide an instance is kept,
+    since a divisor's degree is at most the instance's; and each template
+    of positive slope has degree sigma*m + tau <= bound, so its threshold
+    exceeds m: ``stable`` exceeds m and the clamp does not bind (with no
+    template of positive slope, every weight has the same instances and
+    the clamp is exact).  The answer is then every minimal generator of
+    I_m outside J_m, the same as with a bound that nothing reaches.
+
+    The work that does not depend on m is done once per family and degree
+    bound (``_OracleMemo``): ``stable``, the kept instances of each clamped
+    weight with their degrees, and each clamped weight's answer.  A pair
+    (a, b) of clamped weights below ``stable`` occurs only at weight a + b,
+    so its products are formed there and not kept; only the pairs with
+    ``stable`` recur across weights, and only their products are kept.
     """
     if m < 1:
         raise ValueError(f"weight m={m} must be >= 1")
     if degree_bound < 0:
         raise ValueError(f"degree_bound={degree_bound} must be >= 0")
-    totals = [
-        (sum(ae.slope for ae in row), sum(ae.offset for ae in row))
-        for row in family.templates
-    ]
-    stable = max(
-        [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
-    )
-    return _clamped_oracle(family, min(m, 2 * stable), degree_bound, stable)
+    return _oracle_memo(family, degree_bound).answer(m)
 
 
-@lru_cache(maxsize=1024)
-def _clamped_oracle(
-    family: GradedMonomialFamily, m: int, degree_bound: int, stable: int
-) -> frozenset[Exponents]:
-    """``brute_force_new_generators`` at a weight m <= 2*stable.
+class _OracleMemo:
+    """The oracle's tables for one family and degree bound, filled as the
+    weights ask for them (see ``brute_force_new_generators``)."""
 
-    A kept instance of weight min(m, stable) is reported iff no other kept
-    instance and no kept pair product divides it: by the argument there,
-    these are the minimal elements of (I_m minus J_m) in degree <= bound,
-    and a divisor of an instance has degree at most its degree, so the
-    dropped instances and products could divide none of them.
-    """
+    __slots__ = ("templates", "bound", "stable", "kept", "with_stable", "answers")
 
-    def kept(k: int) -> list[Exponents]:
-        insts = [tuple(ae.at(k) for ae in row) for row in family.templates]
-        return [g for g in insts if sum(g) <= degree_bound]
+    def __init__(self, family: GradedMonomialFamily, degree_bound: int) -> None:
+        totals = [
+            (sum(ae.slope for ae in row), sum(ae.offset for ae in row))
+            for row in family.templates
+        ]
+        self.templates = family.templates
+        self.bound = degree_bound
+        self.stable = max(
+            [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
+        )
+        # clamped weight k -> its instances of degree <= bound, with their degrees
+        self.kept: dict[int, list[tuple[Exponents, int]]] = {}
+        # weight a <= stable -> the kept products of weights a and stable
+        self.with_stable: dict[int, set[Exponents]] = {}
+        # clamped weight -> the oracle's answer
+        self.answers: dict[int, frozenset[Exponents]] = {}
 
-    def div(g: Exponents, x: Exponents) -> bool:
-        return all(a <= b for a, b in zip(g, x))
+    def instances(self, k: int) -> list[tuple[Exponents, int]]:
+        """The instances of weight k <= stable of degree <= bound, with their degrees."""
+        if k not in self.kept:
+            insts = [tuple(ae.at(k) for ae in row) for row in self.templates]
+            self.kept[k] = [(g, sum(g)) for g in insts if sum(g) <= self.bound]
+        return self.kept[k]
 
-    # weight stable stands for every k >= stable
-    raws = {k: kept(k) for k in range(1, min(m, stable) + 1)}
-    pairs = {(min(a, stable), min(m - a, stable)) for a in range(1, m)}
-    pair_products = {
-        tuple(x + y for x, y in zip(g, h))
-        for i, j in pairs
-        for g in raws[i]
-        for h in raws[j]
-        if sum(g) + sum(h) <= degree_bound
-    }
+    def products(self, a: int, b: int) -> set[Exponents]:
+        """The pair products of degree <= bound of weights a <= b <= stable."""
+        if b == self.stable and a in self.with_stable:
+            return self.with_stable[a]
+        found = {
+            tuple(map(add, g, h))
+            for g, dg in self.instances(a)
+            for h, dh in self.instances(b)
+            if dg + dh <= self.bound
+        }
+        if b == self.stable:
+            self.with_stable[a] = found
+        return found
 
-    instances = raws[min(m, stable)]
-    return frozenset(
-        g
-        for g in instances
-        if not any(h != g and div(h, g) for h in instances)
-        and not any(div(p, g) for p in pair_products)
-    )
+    def answer(self, m: int) -> frozenset[Exponents]:
+        """The oracle at weight m, computed at min(m, 2*stable).
+
+        A kept instance of weight min(m, stable) is reported iff no other
+        kept instance and no kept pair product divides it: these are the
+        minimal elements of (I_m minus J_m) in degree <= bound, and a
+        divisor of an instance has degree at most its degree, so the
+        dropped instances and products could divide none of them.  Each
+        unordered pair {a, m - a} is multiplied once.
+        """
+        m = min(m, 2 * self.stable)
+        if m not in self.answers:
+            stable = self.stable
+            instances = [g for g, _ in self.instances(min(m, stable))]
+            pair_products = set().union(
+                *(self.products(a, min(m - a, stable)) for a in range(1, m // 2 + 1))
+            )
+
+            def div(g: Exponents, x: Exponents) -> bool:
+                return all(a <= b for a, b in zip(g, x))
+
+            self.answers[m] = frozenset(
+                g
+                for g in instances
+                if not any(h != g and div(h, g) for h in instances)
+                and not any(div(p, g) for p in pair_products)
+            )
+        return self.answers[m]
+
+
+# bounded, since a cap that changes with the weight makes one memo per weight;
+# least recently used first, so the memos asked for at every weight stay
+@lru_cache(maxsize=32)
+def _oracle_memo(family: GradedMonomialFamily, degree_bound: int) -> _OracleMemo:
+    return _OracleMemo(family, degree_bound)

@@ -18,7 +18,9 @@ from nccanon.monideal import (
     parse_family,
     rees_report,
 )
-from nccanon.monideal import _candidates, _lines, _new, _print_order, _weights
+from nccanon.monideal import (
+    _candidates, _lines, _new, _oracle_memo, _print_order, _weights
+)
 
 XY = ("x", "y")
 FAMILY = parse_family("x*y, x^m, y^m")
@@ -566,6 +568,66 @@ def test_cached_oracle_answers_each_family_separately():
     assert brute_force_new_generators(second, 20, 6) == frozenset()
 
 
+def test_oracle_memo_answers_interleaved_calls():
+    # one memo per family and degree bound, filled in whatever order the
+    # calls come: weights fall as well as rise, and consecutive calls switch
+    # family and bound, so each answer is built on tables another call began
+    _oracle_memo.cache_clear()
+    families = [parse_family(src) for src in ORACLE_FAMILIES[:3]]
+    for m in (9, 3, 16, 1, 20, 7, 14, 2, 13, 8, 24, 15):
+        for family in families:
+            for degree_bound in (6, 4, 8):
+                got = brute_force_new_generators(family, m, degree_bound)
+                assert got == unpruned_oracle(family, m, degree_bound), (
+                    str(family), m, degree_bound
+                )
+    assert _oracle_memo.cache_info().misses == 9
+
+
+def test_oracle_memo_keeps_only_the_products_with_stable():
+    # with a bound nothing reaches there is no clamp up to m = 160: every
+    # pair (a, m - a) occurs at one weight only, so its products are formed
+    # there and dropped, not kept as one of about 160**2 / 4 sets
+    family = FAMILY
+    _oracle_memo.cache_clear()
+    report = rees_report(family, 160)
+    for m in range(1, 161):
+        assert brute_force_new_generators(family, m, 10**9) == report.row(m), m
+    memo = _oracle_memo(family, 10**9)
+    assert memo.stable > 160
+    assert not memo.with_stable
+    assert len(memo.kept) == len(memo.answers) == 160
+    # with the cap of the rees suite, weight 7 = stable stands for every
+    # later weight, and only its products with weights 1..7 are kept
+    for m in range(160, 0, -1):
+        brute_force_new_generators(family, m, 6)
+    memo = _oracle_memo(family, 6)
+    assert memo.stable == 7
+    assert sorted(memo.with_stable) == list(range(1, 8))
+    assert sorted(memo.answers) == list(range(1, 15))
+
+
+def test_oracle_cap_from_the_instances_judges_every_generator():
+    # at weight m the largest total degree among the weight-m instances is
+    # a cap that sees every generator: it equals a cap nothing reaches.
+    # The cap changes with m, so each weight builds a memo of its own; the
+    # rees suite's cap-6 memo, asked for at every weight, must outlive them
+    _oracle_memo.cache_clear()
+    keys = set()
+    cyclic = "x^m*y, y^m*z, z^m*x, x*y*z"
+    for src in ("x*y, x^m, y^m", "x*y, y*z, x*z, x^m, y^m, z^m", cyclic):
+        family = parse_family(src)
+        for m in range(1, 41):
+            cap = max(sum(ae.at(m) for ae in row) for row in family.templates)
+            assert brute_force_new_generators(family, m, cap) == brute_force_new_generators(
+                family, m, 10**9
+            ), (src, m)
+            brute_force_new_generators(family, m, 6)
+            keys |= {(src, cap), (src, 10**9), (src, 6)}
+    info = _oracle_memo.cache_info()
+    assert info.misses == len(keys) and info.currsize <= info.maxsize, info
+
+
 def test_oracle_tail_starts_where_the_tests_expect():
     assert tail_start(parse_family("x*y, y*z, x*z, x^m, y^m, z^m"), 6) == 7
     assert tail_start(parse_family("x^(m+5)"), 4) == 1
@@ -671,9 +733,9 @@ def test_weight_pass_matches_reference(src):
     assert_weight_pass_matches_reference(parse_family(src), 15)
 
 
-def reference_candidates(family, m):
+def reference_lines(family, m):
     """The product of each sign-definite template pair at a = 1 or a = m-1,
-    and each point of a mixed-sign pair that none of those products divides."""
+    and every point of each mixed-sign pair, at weight m."""
     ends, points = set(), set()
     rows = family.templates
     for i, s in enumerate(rows):
@@ -688,29 +750,104 @@ def reference_candidates(family, m):
                 ends.update(line[-1:])
             else:
                 points.update(line)
+    return ends, points
+
+
+def reference_candidates(family, m):
+    """Every endpoint product, and each mixed-line point that none of them
+    divides: the candidate set before endpoint lines were pruned."""
+    ends, points = reference_lines(family, m)
     return ends | {x for x in points if not any(divides(c, x) for c in ends)}
 
 
-def test_interval_cut_keeps_exactly_the_uncovered_points():
-    rng = Random(47)
+def reference_end_lines(family):
+    """Each sign-definite template pair's endpoint as the affine (K, C) with
+    E(m) = K*m + C, read off its products at weights 3 and 4."""
+    def endpoint(s, t, m):
+        d = [p.slope - q.slope for p, q in zip(s, t)]
+        a = 1 if min(d) >= 0 else m - 1
+        return [p.at(a) + q.at(m - a) for p, q in zip(s, t)]
+
+    lines = set()
+    rows = family.templates
+    for i, s in enumerate(rows):
+        for t in rows[i:]:
+            d = [p.slope - q.slope for p, q in zip(s, t)]
+            if min(d) >= 0 or max(d) <= 0:
+                e3, e4 = endpoint(s, t, 3), endpoint(s, t, 4)
+                k = tuple(y - x for x, y in zip(e3, e4))
+                lines.add((k, tuple(x - 3 * ki for x, ki in zip(e3, k))))
+    return lines
+
+
+def at(line, m):
+    return tuple(k * m + c for k, c in zip(*line))
+
+
+def line_families(rng):
     families = [parse_family(src) for src in REFERENCE_FAMILIES + LINE_FAMILIES]
-    families += [random_family(rng) for _ in range(40)]
-    for family in families:
-        ends, mixed = _lines(family.templates)
+    return families + [random_family(rng) for _ in range(40)]
+
+
+def test_interval_cut_keeps_a_generating_subset_of_the_reference():
+    # Endpoint lines that another one divides are dropped, so the cut keeps
+    # a subset of the unpruned candidates that generates the same J_m, and
+    # it still keeps every mixed-line point that no kept endpoint product
+    # divides
+    pruned = 0
+    for family in line_families(Random(47)):
+        lines = _lines(family.templates)
         for m in range(1, 25):
-            assert _candidates(ends, mixed, m) == reference_candidates(family, m), (
-                str(family), m
-            )
+            kept = _candidates(lines, m)
+            reference = reference_candidates(family, m)
+            assert kept <= reference, (str(family), m)
+            assert minimalize(kept) == minimalize(reference), (str(family), m)
+            ends = {at(line, m) for line in lines[0]} if m >= 2 else set()
+            _, points = reference_lines(family, m)
+            assert {x for x in points if not any(divides(c, x) for c in ends)} <= kept
+            pruned += len(reference - kept)
+    assert pruned > 100, pruned
+
+
+def test_dropped_endpoint_lines_are_divided_by_kept_ones():
+    # the rule (K1 <= K2 and E1(2) <= E2(2)) checked numerically, weight by
+    # weight, against endpoint lines derived from the templates
+    dropped = 0
+    for family in line_families(Random(53)):
+        kept = _lines(family.templates)[0]
+        lines = reference_end_lines(family)
+        assert len(set(kept)) == len(kept) and set(kept) <= lines, str(family)
+        for line in lines - set(kept):
+            dropped += 1
+            for m in range(2, 61):
+                assert any(divides(at(k, m), at(line, m)) for k in kept), (
+                    str(family), line, m
+                )
+    assert dropped > 50, dropped
+
+
+def test_three_variable_family_prunes_to_ten_endpoint_lines():
+    # 18 of the 21 template pairs are sign-definite, on 16 distinct lines;
+    # 10 are kept.  Over weights 1..80 the kept candidates are within 7 of
+    # the minimal generators of J_m
+    family = parse_family("x*y, y*z, x*z, x^m, y^m, z^m")
+    lines = _lines(family.templates)
+    assert (len(reference_end_lines(family)), len(lines[0]), len(lines[1])) == (16, 10, 3)
+    kept = [_candidates(lines, m) for m in range(1, 81)]
+    reference = [reference_candidates(family, m) for m in range(1, 81)]
+    assert sum(map(len, reference)) == 1267
+    assert sum(map(len, kept)) == 793
+    assert sum(len(minimalize(c)) for c in kept) == 786
 
 
 def test_interval_cut_keeps_two_gaps_of_one_mixed_line():
     # at m = 10 the mixed line x^m*y * x*y^m has points x^(a+2)*y^(12-a);
     # x^4*y^4 * x^2*y, x^4*y^4 * x*y^2 and x^8*y^8 cover a in [3, 7]
     family = parse_family("x^(m+1)*y, x*y^(m+1), x^4*y^4")
-    ends, mixed = _lines(family.templates)
-    assert len(mixed) == 1
+    lines = _lines(family.templates)
+    assert len(lines[1]) == 1
     line = {(a + 2, 12 - a) for a in range(1, 10)}
-    kept = _candidates(ends, mixed, 10) & line
+    kept = _candidates(lines, 10) & line
     assert kept == {(3, 11), (4, 10), (10, 4), (11, 3)}
     assert kept <= weight_pass(family, 10)[0].generators
 
@@ -776,7 +913,7 @@ def test_violation_names_the_least_minimal_generator_outside_i_m():
             f" of J_{m} is not in I_{m}"
         ), seed
         outside = {
-            c for c in _candidates(*_lines(family.templates), m) if not i_m.member(c)
+            c for c in _candidates(_lines(family.templates), m) if not i_m.member(c)
         }
         non_minimal += bool(outside - j_m.generators)
         reordered += first != min(minimal_outside)
