@@ -1,6 +1,6 @@
 """Scenario runner: execute verification suites and emit stable reports.
 
-Reports are lists of check records (name, expected, computed, verdict).  A
+Reports are tuples of check records (name, expected, computed, verdict).  A
 record's verdict is ``pass`` or ``fail`` when an expected value is pinned,
 and ``recorded`` for rows that document a computed fact without judging it
 (searches, counts whose interpretation is deliberately left open).  The
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 from .conecalc import (
     ConeElement,
@@ -108,23 +108,13 @@ def _recorded(name: str, computed) -> CheckRecord:
     return CheckRecord(name, "-", str(computed), "recorded")
 
 
-class Report:
-    """The check records of a run, in report order; ``records`` may grow."""
+class Report(_Frozen):
+    """The check records of a run, in report order."""
 
     __slots__ = ("records",)
 
-    def __init__(self, records: list[CheckRecord] | None = None) -> None:
-        self.records = [] if records is None else records
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Report:
-            return NotImplemented
-        return self.records == other.records
-
-    __hash__ = None  # mutable, so not hashable
-
-    def __repr__(self) -> str:
-        return f"Report(records={self.records!r})"
+    def __init__(self, records: Iterable[CheckRecord] = ()) -> None:
+        _store(self, "records", tuple(records))
 
     @property
     def failures(self) -> int:
@@ -450,7 +440,7 @@ TASKS = (*SUITES, "all")
 
 def run(scenario: Scenario) -> tuple[Report, int]:
     """Execute the scenario's suites; exit code 0 iff every check passed."""
-    report = Report([r for task in scenario.tasks for r in SUITES[task](scenario)])
+    report = Report(r for task in scenario.tasks for r in SUITES[task](scenario))
     return report, 0 if report.passed else 1
 
 

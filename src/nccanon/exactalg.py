@@ -7,7 +7,7 @@ exact.  The map is stored as nonzero ``int`` numerators over one common
 denominator d >= 1, so integral polynomials (d = 1) never touch
 ``Fraction`` and rational ones pay for one gcd per result instead of one
 per term: products, sums and scalings divide out the gcd of d and the
-numerators, while restriction, shifting by an integral unit and
+numerators, while restriction (shifted or not, times an integral unit) and
 collision-free substitution keep d as it is, so d is *a* common
 denominator, not always the least.  The storage is invisible: ``terms()``,
 ``coefficient()`` and printing give each value as an ``int`` when it is
@@ -17,16 +17,17 @@ equals).  Equality of two polynomials is a decidable, exact test, which is
 what the downstream gluing and restriction checks rely on.  Nothing is
 mutated after construction, so values can be shared freely between threads.
 
-Substitution has two kernels, picked by term count alone, and a shift is
-the identity substitution with the shift as its offset, so it runs on the
-same two.  Up to 8 terms they loop over the terms and build each image
-exponent vector in turn.  Above 8 they transpose the exponent vectors once
-into one column per variable and build each new column as the sum of the
-old columns times their image entries (an entry of 1 passes its column
-through uncopied) plus the offset, and zip the new vectors back onto the
-numerators.  A result shorter than its input means that two terms collided;
-only then are numerators summed, zeros dropped and the denominator reduced.
-The transposition costs more than it saves on the one- to three-term
+Substitution has two kernels, picked by term count alone; above 8 terms a
+shifted restriction hands its kept terms to the identity substitution with
+the shift as its offset, so it runs on the same two.  Up to 8 terms they
+loop over the terms and build each image exponent vector in turn.  Above 8
+they transpose the exponent vectors once into one column per variable and
+build each new column as the sum of the old columns times their image
+entries (an entry of 1 passes its column through uncopied) plus the
+offset, and zip the new vectors back onto the numerators.  A result
+shorter than its input means that two terms collided; only then are
+numerators summed, zeros dropped and the denominator reduced.  The
+transposition costs more than it saves on the one- to three-term
 polynomials that restriction and gluing make by the thousand (1.2-1.7x
 slower below 4 terms); the two kernels cross at about 6 terms, and at 27-55
 terms the columns substitute about 2x faster.
@@ -72,7 +73,8 @@ from typing import Collection, Iterable, KeysView, Mapping, Sequence
 Exponents = tuple[int, ...]
 
 # Above this many terms ``_substituted`` builds exponent vectors a column at a
-# time (see the module docstring), and a shifted ``restrict_var`` composes.
+# time (see the module docstring), and a shifted ``restrict_var`` hands it
+# the kept terms and the shift.
 _COLUMN_TERMS = 8
 
 
@@ -575,20 +577,6 @@ class LaurentPolynomial(_Frozen):
         factors = [(a._terms, b._terms, den // d) for a, b, d in nonzero]
         return _pair_sum(vars_t, factors, den)
 
-    def shift(self, exps: Exponents, coeff: Coefficient = 1) -> "LaurentPolynomial":
-        """The product with ``coeff`` times the monomial of exponents ``exps``.
-
-        The identity substitution with offset ``exps``, handed the numerators
-        that ``_scaled`` gives for ``coeff``; nothing sums or cancels.
-        """
-        offset = _check_shift(self._vars, exps)
-        k = _exact(coeff)
-        if not k:
-            return LaurentPolynomial._trusted(self._vars, {})
-        terms, den = self._scaled(k.numerator, k.denominator)
-        sub = _identity(self._vars)
-        return _substituted(self._vars, ((terms, offset),), terms.values(), den, sub)
-
     def _scaled(self, num: int, q: int = 1) -> tuple[dict[Exponents, int], int]:
         """The numerator map and the denominator of the product with the
         scalar num/q (num != 0, q >= 1), on the same exponent vectors.
@@ -613,17 +601,21 @@ class LaurentPolynomial(_Frozen):
 
         Raises NegativeExponentAtRestriction if any term has a pole in var,
         i.e. if the coefficient function is not holomorphic across the locus
-        being restricted to.  Given ``shift`` or ``coeff``, it is the
-        restriction's ``.shift(shift, coeff)`` (no shift if None), in the same
-        pass up to ``_COLUMN_TERMS`` terms; both are checked before any pole.
+        being restricted to.  Given ``shift`` or ``coeff``, the restriction
+        is multiplied by ``coeff`` times the monomial of exponents ``shift``
+        (no shift if None); both are checked before any pole.  The pass that
+        drops ``var`` scales the kept terms and, up to ``_COLUMN_TERMS``
+        terms, shifts them too; above it the substitution kernel's columns
+        add the shift, as its offset over the identity substitution.
         """
         i = _position(self._vars, var)
         new_vars = self._vars[:i] + self._vars[i + 1 :]
+        offset = None
         if shift is not None:
             shift = _check_shift(new_vars, shift)
+            if len(self._terms) > _COLUMN_TERMS:
+                shift, offset = None, shift
         num, q = _exact(coeff).as_integer_ratio()
-        if shift is not None and len(self._terms) > _COLUMN_TERMS:
-            return self.restrict_var(var).shift(shift, coeff)  # a column at a time
         g = gcd(self._den, num)
         num //= g
         out: dict[Exponents, int] = {}
@@ -638,6 +630,9 @@ class LaurentPolynomial(_Frozen):
         den = self._den // g * q
         if q > 1:
             out, den = _reduced(out, den)
+        if offset is not None:
+            return _substituted(new_vars, ((out, offset),), out.values(), den,
+                                _identity(new_vars))
         return LaurentPolynomial._trusted(new_vars, out, den)
 
     def substitute_monomials(self, sub: MonomialSubstitution) -> "LaurentPolynomial":

@@ -169,25 +169,10 @@ class BranchRestriction(_Frozen):
         _store(self, "weight", weight)
         _store(self, "h", h)
 
-    # written out, as the generic ones take half as long again: ``glues``
-    # compares a pair of restrictions on each of its two legs, and with the
-    # generic ones the median ``sections-dense`` operation read 1.8% slower
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.curve_var, self.weight, self.h) == (
-            other.curve_var, other.weight, other.h)
-
-    def __hash__(self) -> int:
-        return hash((self.curve_var, self.weight, self.h))
-
     @property
     def pole_order(self) -> int:
         low = self.h.low_degree_in(self.curve_var)
         return 0 if low is None else max(0, -low)
-
-    def scaled(self, factor: int | Fraction) -> "BranchRestriction":
-        return BranchRestriction(self.curve_var, self.weight, self.h * factor)
 
     def __mul__(self, other: "BranchRestriction") -> "BranchRestriction":
         if self.curve_var != other.curve_var:
@@ -210,8 +195,8 @@ def restrict(section: PluriSection, branch: str,
     substitution, whatever the factor.  One ``restrict_var`` call sets the
     branch's variable to 0 and normalizes the result from (generator
     restriction)^m to (dt)^m: it shifts by t^-m on a log pole and scales by
-    factor * residue_sign^m, so ``restrict(s, b, k)`` equals
-    ``restrict(s, b).scaled(k)`` without building the unscaled restriction.
+    factor * residue_sign^m, so ``h`` is ``factor`` times the coefficient of
+    the plain restriction, and the plain one is never built.
     """
     rule = section.model.branch(branch)
     m = section.weight
@@ -362,7 +347,11 @@ def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
     sign = (-1) ** m
     for leg, partner in zip(SIGMA, partners):
         on_nc = restrict(section_nc, leg.nc.zero_var)
-        if on_nc != pullback_sigma(restrict(partner, leg.half.zero_var, sign)):
+        # the two restrictions are equal iff their coefficients are: the
+        # weights are equal (checked above), the pullback lands on the nc
+        # parameter, and ``LaurentPolynomial.__eq__`` compares the variable
+        # lists too
+        if on_nc.h != pullback_sigma(restrict(partner, leg.half.zero_var, sign)).h:
             return False
     return True
 

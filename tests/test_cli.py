@@ -28,7 +28,7 @@ def test_report_verdicts():
         ]
     )
     assert report.passed
-    report.records.append(CheckRecord("c", "1", "2", "fail"))
+    report = Report((*report.records, CheckRecord("c", "1", "2", "fail")))
     assert not report.passed
     structured = report.render_structured()
     lines = structured.strip().split("\n")

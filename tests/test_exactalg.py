@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import add
 from random import Random
 
 import pytest
@@ -297,6 +298,7 @@ def _value_builders() -> dict:
         ECPoint: lambda: ECPoint(Fraction(1), Fraction(0)),
         WeightedHyperellipticCurve: lambda: WeightedHyperellipticCurve((1, 0, 2)),
         CheckRecord: lambda: CheckRecord("a", "1", "1", "pass"),
+        Report: lambda: Report([CheckRecord("a", "1", "1", "pass")]),
         Scenario: lambda: Scenario("all", 4),
     }
 
@@ -351,8 +353,12 @@ def test_value_constructors_take_keywords_and_defaults():
     assert MonomialSubstitution(source=XY, target=("s",), images=BOTH_TO_S) == (
         MonomialSubstitution(XY, ("s",), BOTH_TO_S)
     )
-    # a report starts empty, with a list of its own
-    assert Report() == Report([]) and Report().records is not Report().records
+    # a report starts empty, and keeps its records as a tuple of its own
+    assert Report() == Report([]) and Report().records == ()
+    records = [CheckRecord("a", "1", "1", "pass")]
+    report = Report(records)
+    records.append(CheckRecord("b", "1", "2", "fail"))
+    assert report.records == (CheckRecord("a", "1", "1", "pass"),) and report.passed
     missing_or_extra = (
         lambda: BranchRestriction("y", 2),
         lambda: AffineExponent(1, 2, 3),
@@ -364,6 +370,7 @@ def test_value_constructors_take_keywords_and_defaults():
         lambda: MonomialSubstitution(XY, ("s",)),
         lambda: ECPoint(1),
         lambda: CheckRecord("a", "1", "1"),
+        lambda: Report((), ()),
     )
     for call in missing_or_extra:
         with pytest.raises(TypeError):
@@ -401,8 +408,8 @@ def test_integral_results_of_fractions_are_stored_as_int():
             half * poly("2/3*x + 2*y"),
             {(2, 0): 1, (1, 1): Fraction(10, 3), (0, 2): 1},
         ),
-        "shift": (
-            half.shift((0, 1), Fraction(2, 3)),
+        "shifted-restriction": (
+            lift(half).restrict_var("w", (0, 1), Fraction(2, 3)),
             {(1, 1): 1, (0, 2): Fraction(1, 3)},
         ),
         "add": (half + poly("1/2*x + 1/2*y"), {(1, 0): 2, (0, 1): 1}),
@@ -444,9 +451,10 @@ def test_common_denominator_examples():
         assert_reduced(got)
         assert got == poly(want) and str(got) == want
     assert (sixth * 6).terms() == {(1, 0): 1}
-    # a Fraction shift coefficient, through the shift and a one-term product
+    # a Fraction shift coefficient, through a restriction and a one-term product
     third = poly("1/3*x + 2/3*y")
-    for shifted in (third.shift((1, 0), Fraction(3, 2)), third * poly("3/2*x")):
+    for shifted in (lift(third).restrict_var("w", (1, 0), Fraction(3, 2)),
+                    third * poly("3/2*x")):
         assert_reduced(shifted)
         assert shifted.terms() == {(2, 0): Fraction(1, 2), (1, 1): 1}
     # substitution collisions: summed numerators, reduced against 6
@@ -482,7 +490,9 @@ def test_equal_values_hash_alike_across_construction_routes():
             {(2, 0, 0): Fraction(1, 2), (0, 1, 0): -3, (0, 0, 0): Fraction(5, 6),
              (0, 0, 1): Fraction(1, 7)},
         ).restrict_var("z"),
-        "shift": poly("1/2*x^3 - 3*x*y + 5/6*x").shift((-1, 0)),
+        "shifted-restriction": lift(poly("1/2*x^3 - 3*x*y + 5/6*x")).restrict_var(
+            "w", (-1, 0)
+        ),
         "substitution": poly("1/2*u - 3*v + 5/6", ("u", "v")).substitute_monomials(
             MonomialSubstitution(("u", "v"), XY, {"u": {"x": 2}, "v": {"y": 1}})
         ),
@@ -601,6 +611,24 @@ def oracle_map(p, variables, key=lambda e: e, scale=1):
     for e, c in p.terms().items():
         out[key(e)] = out.get(key(e), 0) + scale * c
     return LaurentPolynomial(variables, out)
+
+
+def oracle_shift(p, shift, scale=1):
+    """p times scale*(the monomial of exponents ``shift``), through oracle_map."""
+    assert len(shift) == len(p.variables)
+    return oracle_map(p, p.variables, lambda e: tuple(map(add, e, shift)), scale)
+
+
+def lift(p):
+    """p over its variables and a last one, w, with a w-term that a
+    restriction to w = 0 drops; ``restrict_var("w")`` gives p back."""
+    terms = {e + (0,): c for e, c in p.terms().items()}
+    terms[(0,) * len(p.variables) + (1,)] = 5
+    return LaurentPolynomial(p.variables + ("w",), terms)
+
+
+def identity(variables):
+    return MonomialSubstitution(variables, variables, {v: {v: 1} for v in variables})
 
 
 def oracle_add(p, q):
@@ -767,7 +795,11 @@ def test_trusted_path_cancellation():
     assert xy * 1 is xy
 
 
-def test_shift_matches_validating_monomial_product():
+# A shift is the offset of a shifted restriction or of a part of
+# sum_substituted: the product with one monomial, which both must equal.
+
+
+def test_shift_matches_validating_monomial_product(monkeypatch):
     rng = Random(37)
     for _ in range(400):
         variables = VARS[: rng.randint(1, 3)]
@@ -775,35 +807,56 @@ def test_shift_matches_validating_monomial_product():
         exps = tuple(rng.randint(-3, 3) for _ in variables)
         coeff = rng.choice([0, 1, -1, 3, Fraction(-3, 2), Fraction(2, 7)])
         mono = LaurentPolynomial.monomial(variables, dict(zip(variables, exps)), coeff)
-        got = p.shift(exps, coeff)
-        assert_normalised(got)
-        assert got == p * mono == oracle_mul(p, mono), (p, exps, coeff)
+        want = oracle_mul(p, mono)
+        got = on_both_paths(monkeypatch, lambda: lift(p).restrict_var("w", exps, coeff))
+        assert got == p * mono == want, (p, exps, coeff)
+        summed = on_both_paths(
+            monkeypatch,
+            lambda: LaurentPolynomial.sum_substituted(identity(variables), ((p * coeff, exps),)),
+        )
+        assert summed == want, (p, exps, coeff)
 
 
-def test_shift_checks_its_arguments():
+def test_shift_checks_its_arguments(monkeypatch):
     p = poly("x - 2*y")
-    assert p.shift((1, -1)) == poly("x^2*y^-1 - 2*x")
-    assert p.shift((3, 3), 0) == LaurentPolynomial.zero(XY)
-    assert_normalised(p.shift((3, 3), 0))
-    for bad in ((1,), (1, 0, 0), ()):
-        with pytest.raises(VariableMismatch):
-            p.shift(bad)
-    for coeff in (0.5, "2", None):
-        with pytest.raises(TypeError):
-            p.shift((0, 0), coeff)
-    with pytest.raises(ValueError):
-        p.shift((1.0, 0))
+    lifted = lift(p)
+    got = on_both_paths(monkeypatch, lambda: lifted.restrict_var("w", (1, -1)))
+    assert got == poly("x^2*y^-1 - 2*x")
+    got = on_both_paths(
+        monkeypatch, lambda: LaurentPolynomial.sum_substituted(identity(XY), ((p, (1, -1)),))
+    )
+    assert got == poly("x^2*y^-1 - 2*x")
+    # a zero coefficient gives the zero polynomial, over 1
+    zero = on_both_paths(monkeypatch, lambda: lifted.restrict_var("w", (3, 3), 0))
+    assert zero == LaurentPolynomial.zero(XY) and zero._den == 1
+    shifts = (
+        lambda s: lifted.restrict_var("w", s),
+        lambda s: LaurentPolynomial.sum_substituted(identity(XY), ((p, s),)),
+    )
+    for cut in (0, 10**9):
+        monkeypatch.setattr(exactalg, "_COLUMN_TERMS", cut)
+        for shifted in shifts:
+            for bad in ((1,), (1, 0, 0), ()):
+                with pytest.raises(VariableMismatch, match="does not fit"):
+                    shifted(bad)
+            with pytest.raises(ValueError, match="non-integer exponent"):
+                shifted((1.0, 0))
+        for coeff in (0.5, "2", None):
+            with pytest.raises(TypeError, match="is not an int or Fraction"):
+                lifted.restrict_var("w", (0, 0), coeff)
+    monkeypatch.undo()
 
 
 # -- restriction fused with a shift ----------------------------------------------
 #
-# restrict_var(var, shift, coeff) must equal restrict_var(var).shift(shift,
-# coeff), stored alike, and raise what that composed path raises.
+# restrict_var(var, shift, coeff) must equal restrict_var(var) with the shift
+# and the scale applied as plain data, and raise the pole that restrict_var(var)
+# raises.
 
 
 def composed_shifted_restriction(p, var, shift, coeff):
     restricted = p.restrict_var(var)
-    return restricted.shift((0,) * len(restricted.variables) if shift is None else shift, coeff)
+    return oracle_shift(restricted, shift or (0,) * len(restricted.variables), coeff)
 
 
 def test_fused_restriction_matches_composed_path(monkeypatch):
@@ -833,10 +886,17 @@ def test_fused_restriction_matches_composed_path(monkeypatch):
         # both kernels, also when the restriction is left over no variables
         got = on_both_paths(monkeypatch, lambda: p.restrict_var(var, shift, coeff))
         assert got.variables == want.variables
-        assert got._terms == want._terms and got._den == want._den, (p, var, shift, coeff)
+        assert got == want, (p, var, shift, coeff)
         rest = want.variables
         mono = LaurentPolynomial.monomial(rest, dict(zip(rest, shift or ())), coeff)
         assert got == oracle_mul(oracle_restrict(p, var), mono)
+        # an integral coeff meets the denominator in one gcd; a fractional
+        # one reduces it in full
+        num, q = Fraction(coeff).as_integer_ratio()
+        if q == 1:
+            assert got._den == p._den // gcd(p._den, num)
+        else:
+            assert_reduced(got)
         if got.is_zero:
             outcomes["zero"] += 1
         else:
@@ -848,25 +908,20 @@ def test_fused_restriction_checks_its_arguments():
     p = LaurentPolynomial(XY, {(1, 0): Fraction(1, 2), (0, 2): 3})
     pole = LaurentPolynomial(XY, {(-1, 1): 1, (0, 2): Fraction(2, 3)})
     bad_calls = [
-        (pole, "x", (1,), 1),
-        (p, "z", (1,), 1),
-        (p, "x", (1, 0), 1),
-        (p, "x", (), 1),
-        (p, "x", (1.0,), 1),
-        (p, "x", ("1",), 1),
-        (p, "x", (1,), 0.5),
-        (p, "x", None, "2"),
-        (p, "x", (1,), None),
+        (pole, "x", (1,), 1, NegativeExponentAtRestriction,
+         "term with x^-1 cannot be restricted to x=0"),
+        (p, "z", (1,), 1, UnknownVariable, "'z' not among ('x', 'y')"),
+        (p, "x", (1, 0), 1, VariableMismatch, "shift (1, 0) does not fit ('y',)"),
+        (p, "x", (), 1, VariableMismatch, "shift () does not fit ('y',)"),
+        (p, "x", (1.0,), 1, ValueError, "non-integer exponent in (1.0,)"),
+        (p, "x", ("1",), 1, ValueError, "non-integer exponent in ('1',)"),
+        (p, "x", (1,), 0.5, TypeError, "coefficient 0.5 is not an int or Fraction"),
+        (p, "x", None, "2", TypeError, "coefficient '2' is not an int or Fraction"),
+        (p, "x", (1,), None, TypeError, "coefficient None is not an int or Fraction"),
     ]
-    raised = set()
-    for f, var, shift, coeff in bad_calls:
-        with pytest.raises(Exception) as want:
-            composed_shifted_restriction(f, var, shift, coeff)
-        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+    for f, var, shift, coeff, error, message in bad_calls:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             f.restrict_var(var, shift, coeff)
-        raised.add(want.type)
-    assert raised == {NegativeExponentAtRestriction, UnknownVariable, VariableMismatch,
-                      ValueError, TypeError}
     # a coeff of 0 gives the zero over 1, but a pole still raises first
     zero = p.restrict_var("x", (5,), 0)
     assert zero == LaurentPolynomial.zero(("y",)) and zero._den == 1
@@ -882,6 +937,35 @@ def test_fused_restriction_checks_its_arguments():
     half = poly("1/2*x^2 + y", XY).restrict_var("y", (-1,), Fraction(2, 3))
     assert half == poly("1/3*x", ("x",))
     assert_reduced(half)
+
+
+def test_shifted_restriction_checks_its_arguments_once(monkeypatch):
+    # shift and coeff are checked once, also where the kernel's columns add
+    # the shift
+    calls = {"_check_shift": 0, "_exact": 0}
+
+    def counted(name):
+        real = getattr(exactalg, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    rng = Random(101)
+    shift, coeff = (2, -1), Fraction(-3, 4)
+    for n_terms in (exactalg._COLUMN_TERMS - 4, 19):
+        p = many_term_poly(rng, XY, n_terms)
+        lifted = lift(p)
+        assert (len(lifted.support()) > exactalg._COLUMN_TERMS) is (n_terms == 19)
+        for name in calls:
+            calls[name] = 0
+            monkeypatch.setattr(exactalg, name, counted(name))
+        got = lifted.restrict_var("w", shift, coeff)
+        monkeypatch.undo()
+        assert calls == {"_check_shift": 1, "_exact": 1}, (n_terms, calls)
+        assert got == oracle_shift(p, shift, coeff)
+        assert on_both_paths(monkeypatch, lambda: lifted.restrict_var("w", shift, coeff)) == got
 
 
 def test_even_substitute_matches_oracle():
@@ -901,10 +985,11 @@ def test_even_substitute_matches_oracle():
 # -- column kernels of many-term substitution and shift --------------------------
 #
 # Above exactalg._COLUMN_TERMS terms the substitution kernel builds the exponent
-# vectors a column at a time; below it, it loops over the terms.  A shift is the
-# identity substitution with the shift as its offset, on the same kernel.  Each
-# draw runs through both paths, which must store the same numerators over the
-# same denominator, and both are compared with the oracle.
+# vectors a column at a time; below it, it loops over the terms.  A shifted
+# restriction of that many terms hands its kept terms to the identity
+# substitution with the shift as its offset, on the same kernel.  Each draw
+# runs through both paths, which must store the same numerators over the same
+# denominator, and both are compared with the oracle.
 
 UW_IMAGES = {"u": {"u": 1}, "v": {"u": -1, "w": 2}}
 
@@ -1041,24 +1126,35 @@ def test_column_shift_matches_validating_monomial_product(monkeypatch):
         exps = tuple(rng.choice([0, 0, -3, -1, 1, 2]) for _ in variables)
         coeff = rng.choice([1, -1, 3, Fraction(-3, 2), Fraction(2, 7)])
         mono = LaurentPolynomial.monomial(variables, dict(zip(variables, exps)), coeff)
-        got = on_both_paths(monkeypatch, lambda: p.shift(exps, coeff))
-        assert p.shift(exps, coeff)._terms == got._terms
+        lifted = lift(p)
+        got = on_both_paths(monkeypatch, lambda: lifted.restrict_var("w", exps, coeff))
+        # the default constant takes the column path here
+        assert lifted.restrict_var("w", exps, coeff)._terms == got._terms
         assert got == p * mono == oracle_mul(p, mono), (p, exps, coeff)
         if coeff == 1:
             assert got._den == p._den
         else:
             assert_reduced(got)
+        summed = on_both_paths(
+            monkeypatch,
+            lambda: LaurentPolynomial.sum_substituted(identity(variables), ((p, exps),)),
+        )
+        assert summed == oracle_shift(p, exps) and summed._den == p._den
 
 
 def test_zero_variable_shifts_and_one_term_products_on_both_kernels(monkeypatch):
     # over no variables a nonzero polynomial is one term at (); the column
     # kernel must keep it
     values = (3, 1, -1, Fraction(2, 7), Fraction(-3, 2))
+    nothing = identity(())
     for a in values:
         p = LaurentPolynomial((), {(): a})
         for b in values:
             want = LaurentPolynomial((), {(): a * b})
-            assert on_both_paths(monkeypatch, lambda: p.shift((), b)) == want
+            shifted = lambda: lift(p).restrict_var("w", (), b)
+            assert on_both_paths(monkeypatch, shifted) == want
+            summed = lambda: LaurentPolynomial.sum_substituted(nothing, ((p * b, ()),))
+            assert on_both_paths(monkeypatch, summed) == want
             q = LaurentPolynomial((), {(): b})
             assert on_both_paths(monkeypatch, lambda: p * q) == want
     rng = Random(89)
@@ -1084,7 +1180,7 @@ def test_bool_exponents_are_stored_as_plain_ints(monkeypatch):
         for shift in ((True, False), (False, 0), (True, 0)):
             plain = tuple(map(int, shift))
             calls = (
-                lambda s: p.shift(s, Fraction(1, 2)),
+                lambda s: lift(p).restrict_var("w", s, Fraction(1, 2)),
                 lambda s: p.restrict_var("y", s[:1], -1),
                 lambda s: LaurentPolynomial.sum_substituted(sub, ((p, s), (p, None))),
                 lambda s: p.restrict_substituted(sub, "t", s),
@@ -1103,15 +1199,16 @@ def test_bool_exponents_are_stored_as_plain_ints(monkeypatch):
 
 # -- restriction through a substitution -------------------------------------------
 #
-# restrict_substituted must equal substitute_monomials, then shift, then
-# restrict_var, and raise where that composed path raises, with the same
-# message; it builds image vectors only for the terms the restriction keeps.
+# restrict_substituted must equal substitute_monomials, then the shift as
+# plain data, then restrict_var, and raise where that composed path raises,
+# with the same message; it builds image vectors only for the terms the
+# restriction keeps.
 
 
 def composed_restriction(p, sub, var, shift=None):
     image = p.substitute_monomials(sub)
     if shift is not None:
-        image = image.shift(shift)
+        image = oracle_shift(image, shift)
     return image.restrict_var(var)
 
 
@@ -1228,28 +1325,35 @@ def test_restrict_substituted_checks_its_arguments():
     bad_calls = [
         (MonomialSubstitution(("v", "u"), ("u", "w"), UW_IMAGES), "w", None),
         (log_frame, "v", None),
-        (log_frame, "w", (0, 1, 0)),
-        (log_frame, "w", (0, 1.0)),
     ]
     for sub, var, shift in bad_calls:
         with pytest.raises(Exception) as want:
             composed_restriction(p, sub, var, shift)
         with pytest.raises(want.type, match=re.escape(str(want.value))):
             p.restrict_substituted(sub, var, shift)
-        assert want.type in (UnknownVariable, ValueError, VariableMismatch)
+        assert want.type in (UnknownVariable, VariableMismatch)
+    # a shift is checked as restrict_var and sum_substituted check theirs
+    bad_shifts = [
+        ((0, 1, 0), VariableMismatch, "shift (0, 1, 0) does not fit ('u', 'w')"),
+        ((0, 1.0), ValueError, "non-integer exponent in (0, 1.0)"),
+    ]
+    for shift, error, message in bad_shifts:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            p.restrict_substituted(log_frame, "w", shift)
 
 
 # -- sums of shifted substitutions ------------------------------------------------
 #
-# sum_substituted must equal the sum of p.substitute_monomials(sub).shift(shift)
-# over its parts, on both kernels, and raise where that composed path raises.
+# sum_substituted must equal the sum over its parts of p.substitute_monomials(sub)
+# with the shift applied as plain data, on both kernels, and raise where the
+# substitution raises.
 
 
 def composed_sum(sub, parts):
     total = LaurentPolynomial.zero(sub.target)
     for p, shift in parts:
         image = p.substitute_monomials(sub)
-        total = total + (image if shift is None else image.shift(shift))
+        total = total + (image if shift is None else oracle_shift(image, shift))
     return total
 
 
@@ -1312,18 +1416,16 @@ def test_sum_substituted_examples_and_checks():
     with pytest.raises(ValueError, match="at least one part"):
         LaurentPolynomial.sum_substituted(sub, [])
     bad_parts = [
-        [(c0, None), (poly("s", ("s", "t")), None)],
-        [(c0, (0, 0)), (c1, (1,))],
-        [(c0, (0, 1, 0))],
-        [(c1, (0, 1.0))],
-        [(c1, (0, "1"))],
+        ([(c0, None), (poly("s", ("s", "t")), None)], VariableMismatch,
+         "substitution on ('x', 'y'), not ('s', 't')"),
+        ([(c0, (0, 0)), (c1, (1,))], VariableMismatch, "shift (1,) does not fit ('s', 't')"),
+        ([(c0, (0, 1, 0))], VariableMismatch, "shift (0, 1, 0) does not fit ('s', 't')"),
+        ([(c1, (0, 1.0))], ValueError, "non-integer exponent in (0, 1.0)"),
+        ([(c1, (0, "1"))], ValueError, "non-integer exponent in (0, '1')"),
     ]
-    for parts in bad_parts:
-        with pytest.raises(Exception) as want:
-            composed_sum(sub, parts)
-        with pytest.raises(want.type, match=re.escape(str(want.value))):
+    for parts, error, message in bad_parts:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             LaurentPolynomial.sum_substituted(sub, parts)
-        assert want.type in (ValueError, VariableMismatch)
 
 
 # -- sums of products and the cone product ----------------------------------------
@@ -1397,6 +1499,6 @@ def test_many_term_cone_product_matches_parent_formula_and_chart():
             got = g * h
             assert_reduced(got.c0)
             assert_reduced(got.c1)
-            assert got.c0 == g.c0 * h.c0 + (g.c1 * h.c1).shift((1, 1))
+            assert got.c0 == g.c0 * h.c0 + oracle_shift(g.c1 * h.c1, (1, 1))
             assert got.c1 == g.c0 * h.c1 + g.c1 * h.c0
             assert to_chart(got).poly == to_chart(g).poly * to_chart(h).poly

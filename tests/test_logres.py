@@ -129,8 +129,10 @@ def test_pullback_matches_log_frame_oracle():
         terms = {(rng.randrange(-4, 5),): Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
                  for _ in range(rng.randrange(6))}
         h = LaurentPolynomial((t,), terms)
-        in_log_frame = LaurentPolynomial((s,), h.terms()).shift((m,), sign**m)
-        expected = BranchRestriction(s, m, in_log_frame.shift((-m,), sign**m))
+        # each shift and sign as plain data, on the coefficients of h
+        in_log_frame = {(e + m,): sign**m * c for (e,), c in h.terms().items()}
+        folded = {(e - m,): sign**m * c for (e,), c in in_log_frame.items()}
+        expected = BranchRestriction(s, m, LaurentPolynomial((s,), folded))
         assert pullback_sigma(BranchRestriction(t, m, h)) == expected
 
 
@@ -184,7 +186,8 @@ def test_restrict_factor_matches_scaled_restriction():
                 section = PluriSection(model, m, coeff, meromorphic=True)
                 for factor in (1, -1, 2, Fraction(-3, 2)):
                     try:
-                        want = restrict(section, rule.zero_var).scaled(factor)
+                        plain = restrict(section, rule.zero_var)
+                        want = BranchRestriction(plain.curve_var, plain.weight, plain.h * factor)
                     except NegativeExponentAtRestriction as exc:
                         with pytest.raises(NegativeExponentAtRestriction,
                                            match=f"^{re.escape(str(exc))}$"):
@@ -221,12 +224,38 @@ def test_glues_examples():
 
 
 def test_glues_weight_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sections must have equal weights$"):
         glues(
             nc_section(2, "x*y"),
             zero_partner(HALF_PLANE_U, 1),
             zero_partner(HALF_PLANE_V, 2),
         )
+    # y^2 at weight 2 and the constant 1 at weight 4 restrict to the same
+    # coefficient 1 on (x=0): the weights, not the coefficients, refuse them
+    one = PluriSection(HALF_PLANE_U, 4, parse_polynomial("1", HALF_PLANE_U.variables))
+    assert restrict(nc_section(2, "y^2"), "x").h == pullback_sigma(restrict(one, "u1")).h
+    with pytest.raises(ValueError, match="^sections must have equal weights$"):
+        glues(nc_section(2, "y^2"), one, zero_partner(HALF_PLANE_V, 2))
+
+
+def test_glues_compares_restricted_coefficients():
+    section = nc_section(2, "x^3 + x*y + y^2 + 2*y^5")
+    partners = partner_sections(section)
+    assert glues(section, *partners)
+    for i, (leg, partner) in enumerate(zip(SIGMA, partners)):
+        variables, t = partner.model.variables, leg.half.param_var
+        changes = (
+            # one coefficient of the restriction changes, or one term joins it
+            ({t: 0}, Fraction(1, 3), False),
+            ({t: 7}, -2, False),
+            # a term that the restriction drops changes nothing
+            ({t: 1, leg.half.zero_var: 1}, 5, True),
+        )
+        for exps, c, glued in changes:
+            changed = list(partners)
+            bump = LaurentPolynomial.monomial(variables, exps, c)
+            changed[i] = PluriSection(partner.model, 2, partner.coeff + bump)
+            assert glues(section, *changed) is glued, (leg, exps)
 
 
 def test_sign_coherence():
@@ -250,10 +279,15 @@ def test_glues_rejects_partners_off_sigma():
     u, v = zero_partner(HALF_PLANE_U, 1), zero_partner(HALF_PLANE_V, 1)
     section = nc_section(1, "x*y")
     assert glues(section, u, v)
-    for partners in ((u,), (u, v, v), (v, u)):
-        with pytest.raises(ValueError):
+    for partners in ((u,), (u, v, v)):
+        with pytest.raises(ValueError, match="^expected 2 partners"):
             glues(section, *partners)
-    with pytest.raises(ValueError):
+    # each partner on the wrong chart, the nc pair and the smooth pair included
+    smooth, nc = zero_partner(SMOOTH_PAIR, 1), zero_partner(NC_PAIR, 1)
+    for partners in ((v, u), (u, u), (smooth, v), (u, nc)):
+        with pytest.raises(ValueError, match="^partner sections must live on the half planes"):
+            glues(section, *partners)
+    with pytest.raises(ValueError, match="^first section must live on the nc pair$"):
         glues(u, u, v)
 
 
@@ -425,7 +459,11 @@ def test_obstructions_fail_loudly_on_a_merged_term(monkeypatch):
     assert obstructions(section) == {(0, 0), (1, 0)}
     # two equal terms merged on a leg would double the coefficient read back
     restrict_once = logres.restrict
-    monkeypatch.setattr(logres, "restrict", lambda s, b: restrict_once(s, b).scaled(2))
+    def restrict_doubled(s, b):
+        r = restrict_once(s, b)
+        return BranchRestriction(r.curve_var, r.weight, r.h * 2)
+
+    monkeypatch.setattr(logres, "restrict", restrict_doubled)
     with pytest.raises(AssertionError, match="is not the term"):
         obstructions(section)
 
