@@ -325,6 +325,36 @@ def pullback_sigma(restriction: BranchRestriction) -> BranchRestriction:
     raise UnknownBranch(f"no gluing is defined on branch parameter {restriction.curve_var!r}")
 
 
+def _require_nc(section: PluriSection) -> None:
+    if section.model is not NC_PAIR:
+        raise ValueError("first section must live on the nc pair")
+
+
+# the last nc section restricted on each leg of SIGMA, with its restriction,
+# keyed by the leg's nc branch variable; read and written only by ``_nc_leg``
+_NC_LEGS: dict[str, tuple[PluriSection, BranchRestriction]] = {}
+
+
+def _nc_leg(section: PluriSection, branch: str) -> BranchRestriction:
+    """``restrict(section, branch)``, computed once while ``section`` is the
+    last nc section asked for on ``branch``.
+
+    ``partner_sections`` and then ``glues`` restrict the same section on the
+    same legs.  The entry matches by identity: it holds the section itself,
+    so the section's id cannot be reused while the entry exists, and hashing
+    a coefficient would cost more than the restriction it saves.  A section
+    and its coefficient are immutable, so the remembered restriction equals
+    a recomputation.  Each entry is one tuple, read in one lookup and
+    replaced whole, so concurrent callers can only miss.
+    """
+    hit = _NC_LEGS.get(branch)
+    if hit is not None and hit[0] is section:
+        return hit[1]
+    on_nc = restrict(section, branch)
+    _NC_LEGS[branch] = (section, on_nc)
+    return on_nc
+
+
 def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
     """Decide the gluing condition for an nc section and its partners.
 
@@ -332,10 +362,11 @@ def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
     ``SIGMA``, in its order.  True iff on every leg the nc restriction
     equals (-1)^m times the pullback of the partner's restriction, as an
     exact identity of normalized presentations.  The pullback is linear,
-    so the sign is folded into the partner's ``restrict`` call.
+    so the sign is folded into the partner's ``restrict`` call.  The nc
+    restrictions are shared with ``partner_sections`` through ``_nc_leg``,
+    which matches the section by identity; each partner is restricted anew.
     """
-    if section_nc.model is not NC_PAIR:
-        raise ValueError("first section must live on the nc pair")
+    _require_nc(section_nc)
     if len(partners) != len(SIGMA):
         raise ValueError(f"expected {len(SIGMA)} partners, got {len(partners)}")
     m = section_nc.weight
@@ -346,7 +377,7 @@ def glues(section_nc: PluriSection, *partners: PluriSection) -> bool:
             raise ValueError("sections must have equal weights")
     sign = (-1) ** m
     for leg, partner in zip(SIGMA, partners):
-        on_nc = restrict(section_nc, leg.nc.zero_var)
+        on_nc = _nc_leg(section_nc, leg.nc.zero_var)
         # the two restrictions are equal iff their coefficients are: the
         # weights are equal (checked above), the pullback lands on the nc
         # parameter, and ``LaurentPolynomial.__eq__`` compares the variable
@@ -362,12 +393,15 @@ def partner_sections(section_nc: PluriSection) -> tuple[PluriSection, ...] | Non
     On each leg of ``SIGMA`` the nc restriction forces the partner's
     restriction; a partner exists iff the forced restriction is a
     polynomial.  Returns one partner per leg, in the order of ``SIGMA``, or
-    None when some leg has no holomorphic partner.
+    None when some leg has no holomorphic partner.  The nc restrictions
+    are remembered by ``_nc_leg`` (matched by identity), so that ``glues``
+    on the same section does not restrict it again.
     """
+    _require_nc(section_nc)
     m = section_nc.weight
     partners = []
     for leg in SIGMA:
-        on_nc = restrict(section_nc, leg.nc.zero_var)
+        on_nc = _nc_leg(section_nc, leg.nc.zero_var)
         # half-plane branches carry no log pole: a partner restricts to its
         # coefficient on the curve times residue_sign^m
         h = on_nc.h * (-leg.half.residue_sign) ** m
@@ -384,10 +418,12 @@ def obstructions(section_nc: PluriSection) -> frozenset[Exponents]:
     restricts the section once: restriction is linear and sends the terms
     it keeps to distinct powers t^k of the branch parameter, all with the
     sign ``sign^m``, so no two terms merge or cancel, and a pole t^k is
-    the term ``along*(k + lowering*m)`` of the leg's near map.
+    the term ``along*(k + lowering*m)`` of the leg's near map.  It calls
+    ``restrict`` itself, not ``_nc_leg``, so each call restricts afresh.
     Raises AssertionError if a read-back coefficient is not the section's
     own, so a merged term fails instead of passing.
     """
+    _require_nc(section_nc)
     m, own = section_nc.weight, section_nc.coeff.terms()
     found = set()
     for leg in SIGMA:

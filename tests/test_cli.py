@@ -149,6 +149,22 @@ def test_exit_code_one_on_failing_check(monkeypatch, capsys):
     assert "summary: fail" in out
 
 
+def test_failing_pole_bound_rows_name_their_monomial(monkeypatch):
+    import nccanon.cli as cli
+
+    passing = [(r.verdict, r.computed) for r in cli._suite_pole_bounds(3)]
+    assert passing == [("pass", v) for m in (1, 2, 3) for v in (str(m), "0")]
+    # the cone-side bound is the pole of the coefficient 1, the glued one
+    # that of u^rise, and CONE_GLUING.rise(m) is m
+    monkeypatch.setattr(cli, "pole_bound_s2", lambda m: m + 1)
+    monkeypatch.setattr(cli, "glued_pole_bound", lambda m: 7)
+    rows = {r.name: r for r in cli._suite_pole_bounds(3)}
+    for m, named in ((1, "u"), (2, "u^2"), (3, "u^3")):
+        cone, glued = rows[f"poles/m={m}/cone-side"], rows[f"poles/m={m}/glued"]
+        assert (cone.verdict, cone.expected, cone.computed) == ("fail", str(m), f"{m + 1} from 1")
+        assert (glued.verdict, glued.expected, glued.computed) == ("fail", "0", f"7 from {named}")
+
+
 def test_main_out_file(tmp_path, capsys):
     out = tmp_path / "report.tsv"
     code = main(

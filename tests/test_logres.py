@@ -23,6 +23,8 @@ from nccanon.logres import (
     SIGMA,
     SMOOTH_PAIR,
     BranchRestriction,
+    BranchRule,
+    ChartModel,
     EmbeddingAssignment,
     EmbeddingNotFound,
     MonomialMap,
@@ -291,6 +293,23 @@ def test_glues_rejects_partners_off_sigma():
         glues(u, u, v)
 
 
+def test_nc_functions_refuse_sections_off_the_nc_pair():
+    # a chart with the nc pair's variables and branch names but no log pole:
+    # before the chart check, partner_sections found partners for it and
+    # obstructions found none
+    look_alike = ChartModel(
+        "other", ("x", "y"), (BranchRule("x", "y", +1, False), BranchRule("y", "x", +1, False))
+    )
+    u, v = zero_partner(HALF_PLANE_U, 1), zero_partner(HALF_PLANE_V, 1)
+    for model in (look_alike, SMOOTH_PAIR, HALF_PLANE_U):
+        section = PluriSection(model, 1, LaurentPolynomial.monomial(model.variables, {}))
+        for call in (lambda: partner_sections(section), lambda: obstructions(section),
+                     lambda: glues(section, u, v)):
+            with pytest.raises(ValueError, match="^first section must live on the nc pair$"):
+                call()
+        assert all(hit[0] is not section for hit in logres._NC_LEGS.values())
+
+
 def test_sigma_legs_are_chart_branches():
     # every leg names a branch of the nc pair and of its own half plane, so
     # parameter names and residue signs are read from the chart data
@@ -452,6 +471,88 @@ def test_multi_term_sections_glue_iff_terms_in_gluing_ideal():
     assert min(outcomes.values()) >= 50
     assert negated >= 20
     assert kinds == set(product((True, False), repeat=2))
+
+
+# -- one restriction per nc leg ------------------------------------------------------
+
+
+def counted_restrict(monkeypatch) -> list[tuple[str, str]]:
+    """Patch ``logres.restrict`` to log (chart name, branch) per call."""
+    calls, real = [], logres.restrict
+
+    def counted(section, branch, *factor):
+        calls.append((section.model.name, branch))
+        return real(section, branch, *factor)
+
+    monkeypatch.setattr(logres, "restrict", counted)
+    return calls
+
+
+def test_partner_sections_and_glues_restrict_each_nc_leg_once(monkeypatch):
+    calls = counted_restrict(monkeypatch)
+    src = "x^3 + x*y + 2*y^3 + y^5"
+    section = nc_section(3, src)
+    partners = partner_sections(section)
+    assert calls == [("nc-pair", "x"), ("nc-pair", "y")]
+    assert glues(section, *partners)
+    assert calls[2:] == [("half-plane-u", "u1"), ("half-plane-v", "v2")]
+    # an equal section that is another object is restricted again
+    twin = nc_section(3, src)
+    assert twin == section and twin is not section
+    del calls[:]
+    assert glues(twin, *partners)
+    assert calls == [("nc-pair", "x"), ("half-plane-u", "u1"),
+                     ("nc-pair", "y"), ("half-plane-v", "v2")]
+
+
+def test_nc_leg_memo_holds_one_entry_per_branch():
+    rng = Random(97)
+    for _ in range(1000):
+        m = rng.randrange(1, 6)
+        section = PluriSection(NC_PAIR, m, random_nc_polynomial(rng, m))
+        partners = partner_sections(section)
+        if partners is not None:
+            assert glues(section, *partners)
+    branches = {rule.zero_var for rule in NC_PAIR.branches}
+    assert set(logres._NC_LEGS) <= branches
+    assert len(logres._NC_LEGS) == len(branches)
+    for branch, (section, on_nc) in logres._NC_LEGS.items():
+        assert on_nc == restrict(section, branch)
+
+
+def test_glues_restricts_a_fresh_section_anew(monkeypatch):
+    src = "x^3 + y^2"
+    partners = partner_sections(nc_section(2, src))
+    assert glues(nc_section(2, src), *partners)
+    real = logres.restrict
+
+    def nc_doubled(section, branch, *factor):
+        r = real(section, branch, *factor)
+        if section.model is NC_PAIR:
+            return BranchRestriction(r.curve_var, r.weight, r.h * 2)
+        return r
+
+    monkeypatch.setattr(logres, "restrict", nc_doubled)
+    assert not glues(nc_section(2, src), *partners)
+
+
+def test_glues_agrees_with_and_without_the_nc_leg_memo():
+    rng = Random(89)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        m = rng.randrange(1, 7)
+        section = PluriSection(NC_PAIR, m, random_nc_polynomial(rng, m))
+        partners = partner_sections(section)
+        if partners is None:
+            partners = tuple(zero_partner(leg.half_plane, m) for leg in SIGMA)
+        elif rng.randrange(2):
+            partners = (PluriSection(HALF_PLANE_U, m, partners[0].coeff + 1), partners[1])
+        remembered = glues(section, *partners)
+        logres._NC_LEGS.clear()
+        assert glues(section, *partners) is remembered
+        outcomes[remembered] += 1
+    # both verdicts are exercised, not vacuous
+    assert min(outcomes.values()) >= 40
 
 
 def test_obstructions_fail_loudly_on_a_merged_term(monkeypatch):
