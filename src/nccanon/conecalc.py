@@ -232,7 +232,7 @@ def restrict_cone_log_frame(section: ConeSection) -> BranchRestriction:
 # the numbers come from the chart, which sends u^a v^b w^r (normal form,
 # r in {0, 1}) to s^(2a+r) t^(2b+r): normal (0, 2, 1) along (t=0); of the
 # t-exponent 0 terms only u^a = s^(2a) is left, lowered by the half weight m
-CONE_MAP = MonomialMap((0, 2, 1), (1, 0, 0), 1, 1)
+CONE_MAP = MonomialMap((0, 2, 1), 1, 1)
 
 # the cone curve at half weight m, glued by u = x to the smooth branch (y=0) at 2m
 CONE_GLUING = Gluing(

@@ -205,8 +205,9 @@ def _grlex_key(exps: Exponents) -> tuple:
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` checks its arguments and stores each field with
+    A subclass names in ``__slots__`` its inputs, in constructor order, then
+    the fields its ``__init__`` derives from them (a fact read on demand is a
+    property); ``__init__`` checks its arguments and stores each field with
     ``_store(self, name, value)`` past the guard against assignment.  ``==``
     holds only between two instances of one class whose fields are equal,
     equal values hash alike, and ``repr`` reads ``Name(field=value, ...)``.

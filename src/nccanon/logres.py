@@ -69,12 +69,19 @@ class BranchRule(_Frozen):
 
 
 class ChartModel(_Frozen):
-    """A chart's variables and the branches of its marked curve."""
+    """A plane chart's two variables and the branches of its marked curve;
+    each branch sets one variable to 0, once, and is parametrized by the other."""
 
     __slots__ = ("name", "variables", "branches")
 
     def __init__(self, name: str, variables: tuple[str, str],
                  branches: tuple[BranchRule, ...]) -> None:
+        zeros = [rule.zero_var for rule in branches]
+        if len(set(variables)) != 2 or len(set(zeros)) != len(zeros) or any(
+            {rule.zero_var, rule.param_var} != set(variables) for rule in branches
+        ):
+            raise ValueError(f"chart {name} over {variables} has branches {branches}:"
+                             " each must set one variable to 0, once, along the other")
         _store(self, "name", name)
         _store(self, "variables", variables)
         _store(self, "branches", branches)
@@ -122,9 +129,10 @@ HALF_PLANE_V = ChartModel(
 
 
 class PluriSection(_Frozen):
-    """coeff * (chart generator)^weight on a chart model."""
+    """coeff * (chart generator)^weight on a chart model; a coefficient with
+    poles is admitted only with ``meromorphic=True``, a check, not a field."""
 
-    __slots__ = ("model", "weight", "coeff", "meromorphic")
+    __slots__ = ("model", "weight", "coeff")
 
     def __init__(self, model: ChartModel, weight: int, coeff: LaurentPolynomial,
                  meromorphic: bool = False) -> None:
@@ -142,16 +150,13 @@ class PluriSection(_Frozen):
         _store(self, "model", model)
         _store(self, "weight", weight)
         _store(self, "coeff", coeff)
-        _store(self, "meromorphic", meromorphic)
 
     def __mul__(self, other: "PluriSection") -> "PluriSection":
         if self.model is not other.model:
             raise ValueError("sections live on different charts")
+        # both factors were admitted, so their product is
         return PluriSection(
-            self.model,
-            self.weight + other.weight,
-            self.coeff * other.coeff,
-            self.meromorphic or other.meromorphic,
+            self.model, self.weight + other.weight, self.coeff * other.coeff, True
         )
 
 
@@ -212,33 +217,28 @@ class MonomialMap(_Frozen):
     With t the curve parameter, the monomial of exponents e restricts to 0
     if normal·e > 0, has a pole (NegativeExponentAtRestriction) if
     normal·e < 0, and is sign^weight * t^(along·e - lowering*weight) *
-    (dt)^weight otherwise.  ``normal`` must be nonnegative and vanish only
-    at the unit vector ``along``, so that among the monomials with
-    nonnegative exponents exactly the powers of t survive, reaching every
-    t^k with k >= -lowering*weight; ``Gluing`` reads that off.
+    (dt)^weight otherwise.  ``normal`` must be nonnegative with exactly one
+    0; the constructor stores ``along``, the unit vector at that 0, after
+    the inputs.  So among the monomials with nonnegative exponents exactly
+    the powers of t survive, reaching every t^k with k >= -lowering*weight;
+    ``Gluing`` reads that off.
     """
 
-    __slots__ = ("normal", "along", "lowering", "sign")
+    __slots__ = ("normal", "lowering", "sign", "along")
 
-    def __init__(self, normal: tuple[int, ...], along: tuple[int, ...],
-                 lowering: int, sign: int) -> None:
-        zeros = tuple(int(n == 0) for n in normal)
-        if min(normal, default=0) < 0 or zeros != along or sum(zeros) != 1:
-            raise ValueError(
-                f"normal {normal} must be nonnegative and vanish exactly "
-                f"at the unit vector along {along}"
-            )
+    def __init__(self, normal: tuple[int, ...], lowering: int, sign: int) -> None:
+        if normal.count(0) != 1 or min(normal) < 0:
+            raise ValueError(f"normal {normal} must be nonnegative with exactly one 0")
         _store(self, "normal", normal)
-        _store(self, "along", along)
         _store(self, "lowering", lowering)
         _store(self, "sign", sign)
+        _store(self, "along", tuple(int(n == 0) for n in normal))
 
     @classmethod
     def of(cls, variables: Sequence[str], rule: BranchRule) -> "MonomialMap":
         """``restrict`` to the branch ``rule`` of a chart over ``variables``."""
-        normal, along = (tuple(int(v == var) for v in variables)
-                         for var in (rule.zero_var, rule.param_var))
-        return cls(normal, along, int(rule.log_pole), rule.residue_sign)
+        normal = tuple(int(v == rule.zero_var) for v in variables)
+        return cls(normal, int(rule.log_pole), rule.residue_sign)
 
     def image(self, exps: Exponents, weight: int) -> tuple[int, int] | None:
         """``(sign, e)`` for sign * t^e * (dt)^weight, or None for 0."""
@@ -281,15 +281,19 @@ class BranchMatch(_Frozen):
     """One leg of the gluing: an nc branch identified with a half-plane curve.
 
     ``nc`` is a branch of ``NC_PAIR`` and ``half`` the branch of
-    ``half_plane`` glued to it, its parameter ``half.param_var`` identified
-    with ``nc.param_var`` away from the origin.  Derived in the constructor:
-    ``gluing`` (the nc map near, the half-plane map far, at equal weights),
-    and that identification as the substitutions ``to_half`` and ``to_nc``.
+    ``half_plane`` glued to it (checked), its parameter ``half.param_var``
+    identified with ``nc.param_var`` away from the origin.  Derived in the
+    constructor: ``gluing`` (the nc map near, the half-plane map far, at
+    equal weights), and that identification as the substitutions
+    ``to_half`` and ``to_nc``.
     """
 
     __slots__ = ("nc", "half_plane", "half", "gluing", "to_half", "to_nc")
 
     def __init__(self, nc: BranchRule, half_plane: ChartModel, half: BranchRule) -> None:
+        if nc not in NC_PAIR.branches or half not in half_plane.branches:
+            raise ValueError(f"a leg joins a branch of {NC_PAIR.name} and one of "
+                             f"{half_plane.name}, not {nc} and {half}")
         s, t = nc.param_var, half.param_var
         _store(self, "nc", nc)
         _store(self, "half_plane", half_plane)

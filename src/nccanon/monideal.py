@@ -485,35 +485,38 @@ def _new(i_m: MonomialIdeal, candidates: set[Exponents]) -> frozenset[Exponents]
 
 
 class ReesGenerationReport(_Frozen):
-    """Per-degree table of fresh generators for a graded monomial family.
+    """Per-weight table of fresh generators for a graded monomial family:
+    ``new`` holds the generators of I_m outside J_m for m = 1, 2, ..., and
+    ``witness_flag`` is True exactly when it reaches weight 3 and each weight
+    from 3 on contributed one: a standing demand for new generators in that
+    window is the finite-generation failure witness."""
 
-    ``witness_flag`` is True exactly when every degree from 3 to the last
-    row contributed at least one new generator: a standing demand for new
-    generators in that window is the finite-generation failure witness.
-    """
+    __slots__ = ("new",)
 
-    __slots__ = ("rows", "witness_flag")
+    def __init__(self, new: tuple[frozenset[Exponents], ...]) -> None:
+        _store(self, "new", new)
 
-    def __init__(
-        self, rows: tuple[tuple[int, frozenset[Exponents]], ...], witness_flag: bool
-    ) -> None:
-        _store(self, "rows", rows)
-        _store(self, "witness_flag", witness_flag)
+    @property
+    def rows(self) -> tuple[tuple[int, frozenset[Exponents]], ...]:
+        return tuple(enumerate(self.new, 1))
+
+    @property
+    def witness_flag(self) -> bool:
+        return len(self.new) >= 3 and all(self.new[2:])
 
     def row(self, m: int) -> frozenset[Exponents]:
-        """The new generators of weight m; ``rows`` holds m = 1, 2, ... in order."""
-        if not 1 <= m <= len(self.rows):
+        """The new generators of weight m."""
+        if not 1 <= m <= len(self.new):
             raise KeyError(m)
-        return self.rows[m - 1][1]
+        return self.new[m - 1]
 
 
 def rees_report(family: GradedMonomialFamily, max_degree: int) -> ReesGenerationReport:
     """Compute new generators for every 1 <= m <= max_degree."""
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
-    rows = [(m, _new(i_m, s_m)) for m, i_m, s_m in _weights(family, max_degree)]
-    witness = all(gens for m, gens in rows if 3 <= m <= max_degree)
-    return ReesGenerationReport(tuple(rows), witness)
+    weights = _weights(family, max_degree)
+    return ReesGenerationReport(tuple(_new(i_m, s_m) for _, i_m, s_m in weights))
 
 
 def brute_force_new_generators(

@@ -280,10 +280,8 @@ def _value_builders() -> dict:
         ChartModel: lambda: ChartModel("c", XY, (BranchRule("y", "x", -1, False),)),
         PluriSection: lambda: PluriSection(NC_PAIR, 2, poly("x*y")),
         BranchRestriction: lambda: BranchRestriction("y", 2, poly("y^-2", ("y",))),
-        MonomialMap: lambda: MonomialMap((0, 1), (1, 0), 1, -1),
-        Gluing: lambda: Gluing(
-            MonomialMap((0, 1), (1, 0), 1, -1), MonomialMap((1, 0), (0, 1), 0, 1), 2
-        ),
+        MonomialMap: lambda: MonomialMap((0, 1), 1, -1),
+        Gluing: lambda: Gluing(MonomialMap((0, 1), 1, -1), MonomialMap((1, 0), 0, 1), 2),
         BranchMatch: lambda: BranchMatch(
             NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_U.branch("u1")
         ),
@@ -311,8 +309,9 @@ def test_values_are_frozen_and_hash_by_value():
     for cls, build in builders.items():
         value, twin = values[cls], build()
         assert type(value) is cls
-        # a field, and a name that is no field
-        for name in (*cls.__slots__, "foo"):
+        # a field, a property read from the fields, and a name that is neither
+        derived = [name for name, v in vars(cls).items() if isinstance(v, property)]
+        for name in (*cls.__slots__, *derived, "foo"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
@@ -343,7 +342,7 @@ def test_value_constructors_take_keywords_and_defaults():
     uv = ("u", "v")
     pole = poly("x^-1*y")
     section = PluriSection(model=NC_PAIR, weight=1, coeff=pole, meromorphic=True)
-    assert section.meromorphic is True and section.coeff == pole
+    assert section.coeff == pole and section == PluriSection(NC_PAIR, 1, pole, True)
     with pytest.raises(ValueError, match="pass meromorphic=True"):
         PluriSection(NC_PAIR, 1, pole)
     c0 = poly("u + v", uv)

@@ -22,6 +22,7 @@ from nccanon.logres import (
     NC_PAIR,
     SIGMA,
     SMOOTH_PAIR,
+    BranchMatch,
     BranchRestriction,
     BranchRule,
     ChartModel,
@@ -108,6 +109,37 @@ def test_meromorphic_coefficient():
     section = nc_section(1, "x^-1*y", meromorphic=True)
     with pytest.raises(NegativeExponentAtRestriction):
         restrict(section, "x")
+    # ``meromorphic`` admits poles and is not stored: one section either way
+    x, pole = nc_section(1, "x", meromorphic=True), nc_section(1, "x^-1", meromorphic=True)
+    assert x == nc_section(1, "x") and hash(x) == hash(nc_section(1, "x"))
+    assert len({x, nc_section(1, "x")}) == 1
+    assert x * pole == nc_section(2, "1")
+    assert pole * pole == nc_section(2, "x^-2", meromorphic=True)
+
+
+def test_chart_model_refuses_branches_off_its_variables():
+    for variables, rules in (
+        (("x", "y"), (BranchRule("z", "w", 1, True),)),  # names no chart variable
+        (("x", "y"), (BranchRule("x", "z", 1, True),)),  # a parameter off the chart
+        # two branches on x: ``branch("x")`` would answer with the first
+        (("x", "y"), (BranchRule("x", "y", 1, True), BranchRule("x", "y", -1, False))),
+        (("x", "y"), (BranchRule("x", "x", 1, True),)),  # parametrized by itself
+        (("x", "y", "z"), (BranchRule("x", "y", 1, True),)),  # not a plane chart
+        (("x", "x"), ()),
+    ):
+        with pytest.raises(ValueError, match="^chart bad over"):
+            ChartModel("bad", variables, rules)
+
+
+def test_branch_match_refuses_branches_off_its_charts():
+    for nc, half_plane, half in (
+        (SMOOTH_PAIR.branch("y"), HALF_PLANE_V, HALF_PLANE_V.branch("v2")),
+        (NC_PAIR.branch("x"), HALF_PLANE_U, BranchRule("v1", "u1", 1, False)),
+        (NC_PAIR.branch("x"), HALF_PLANE_U, HALF_PLANE_V.branch("v2")),
+    ):
+        with pytest.raises(ValueError, match=f"^a leg joins a branch of nc-pair and one of "
+                                             f"{half_plane.name}, not"):
+            BranchMatch(nc, half_plane, half)
 
 
 # -- the pullback through the gluing -------------------------------------------

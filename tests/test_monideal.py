@@ -13,6 +13,7 @@ from nccanon.monideal import (
     GradedMonomialFamily,
     MonomialIdeal,
     MultiplicativityViolation,
+    ReesGenerationReport,
     brute_force_new_generators,
     minimalize,
     parse_family,
@@ -214,6 +215,22 @@ def test_rees_report_row_indexes_weights_one_to_max_degree():
     for m in (0, -1, -6, 7):
         with pytest.raises(KeyError):
             report.row(m)
+
+
+def test_rees_report_reads_rows_and_flag_from_its_sets():
+    none, xy = frozenset(), frozenset({(1, 1)})
+    # the flag cannot disagree with the sets: no weight 3 generator, no witness
+    silent = ReesGenerationReport((none, none, none))
+    assert not silent.witness_flag
+    assert silent.rows == ((1, none), (2, none), (3, none))
+    assert ReesGenerationReport((none, none, xy, xy)).witness_flag
+    assert not ReesGenerationReport((none, none, xy, none)).witness_flag
+    # a table that stops below weight 3 witnesses nothing
+    assert not ReesGenerationReport((xy, xy)).witness_flag
+    # weights are positions, so a row is the set of its own weight
+    report = rees_report(FAMILY, 6)
+    assert [m for m, _ in report.rows] == list(range(1, 7))
+    assert report == ReesGenerationReport(tuple(gens for _, gens in report.rows))
 
 
 def test_rees_report_requires_range():

@@ -17,6 +17,7 @@ section, is compared with ``partner_sections`` on each of its monomials.
 
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 
 import pytest
 
@@ -310,7 +311,7 @@ BOX = 22
 # every map of ``every_map`` lowers by 0 or 1, and between those no multiple
 # far_per_near >= 1 changes a rise; a near map lowering by 3 tells all three
 # multiples apart, with rises up to 3*5
-STEEP_MAP = (XY, MonomialMap((0, 1), (1, 0), 3, 1))
+STEEP_MAP = (XY, MonomialMap((0, 1), 3, 1))
 
 
 def gluing_weights():
@@ -376,15 +377,35 @@ def test_monomial_map_ideal_matches_its_image():
 
 
 def test_monomial_map_refuses_what_rise_and_ideal_cannot_read():
-    for normal, along in (
-        ((-1, 0), (0, 1)),  # a negative normal weight
-        ((1, 0), (1, 0)),  # along is not where normal vanishes
-        ((0, 0), (1, 0)),  # normal vanishes twice
-        ((0, 0), (1, 1)),  # along is not a unit vector
-        ((1, 2), (0, 0)),  # normal never vanishes
-        ((1, 0, 0), (0, 1)),  # lengths differ
+    for normal in (
+        (-1, 0),  # a negative normal weight
+        (0, 0),  # normal vanishes twice
+        (1, 2),  # normal never vanishes
+        (),  # no variable at all
     ):
-        with pytest.raises(ValueError):
-            MonomialMap(normal, along, 1, 1)
+        with pytest.raises(ValueError, match="must be nonnegative with exactly one 0"):
+            MonomialMap(normal, 1, 1)
     with pytest.raises(VariableMismatch):
         CONE_MAP.image((1, 0), 1)
+
+
+def test_monomial_maps_keep_their_fields():
+    # (normal, along, lowering, sign) of the cone map, the smooth branch's
+    # and each leg's near and far map, ``along`` derived from ``normal``
+    fields = attrgetter("normal", "along", "lowering", "sign")
+    assert fields(CONE_MAP) == ((0, 2, 1), (1, 0, 0), 1, 1)
+    assert fields(CONE_GLUING.far) == ((0, 1), (1, 0), 0, 1)
+    assert [(fields(leg.gluing.near), fields(leg.gluing.far)) for leg in SIGMA] == [
+        (((1, 0), (0, 1), 1, 1), ((1, 0), (0, 1), 0, 1)),
+        (((0, 1), (1, 0), 1, -1), ((0, 1), (1, 0), 0, -1)),
+    ]
+    assert MonomialMap((2, 0, 1), 0, -1).along == (0, 1, 0)
+
+
+def test_monomial_map_runs_along_the_branch_parameter():
+    # ``MonomialMap.of`` reads only the branch's zero_var; ``ChartModel``
+    # makes its param_var the chart's other variable, where ``along`` lands
+    for model in PLANE_CHARTS:
+        for rule in model.branches:
+            along = MonomialMap.of(model.variables, rule).along
+            assert along == tuple(int(v == rule.param_var) for v in model.variables)
