@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import starmap
-from operator import add, or_
+from operator import add, index, or_
 
 from .exactalg import LaurentPolynomial, MonomialSubstitution, _Frozen, _store
 from .logres import SMOOTH_PAIR, BranchRestriction, Gluing, MonomialMap
@@ -242,6 +242,7 @@ CONE_GLUING = Gluing(
 def pole_bound_s2(m: int) -> int:
     """Largest pole order the cone side can produce at weight 2m: the pole
     of the ``CONE_MAP`` image of the coefficient 1 at half weight m."""
+    m = index(m)
     if m < 0:
         raise ValueError("m must be >= 0")
     return max(0, -CONE_MAP.image((0, 0, 0), m)[1])
@@ -250,6 +251,7 @@ def pole_bound_s2(m: int) -> int:
 def glued_pole_bound(m: int) -> int:
     """Largest pole of a restriction achievable on both sides of ``CONE_GLUING``:
     that of u^``rise``, the least power whose image the smooth side reaches."""
+    m = index(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     rise, cone = CONE_GLUING.rise(m), CONE_GLUING.near

@@ -83,6 +83,8 @@ class ECPoint(_Frozen):
     __slots__ = ("x", "y")
 
     def __init__(self, x: Fraction | None, y: Fraction | None) -> None:
+        if (x is None) != (y is None):
+            raise ValueError(f"a point has both coordinates or neither, got ({x}, {y})")
         _store(self, "x", x)
         _store(self, "y", y)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import (Exponents, LaurentPolynomial, MonomialSubstitution,
@@ -62,6 +62,11 @@ class BranchRule(_Frozen):
 
     def __init__(self, zero_var: str, param_var: str, residue_sign: int,
                  log_pole: bool) -> None:
+        # a float sign would reach the restricted coefficients
+        if not isinstance(residue_sign, int) or residue_sign not in (1, -1):
+            raise ValueError(f"residue_sign must be +1 or -1, got {residue_sign!r}")
+        if type(log_pole) is not bool:
+            raise TypeError(f"log_pole must be a bool, got {log_pole!r}")
         _store(self, "zero_var", zero_var)
         _store(self, "param_var", param_var)
         _store(self, "residue_sign", residue_sign)
@@ -457,12 +462,13 @@ def gluing_ideal(m: int) -> MonomialIdeal:
     a caller that wraps plain functions (the benchmark's tracer) still sees
     every call, answered from the cache or not.
     """
+    m = index(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _gluing_ideal(m)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _gluing_ideal(m: int) -> MonomialIdeal:
     on_x, on_y = (leg.gluing.ideal(NC_PAIR.variables, m) for leg in SIGMA)
     return on_x & on_y

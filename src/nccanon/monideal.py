@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import add, le, sub
+from operator import add, index, le, sub
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import (Exponents, ParseError, Tokens, VariableMismatch, _Frozen,
-                       _store, divides, monomial_str)
+from .exactalg import (Exponents, ParseError, Tokens, VariableMismatch, _distinct,
+                       _Frozen, _store, divides, monomial_str)
 
 
 class MultiplicativityViolation(Exception):
@@ -168,25 +168,17 @@ class MonomialIdeal(_Frozen):
 
 
 class AffineExponent(_Frozen):
-    """An exponent of the shape slope*m + offset in a grading weight m."""
+    """An exponent of the shape slope*m + offset in a grading weight m, with
+    int slope >= 0 and int offset (a bool counts as its int)."""
 
     __slots__ = ("slope", "offset")
 
     def __init__(self, slope: int, offset: int) -> None:
+        slope, offset = index(slope), index(offset)
         if slope < 0:
             raise ValueError(f"slope must be nonnegative, got {slope}")
         _store(self, "slope", slope)
         _store(self, "offset", offset)
-
-    # written out, as the generic ones take half as long again: the oracle's
-    # cache hashes every exponent of a family once per weight
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slope, self.offset) == (other.slope, other.offset)
-
-    def __hash__(self) -> int:
-        return hash((self.slope, self.offset))
 
     def at(self, m: int) -> int:
         return self.slope * m + self.offset
@@ -203,33 +195,48 @@ class AffineExponent(_Frozen):
 class GradedMonomialFamily(_Frozen):
     """Monomial generator templates with exponents affine in the weight m.
 
-    ``templates`` holds one exponent row per generator, aligned with
-    ``variables``.  Instantiation at every weight m >= 1 must give
-    nonnegative exponents; this is checked at construction.
+    Like ``LaurentPolynomial``, it stores a normal form of its input: the
+    distinct ``variables`` and the int matrices ``slopes`` and ``offsets``,
+    one row per template; ``templates`` reads the rows back.  The checks
+    run once, on the ints: each entry is an int (a bool counts as its int),
+    each slope is nonnegative, and so each exponent is nonnegative at m = 1.
     """
 
-    __slots__ = ("variables", "templates")
+    __slots__ = ("variables", "slopes", "offsets")
 
     def __init__(
         self,
-        variables: tuple[str, ...],
-        templates: tuple[tuple[AffineExponent, ...], ...],
+        variables: Iterable[str],
+        templates: Iterable[Iterable[AffineExponent]],
     ) -> None:
-        for row in templates:
-            if len(row) != len(variables):
-                raise ValueError(f"template {row} does not fit variables {variables}")
-            for ae in row:
-                # slope >= 0, so the minimum over m >= 1 is attained at m = 1
-                if ae.at(1) < 0:
-                    raise ValueError(f"exponent {ae} is negative at m=1")
-        _store(self, "variables", variables)
-        _store(self, "templates", templates)
+        vars_t = _distinct(variables)
+        rows = [tuple(row) for row in templates]
+        slopes = tuple(tuple(index(ae.slope) for ae in row) for row in rows)
+        offsets = tuple(tuple(index(ae.offset) for ae in row) for row in rows)
+        for ks, cs in zip(slopes, offsets):
+            if len(ks) != len(vars_t):
+                raise ValueError(f"template slopes {ks} do not fit variables {vars_t}")
+            for k, c in zip(ks, cs):
+                if k < 0:
+                    raise ValueError(f"slope must be nonnegative, got {k}")
+                if k + c < 0:
+                    raise ValueError(f"exponent {AffineExponent(k, c)} is negative at m=1")
+        _store(self, "variables", vars_t)
+        _store(self, "slopes", slopes)
+        _store(self, "offsets", offsets)
+
+    @property
+    def templates(self) -> tuple[tuple[AffineExponent, ...], ...]:
+        rows = zip(self.slopes, self.offsets)
+        return tuple(tuple(map(AffineExponent, ks, cs)) for ks, cs in rows)
 
     def instantiate(self, m: int) -> MonomialIdeal:
         """The ideal I_m, minimalized."""
+        m = index(m)
         if m < 1:
             raise ValueError(f"m={m} below validated range (m >= 1)")
-        gens = [tuple(ae.at(m) for ae in row) for row in self.templates]
+        rows = zip(self.slopes, self.offsets)
+        gens = [tuple(k * m + c for k, c in zip(ks, cs)) for ks, cs in rows]
         return MonomialIdeal(self.variables, gens)
 
     def __str__(self) -> str:
@@ -318,11 +325,9 @@ def parse_family(src: str) -> GradedMonomialFamily:
     return GradedMonomialFamily(variables, rows)
 
 
-def _lines(
-    templates: Sequence[tuple[AffineExponent, ...]],
-) -> tuple[list[tuple], list[tuple]]:
-    """The template pairs {s, t} (s = t included) compiled into integer
-    vectors, split by the signs of D = slope(s) - slope(t), with
+def _lines(family: GradedMonomialFamily) -> tuple[list[tuple], list[tuple]]:
+    """The template pairs {s, t} (s = t included) of the family compiled into
+    integer vectors, split by the signs of D = slope(s) - slope(t), with
     O = offset(s) + offset(t).
 
     ``ends`` holds ``(K, C)`` for a pair whose D is sign-definite: its
@@ -347,10 +352,7 @@ def _lines(
     fails at every m >= 2 by the same affine argument, so such an
     endpoint line covers no point of the mixed line and gets no entry.
     """
-    rows = [
-        (tuple(ae.slope for ae in row), tuple(ae.offset for ae in row))
-        for row in templates
-    ]
+    rows = list(zip(family.slopes, family.offsets))
     ends, mixed = {}, {}  # dicts as sets in insertion order
     for i, (s_slope, s_offset) in enumerate(rows):
         for t_slope, t_offset in rows[i:]:
@@ -382,7 +384,7 @@ def _lines(
 
 def _candidates(lines: tuple[list[tuple], list[tuple]], m: int) -> set[Exponents]:
     """Products s(a) + t(m-a) that generate J_m, by the interval cut, from
-    the compiled ``lines = _lines(templates)``.
+    the compiled ``lines = _lines(family)``.
 
     Every kept endpoint product, and every mixed-line point that no kept
     endpoint product divides.  Per coordinate, E(m) divides the point
@@ -462,7 +464,7 @@ def _weights(
     generating set S_m.  A generator of I_m is new iff no
     element of S_m divides it, which is membership in J_m.
     """
-    lines = _lines(family.templates)
+    lines = _lines(family)
     for m in range(1, upto + 1):
         i_m = family.instantiate(m)
         candidates = _candidates(lines, m)
@@ -565,6 +567,7 @@ def brute_force_new_generators(
     so its products are formed there and not kept; only the pairs with
     ``stable`` recur across weights, and only their products are kept.
     """
+    m, degree_bound = index(m), index(degree_bound)
     if m < 1:
         raise ValueError(f"weight m={m} must be >= 1")
     if degree_bound < 0:
@@ -576,14 +579,11 @@ class _OracleMemo:
     """The oracle's tables for one family and degree bound, filled as the
     weights ask for them (see ``brute_force_new_generators``)."""
 
-    __slots__ = ("templates", "bound", "stable", "kept", "with_stable", "answers")
+    __slots__ = ("rows", "bound", "stable", "kept", "with_stable", "answers")
 
     def __init__(self, family: GradedMonomialFamily, degree_bound: int) -> None:
-        totals = [
-            (sum(ae.slope for ae in row), sum(ae.offset for ae in row))
-            for row in family.templates
-        ]
-        self.templates = family.templates
+        self.rows = tuple(zip(family.slopes, family.offsets))
+        totals = [(sum(ks), sum(cs)) for ks, cs in self.rows]
         self.bound = degree_bound
         self.stable = max(
             [1] + [(degree_bound - tau) // sigma + 1 for sigma, tau in totals if sigma > 0]
@@ -598,7 +598,7 @@ class _OracleMemo:
     def instances(self, k: int) -> list[tuple[Exponents, int]]:
         """The instances of weight k <= stable of degree <= bound, with their degrees."""
         if k not in self.kept:
-            insts = [tuple(ae.at(k) for ae in row) for row in self.templates]
+            insts = [tuple(s * k + c for s, c in zip(ks, cs)) for ks, cs in self.rows]
             self.kept[k] = [(g, sum(g)) for g in insts if sum(g) <= self.bound]
         return self.kept[k]
 

@@ -301,6 +301,16 @@ def test_glued_pole_bound():
         glued_pole_bound(0)
 
 
+def test_pole_bounds_read_the_weight_as_an_int():
+    # a float weight is refused, not rounded or carried through; a bool
+    # counts as its int
+    for bound in (pole_bound_s2, glued_pole_bound):
+        for bad in (2.5, 2.0):
+            with pytest.raises(TypeError):
+                bound(bad)
+        assert bound(True) == bound(1)
+
+
 def test_cone_element_arithmetic():
     w = ConeElement.monomial(0, 0, 1)
     assert w * w == ConeElement(uvpoly("u*v"))

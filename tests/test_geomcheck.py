@@ -41,6 +41,14 @@ def branch_curve(src: str) -> WeightedHyperellipticCurve:
 # -- elliptic curves -----------------------------------------------------------
 
 
+def test_ec_point_refuses_one_missing_coordinate():
+    # only the point at infinity has no coordinates, and it has neither
+    for x, y in ((Fraction(1), None), (None, Fraction(0))):
+        with pytest.raises(ValueError, match="both coordinates or neither"):
+            ECPoint(x, y)
+    assert ECPoint(None, None) == INFINITY
+
+
 def test_ec_add_examples():
     p, q = TORSION_CURVE.point(0, 0), TORSION_CURVE.point(1, 0)
     assert ec_add(TORSION_CURVE, p, q) == TORSION_CURVE.point(-1, 0)

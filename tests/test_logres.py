@@ -131,6 +131,18 @@ def test_chart_model_refuses_branches_off_its_variables():
             ChartModel("bad", variables, rules)
 
 
+def test_branch_rule_refuses_a_sign_off_one_and_a_pole_flag_off_bool():
+    # a sign of 2 would scale every restriction by 2^m; a string flag would
+    # read as a log pole in ``restrict`` and fail in ``MonomialMap.of``; a
+    # float sign would fail only in ``restrict``, on the scaled coefficient
+    for sign in (2, 0, -2, 1.0, -1.0):
+        with pytest.raises(ValueError, match="residue_sign must be"):
+            BranchRule("x", "y", sign, True)
+    for flag in ("no", 1, None):
+        with pytest.raises(TypeError, match="log_pole must be a bool"):
+            BranchRule("x", "y", 1, flag)
+
+
 def test_branch_match_refuses_branches_off_its_charts():
     for nc, half_plane, half in (
         (SMOOTH_PAIR.branch("y"), HALF_PLANE_V, HALF_PLANE_V.branch("v2")),
@@ -415,6 +427,13 @@ def test_gluing_ideal_cache_returns_the_intersection_of_the_leg_ideals():
     # the benchmark's tracer wraps and counts only plain functions, so the
     # cache sits behind gluing_ideal rather than decorating it
     assert inspect.isfunction(logres.gluing_ideal)
+
+
+def test_gluing_ideal_reads_the_weight_as_an_int():
+    # 2.0 would build (x^2.0, x*y, y^2.0); the cache is keyed by the int
+    with pytest.raises(TypeError):
+        gluing_ideal(2.0)
+    assert gluing_ideal(True) is gluing_ideal(1)
 
 
 def test_gluing_ideal_is_never_principal():

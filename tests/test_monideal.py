@@ -372,6 +372,46 @@ def test_family_refuses_a_template_negative_at_weight_one():
             GradedMonomialFamily(XY, (row,))
 
 
+def test_family_refuses_repeated_variables_and_non_integer_exponents():
+    one = AffineExponent(0, 1)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        GradedMonomialFamily(("x", "x"), ((one, one),))
+    # 1.5*m would print as x^1.5*m, which does not parse back
+    for slope, offset in ((1.5, 0), (1, 0.5), (2.0, 0)):
+        with pytest.raises(TypeError):
+            AffineExponent(slope, offset)
+
+    class Loose:  # an exponent that skips AffineExponent's checks
+        def __init__(self, slope, offset):
+            self.slope, self.offset = slope, offset
+
+    with pytest.raises(TypeError):
+        GradedMonomialFamily(("x",), ((Loose(1.5, 0),),))
+    with pytest.raises(ValueError, match="^slope must be nonnegative, got -1$"):
+        GradedMonomialFamily(("x",), ((Loose(-1, 5),),))
+    with pytest.raises(ValueError, match="do not fit variables"):
+        GradedMonomialFamily(XY, ((one,),))
+    # a bool counts as its int, as in a polynomial's exponents
+    flagged = GradedMonomialFamily(XY, ((AffineExponent(True, False), Loose(0, True)),))
+    assert flagged == parse_family("x^m*y") and flagged.slopes == ((1, 0),)
+    assert type(flagged.slopes[0][0]) is int and type(flagged.offsets[0][1]) is int
+
+
+def test_weight_entries_read_the_weight_as_an_int():
+    # 2.0 would instantiate to (x^2.0, x*y, y^2.0); 3.0 failed inside range()
+    for bad in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            FAMILY.instantiate(bad)
+        with pytest.raises(TypeError):
+            brute_force_new_generators(FAMILY, bad, 6)
+    with pytest.raises(TypeError):
+        brute_force_new_generators(FAMILY, 3, 6.0)
+    assert FAMILY.instantiate(True) == FAMILY.instantiate(1)
+    assert brute_force_new_generators(FAMILY, True, 6) == brute_force_new_generators(
+        FAMILY, 1, 6
+    )
+
+
 def test_ideal_str():
     assert str(ideal((1, 1), (3, 0), (0, 3))) == "(x*y, x^3, y^3)"
     assert str(MonomialIdeal(XY, ())) == "(0)"
@@ -473,6 +513,7 @@ def test_family_round_trips_as_a_value():
     for seed in range(300):
         family = random_printable_family(Random(seed))
         assert parse_family(str(family)) == family, (seed, str(family))
+        assert GradedMonomialFamily(family.variables, family.templates) == family, seed
         for ae in (ae for row in family.templates for ae in row):
             if ae.slope == 0:
                 shapes.add("c" if ae.offset else "absent")
@@ -480,6 +521,32 @@ def test_family_round_trips_as_a_value():
                 shapes.add("k*m+c" if ae.offset > 0 else "k*m-c")
     # the draws print every exponent shape of the syntax
     assert shapes == {"absent", "c", "k*m+c", "k*m-c"}
+
+
+def test_family_stores_int_matrices_and_hashes_no_exponent(monkeypatch):
+    by_hand = GradedMonomialFamily(
+        XY,
+        (
+            (AffineExponent(0, 1), AffineExponent(0, 1)),
+            (AffineExponent(1, 0), AffineExponent(0, 0)),
+            (AffineExponent(0, 0), AffineExponent(1, 0)),
+        ),
+    )
+    assert by_hand == FAMILY and hash(by_hand) == hash(FAMILY)
+    assert FAMILY.slopes == ((0, 0), (1, 0), (0, 1))
+    assert FAMILY.offsets == ((1, 1), (0, 0), (0, 0))
+    assert FAMILY.templates == by_hand.templates
+    # the oracle's cache hashes the family once per weight, on ints alone
+    calls = []
+    generic = AffineExponent.__hash__
+    monkeypatch.setattr(
+        AffineExponent, "__hash__", lambda self: calls.append(self) or generic(self)
+    )
+    family = parse_family("x*y, y*z, x*z, x^m, y^m, z^m")
+    hash(family)
+    assert calls == []
+    hash(AffineExponent(1, 0))
+    assert len(calls) == 1
 
 
 # -- the per-weight pass against straightforward references ---------------------
@@ -813,7 +880,7 @@ def test_interval_cut_keeps_a_generating_subset_of_the_reference():
     # divides
     pruned = 0
     for family in line_families(Random(47)):
-        lines = _lines(family.templates)
+        lines = _lines(family)
         for m in range(1, 25):
             kept = _candidates(lines, m)
             reference = reference_candidates(family, m)
@@ -831,7 +898,7 @@ def test_dropped_endpoint_lines_are_divided_by_kept_ones():
     # weight, against endpoint lines derived from the templates
     dropped = 0
     for family in line_families(Random(53)):
-        kept = _lines(family.templates)[0]
+        kept = _lines(family)[0]
         lines = reference_end_lines(family)
         assert len(set(kept)) == len(kept) and set(kept) <= lines, str(family)
         for line in lines - set(kept):
@@ -848,7 +915,7 @@ def test_three_variable_family_prunes_to_ten_endpoint_lines():
     # 10 are kept.  Over weights 1..80 the kept candidates are within 7 of
     # the minimal generators of J_m
     family = parse_family("x*y, y*z, x*z, x^m, y^m, z^m")
-    lines = _lines(family.templates)
+    lines = _lines(family)
     assert (len(reference_end_lines(family)), len(lines[0]), len(lines[1])) == (16, 10, 3)
     kept = [_candidates(lines, m) for m in range(1, 81)]
     reference = [reference_candidates(family, m) for m in range(1, 81)]
@@ -861,7 +928,7 @@ def test_interval_cut_keeps_two_gaps_of_one_mixed_line():
     # at m = 10 the mixed line x^m*y * x*y^m has points x^(a+2)*y^(12-a);
     # x^4*y^4 * x^2*y, x^4*y^4 * x*y^2 and x^8*y^8 cover a in [3, 7]
     family = parse_family("x^(m+1)*y, x*y^(m+1), x^4*y^4")
-    lines = _lines(family.templates)
+    lines = _lines(family)
     assert len(lines[1]) == 1
     line = {(a + 2, 12 - a) for a in range(1, 10)}
     kept = _candidates(lines, 10) & line
@@ -930,7 +997,7 @@ def test_violation_names_the_least_minimal_generator_outside_i_m():
             f" of J_{m} is not in I_{m}"
         ), seed
         outside = {
-            c for c in _candidates(_lines(family.templates), m) if not i_m.member(c)
+            c for c in _candidates(_lines(family), m) if not i_m.member(c)
         }
         non_minimal += bool(outside - j_m.generators)
         reordered += first != min(minimal_outside)
