@@ -58,6 +58,10 @@ class ConeElement(_Frozen):
 
     def __init__(self, c0: LaurentPolynomial,
                  c1: LaurentPolynomial = LaurentPolynomial.zero(_UV)) -> None:
+        if not isinstance(c0, LaurentPolynomial):
+            raise TypeError(f"c0 {c0!r} is not a LaurentPolynomial")
+        if not isinstance(c1, LaurentPolynomial):
+            raise TypeError(f"c1 {c1!r} is not a LaurentPolynomial")
         if c0.variables != _UV or c1.variables != _UV:
             raise ValueError("cone elements live over the variables (u, v)")
         _store(self, "c0", c0)
@@ -93,12 +97,16 @@ class ConeElement(_Frozen):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ConeElement") -> "ConeElement":
+        if not isinstance(other, ConeElement):
+            return NotImplemented
         return ConeElement(self.c0 + other.c0, self.c1 + other.c1)
 
     def __neg__(self) -> "ConeElement":
         return ConeElement(-self.c0, -self.c1)
 
     def __sub__(self, other: "ConeElement") -> "ConeElement":
+        if not isinstance(other, ConeElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "ConeElement") -> "ConeElement":
@@ -107,6 +115,8 @@ class ConeElement(_Frozen):
         Each part is one ``LaurentPolynomial.sum_of_products``, so neither
         the four products nor their sums are built on the way.
         """
+        if not isinstance(other, ConeElement):
+            return NotImplemented
         g0, g1, h0, h1 = self.c0, self.c1, other.c0, other.c1
         c0 = LaurentPolynomial.sum_of_products(((g0, h0), (_UV_FACTOR * g1, h1)))
         c1 = LaurentPolynomial.sum_of_products(((g0, h1), (g1, h0)))
@@ -166,8 +176,11 @@ class ConeSection(_Frozen):
     __slots__ = ("weight", "coeff")
 
     def __init__(self, weight: int, coeff: ConeElement) -> None:
+        weight = index(weight)
         if weight < 0 or weight % 2 != 0:
             raise ValueError("cone sections carry even nonnegative weight")
+        if not isinstance(coeff, ConeElement):
+            raise TypeError(f"coefficient {coeff!r} is not a ConeElement")
         _store(self, "weight", weight)
         _store(self, "coeff", coeff)
 

@@ -37,13 +37,16 @@ returns the sum of a*b over a list of pairs in one pass: each pair's
 products are scaled to the lcm of the pairs' denominators and summed as ints
 into one map, and one gcd reduces it, so no product or partial sum is built
 (``__mul__`` runs every product of two polynomials through the same loop).
-``sum_substituted`` does the same for the images of several parts under one
-substitution, each shifted by its own exponent vector.  ``restrict_substituted``
-is a substitution, an optional shift and a restriction to ``var = 0`` in one
-step: it computes the ``var``-exponent of every image term first, raises
-where the composed path would meet a pole, and builds image exponent vectors
-only for the terms whose exponent is 0.  All substitutions share one kernel,
-which sums, drops zeros and reduces only when two images collide.
+Every chart of the package is a surface chart, so on two variables the loop
+unpacks each exponent pair and adds the pairs entry by entry; other widths
+build each key with ``map``.  ``sum_substituted`` does the same for the
+images of several parts under one substitution, each shifted by its own
+exponent vector.  ``restrict_substituted`` is a substitution, an optional
+shift and a restriction to ``var = 0`` in one step: it computes the
+``var``-exponent of every image term first, raises where the composed path
+would meet a pole, and builds image exponent vectors only for the terms
+whose exponent is 0.  All substitutions share one kernel, which sums, drops
+zeros and reduces only when two images collide.
 
 Variables are named symbols fixed at construction time.  Operations that
 combine two polynomials require identical variable lists, and moving a
@@ -781,18 +784,32 @@ def _pair_sum(
     """The sum over ``factors`` of scale*a*b, for numerator maps a and b on
     ``vars_t`` and int scales, over ``den``: every pair product is summed as
     an int, then one gcd of den and every summed numerator reduces the
-    result."""
+    result.  Every chart is a surface chart, so on two variables the loop
+    unpacks each exponent pair and builds ``(a1 + a2, b1 + b2)``, at most a
+    sixth of the cost of ``tuple(map(add, e1, e2))``, in the same order."""
     out: dict[Exponents, int] = {}
-    for left, right, scale in factors:
-        right = right.items()
-        for e1, n1 in left.items():
-            n1 *= scale
-            for e2, n2 in right:
-                key = tuple(map(add, e1, e2))
-                if key in out:
-                    out[key] += n1 * n2
-                else:
-                    out[key] = n1 * n2
+    if len(vars_t) == 2:
+        for left, right, scale in factors:
+            right = right.items()
+            for (a1, b1), n1 in left.items():
+                n1 *= scale
+                for (a2, b2), n2 in right:
+                    key = (a1 + a2, b1 + b2)
+                    if key in out:
+                        out[key] += n1 * n2
+                    else:
+                        out[key] = n1 * n2
+    else:
+        for left, right, scale in factors:
+            right = right.items()
+            for e1, n1 in left.items():
+                n1 *= scale
+                for e2, n2 in right:
+                    key = tuple(map(add, e1, e2))
+                    if key in out:
+                        out[key] += n1 * n2
+                    else:
+                        out[key] = n1 * n2
     # a sum that cancelled to 0 leaves the gcd as it is
     g = gcd(den, *out.values())
     if g > 1:

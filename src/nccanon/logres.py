@@ -141,8 +141,11 @@ class PluriSection(_Frozen):
 
     def __init__(self, model: ChartModel, weight: int, coeff: LaurentPolynomial,
                  meromorphic: bool = False) -> None:
+        weight = index(weight)
         if weight < 0:
             raise ValueError("weight must be nonnegative")
+        if not isinstance(coeff, LaurentPolynomial):
+            raise TypeError(f"coefficient {coeff!r} is not a LaurentPolynomial")
         if coeff.variables != model.variables:
             raise ValueError(
                 f"coefficient variables {coeff.variables} do not match "

@@ -1,6 +1,7 @@
 """Cone chart tests: double-cover substitution, restriction, pole bounds."""
 
 from fractions import Fraction
+from operator import add, mul, sub
 from random import Random
 
 import pytest
@@ -309,6 +310,32 @@ def test_pole_bounds_read_the_weight_as_an_int():
             with pytest.raises(TypeError):
                 bound(bad)
         assert bound(True) == bound(1)
+
+
+def test_cone_section_reads_its_weight_as_an_int():
+    # 2.0 would pass here and fail only in ``restrict_cone``, on the
+    # non-integer shift (-1.0,); a bool weight is stored as its int
+    with pytest.raises(TypeError):
+        ConeSection(2.0, ConeElement.one())
+    assert type(ConeSection(False, ConeElement.one()).weight) is int
+    with pytest.raises(ValueError):
+        ConeSection(True, ConeElement.one())
+
+
+def test_cone_values_refuse_operands_of_another_type():
+    one = ConeElement.one()
+    for bad in (2, 1, None, uvpoly("u")):
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError, match="^unsupported operand"):
+                op(one, bad)
+    with pytest.raises(TypeError, match="^c0 None is not a LaurentPolynomial$"):
+        ConeElement(None)
+    with pytest.raises(TypeError, match="^c1 'x' is not a LaurentPolynomial$"):
+        ConeElement(uvpoly("u"), "x")
+    with pytest.raises(TypeError, match="^coefficient 'x' is not a ConeElement$"):
+        ConeSection(2, "x")
+    with pytest.raises(TypeError, match="^coefficient .* is not a ConeElement$"):
+        ConeSection(2, uvpoly("u"))
 
 
 def test_cone_element_arithmetic():

@@ -13,8 +13,8 @@ import pytest
 
 from nccanon import exactalg
 from nccanon.cli import CheckRecord, Report, Scenario
-from nccanon.conecalc import (ChartElement, ConeElement, ConeSection, _even_substitute,
-                              to_chart)
+from nccanon.conecalc import (_UV_FACTOR, ChartElement, ConeElement, ConeSection,
+                              _even_substitute, to_chart)
 from nccanon.exactalg import (
     LaurentPolynomial,
     MonomialSubstitution,
@@ -1501,3 +1501,103 @@ def test_many_term_cone_product_matches_parent_formula_and_chart():
             assert got.c0 == g.c0 * h.c0 + oracle_shift(g.c1 * h.c1, (1, 1))
             assert got.c1 == g.c0 * h.c1 + g.c1 * h.c0
             assert to_chart(got).poly == to_chart(g).poly * to_chart(h).poly
+
+
+# -- the pair loop on two variables -------------------------------------------
+#
+# Every chart of the package is a surface chart, and ``_pair_sum`` runs its
+# products on unpacked exponent pairs there; other widths run the generic loop.
+
+
+def first_seen_sum(pairs):
+    """The sum of a*b over the pairs as a list of (exps, coeff), from the
+    factors' terms as plain data: each left term against every right term,
+    pair by pair, a key placed where it first appears, zero sums left out."""
+    out = {}
+    for a, b in pairs:
+        for e1, c1 in a.terms().items():
+            for e2, c2 in b.terms().items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+    return [(e, c) for e, c in out.items() if c]
+
+
+def surface_pairs(rng: Random, variables):
+    """One to three pairs of Laurent factors (exponents in [-3, 3], so
+    pairs collide) over unequal denominators, sometimes with a one-term
+    factor ``_UV_FACTOR`` on (u, v), a zero factor, a pair whose product has
+    a Fraction sum cancel to 0 or to an int, or the negation of the first
+    pair."""
+    pairs = [
+        tuple(dense_poly(rng, variables, coeff=wide_coeff) for _ in range(2))
+        for _ in range(rng.randint(1, 3))
+    ]
+    a, b = pairs[0]
+    roll = rng.random()
+    if roll < 0.25 and variables == ("u", "v"):
+        # as in the cone product: the factor alone, and its product with a
+        pairs[0] = (_UV_FACTOR, a) if rng.random() < 0.5 else (a, _UV_FACTOR)
+        pairs.append((_UV_FACTOR * a, b))
+    elif roll < 0.45:
+        pairs.insert(0, cancelling_pair(rng, variables, rng.choice([0, 1, -3])))
+    elif roll < 0.55:
+        pairs.append((LaurentPolynomial.zero(variables), b))
+    elif roll < 0.7:
+        pairs.append((-a, b))
+    return pairs
+
+
+def test_two_variable_products_match_oracle():
+    rng = Random(101)
+    seen = {"zero": 0, "int": 0, "collision": 0, "uv-factor": 0, "negative": 0}
+    for _ in range(400):
+        variables = rng.choice((XY, ("u", "v")))
+        pairs = surface_pairs(rng, variables)
+        for a, b in pairs:
+            got = a * b
+            assert_reduced(got)
+            assert got == oracle_mul(a, b) and str(got) == str(oracle_mul(a, b)), (a, b)
+            seen["collision"] += len(got.support()) < len(a.support()) * len(b.support())
+            seen["negative"] += min(chain.from_iterable(got.support()), default=0) < 0
+            seen["uv-factor"] += _UV_FACTOR in (a, b)
+        got = LaurentPolynomial.sum_of_products(pairs)
+        want = oracle_sum_of_products(pairs)
+        assert_reduced(got)
+        assert got == want and str(got) == str(want) and hash(got) == hash(want), pairs
+        fractions = any(a._den * b._den > 1 for a, b in pairs)
+        seen["zero"] += got.is_zero and fractions
+        seen["int"] += fractions and int in map(type, got.terms().values())
+    assert min(seen.values()) > 20, seen
+
+
+def test_two_variable_product_keeps_first_seen_term_order():
+    # the stored order decides which pole ``restrict_var`` names first
+    rng = Random(103)
+    named = 0
+    for _ in range(300):
+        pairs = surface_pairs(rng, rng.choice((XY, ("u", "v"))))
+        got = LaurentPolynomial.sum_of_products(pairs)
+        want = first_seen_sum(pairs)
+        assert list(got.terms().items()) == want, pairs
+        if len(pairs) == 1:
+            assert list((pairs[0][0] * pairs[0][1]).terms().items()) == want
+        var = got.variables[0]
+        poles = [e[0] for e, _ in want if e[0] < 0]
+        if poles:
+            with pytest.raises(NegativeExponentAtRestriction, match=f"{var}\\^{poles[0]} "):
+                got.restrict_var(var)
+            named += 1
+    assert named > 100, named
+
+
+def test_one_and_three_variable_products_run_the_generic_loop():
+    rng = Random(107)
+    for _ in range(200):
+        variables = rng.choice((("x",), VARS))
+        pairs = surface_pairs(rng, variables)
+        got = LaurentPolynomial.sum_of_products(pairs)
+        assert_reduced(got)
+        assert got == oracle_sum_of_products(pairs), pairs
+        assert list(got.terms().items()) == first_seen_sum(pairs), pairs
+        a, b = pairs[0]
+        assert a * b == oracle_mul(a, b)

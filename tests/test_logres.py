@@ -117,6 +117,24 @@ def test_meromorphic_coefficient():
     assert pole * pole == nc_section(2, "x^-2", meromorphic=True)
 
 
+def test_section_reads_its_weight_as_an_int():
+    # a float weight would pass here and fail only in ``restrict``, on the
+    # non-integer shift (-1.5,); a bool weight is stored as its int
+    coeff = parse_polynomial("x*y", NC_PAIR.variables)
+    for bad in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            PluriSection(NC_PAIR, bad, coeff)
+    section = PluriSection(NC_PAIR, True, coeff)
+    assert type(section.weight) is int and section == nc_section(1, "x*y")
+
+
+def test_section_refuses_a_coefficient_off_laurent_polynomials():
+    # a string coefficient used to fail on its missing ``variables``
+    for bad in ("f", None, 3):
+        with pytest.raises(TypeError, match="^coefficient .* is not a LaurentPolynomial$"):
+            PluriSection(NC_PAIR, 2, bad)
+
+
 def test_chart_model_refuses_branches_off_its_variables():
     for variables, rules in (
         (("x", "y"), (BranchRule("z", "w", 1, True),)),  # names no chart variable
